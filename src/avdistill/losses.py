@@ -8,7 +8,9 @@ label_term   : mean Euclidean distance of each labeled projection to its
 triplet_term : cross-modal margin triplets under the normalized distance,
                built from label masks on the labeled subset and teacher
                alignment masks on the soft subset, each reduced as the mean
-               hinge over its triples and the two added.
+               hinge over its triples and the two added. Training reduces
+               batch-all with per-anchor sorts and batch-hard with masked
+               argmax / argmin, never building the triples.
 pair_term    : mean Euclidean distance between the two projections of each pair.
 
 Embeddings may first pass through an anchor-aware proxy that mixes correlated
@@ -18,6 +20,7 @@ backward passes here are written by hand against the cached forward state.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,6 +310,94 @@ def _triplet_terms(
     return value, d_dist
 
 
+def _batch_triplet_reduce(
+    positive_mask: np.ndarray,
+    negative_mask: np.ndarray,
+    dist: np.ndarray,
+    strategy: str,
+    anchor_mode: str,
+    margin: float,
+) -> tuple[float, np.ndarray]:
+    """Mean hinge over the triples build_triplets would enumerate, and d/d(dist).
+
+    The training path's reducer: it equals build_triplets + _triplet_terms but
+    never materializes the triples, so memory stays O(n^2). Audio anchors read
+    mask and distance rows; visual anchors read the transposes, and their
+    gradient is added back transposed.
+    """
+    reduce_side = _batch_all_side if strategy == "all" else _batch_hard_side
+    counts = np.zeros(dist.shape, dtype=np.int64)  # gradient in units of 1 / n_triples
+    sides = []
+    if anchor_mode in ("audio", "symmetric"):
+        sides.append((positive_mask, negative_mask, dist, counts))
+    if anchor_mode in ("visual", "symmetric"):
+        sides.append((positive_mask.T, negative_mask.T, dist.T, counts.T))
+    hinges, n_triples = [], 0
+    for pos, neg, d, side_counts in sides:
+        hinge, grad_counts, side_triples = reduce_side(pos, neg, d, margin)
+        side_counts += grad_counts
+        hinges.append(hinge)
+        n_triples += side_triples
+    if n_triples == 0:
+        return 0.0, np.zeros_like(dist)
+    # Audio-then-visual order, so "hard" sums exactly as the reference's mean.
+    value = float(np.concatenate(hinges).sum() / n_triples)
+    return value, counts * (1.0 / n_triples)
+
+
+def _batch_all_side(
+    pos: np.ndarray, neg: np.ndarray, dist: np.ndarray, margin: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Batch-all for anchors on rows: one sort and prefix sum per anchor.
+
+    Positive p of anchor a is violated by the k negatives q with
+    d_aq < d_ap + margin, whose hinges sum to k * (d_ap + margin) - prefix[k].
+    O(n^2 log n) time. Returns per-anchor hinge sums, the gradient counts and
+    the number of triples.
+    """
+    n = dist.shape[0]
+    neg_dist = np.where(neg, dist, np.inf)  # non-negatives sort last and are never counted
+    order = np.argsort(neg_dist, axis=1, kind="stable")
+    sorted_neg = np.take_along_axis(neg_dist, order, axis=1)
+    prefix = np.zeros((n, n + 1), dtype=dist.dtype)
+    np.cumsum(sorted_neg, axis=1, out=prefix[:, 1:])
+    threshold = dist + margin
+    # The tie rule: negative q is active for positive p iff d_aq < d_ap + margin.
+    k = np.stack([np.searchsorted(row, t, side="left") for row, t in zip(sorted_neg, threshold)])
+    k = np.where(pos, k, 0)
+    hinge = (k * threshold - np.take_along_axis(prefix, k, axis=1)).sum(axis=1)
+
+    # The negative in sorted slot j is active for every positive with k > j.
+    cells = (np.arange(n)[:, None] * (n + 1) + k)[pos]
+    k_hist = np.bincount(cells, minlength=n * (n + 1)).reshape(n, n + 1)
+    at_least = k_hist[:, ::-1].cumsum(axis=1)[:, ::-1]  # [a, j]: positives with k >= j
+    grad_counts = np.empty((n, n), dtype=np.int64)
+    np.put_along_axis(grad_counts, order, -at_least[:, 1:], axis=1)
+    grad_counts += k
+    n_triples = int(pos.sum(axis=1) @ neg.sum(axis=1))
+    return hinge, grad_counts, n_triples
+
+
+def _batch_hard_side(
+    pos: np.ndarray, neg: np.ndarray, dist: np.ndarray, margin: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Batch-hard for anchors on rows: farthest positive against nearest negative.
+
+    Anchors missing a positive or a negative are skipped; argmax / argmin ties
+    resolve to the lowest index, as in build_triplets.
+    """
+    anchors = np.flatnonzero(pos.any(axis=1) & neg.any(axis=1))
+    p = np.argmax(np.where(pos, dist, -np.inf), axis=1)[anchors]
+    q = np.argmin(np.where(neg, dist, np.inf), axis=1)[anchors]
+    hinge = dist[anchors, p] - dist[anchors, q] + margin
+    active = hinge > 0.0
+    # One triple per anchor row, so no cell is indexed twice within one update.
+    grad_counts = np.zeros(dist.shape, dtype=np.int64)
+    grad_counts[anchors[active], p[active]] += 1
+    grad_counts[anchors[active], q[active]] -= 1
+    return np.maximum(hinge, 0.0), grad_counts, anchors.size
+
+
 def _distances_with_cache(a: np.ndarray, b: np.ndarray) -> dict:
     ua, na = normalize_rows(a, "audio embeddings")
     ub, nb = normalize_rows(b, "visual embeddings")
@@ -330,24 +421,35 @@ def _distance_backward(cache: dict, d_dist: np.ndarray) -> tuple[np.ndarray, np.
     return d_a, d_b
 
 
+def _through_distances(
+    emb: EmbeddingBatch,
+    cfg: LossConfig,
+    reduce: Callable[[np.ndarray], tuple[float, np.ndarray]],
+) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """Proxy, normalized distances, `reduce(dist) -> (value, d_dist)`, and back.
+
+    The returned gradients are with respect to the raw tower outputs.
+    """
+    proxied_a, cache_a = _proxy_forward(emb.audio, cfg)
+    proxied_v, cache_v = _proxy_forward(emb.visual, cfg)
+    dcache = _distances_with_cache(proxied_a, proxied_v)
+    value, d_dist = reduce(dcache["dist"])
+    d_pa, d_pv = _distance_backward(dcache, d_dist)
+    return value, (_proxy_backward(cache_a, d_pa, cfg), _proxy_backward(cache_v, d_pv, cfg))
+
+
 def cross_modal_triplet_loss(
     emb: EmbeddingBatch, triplets: TripletSet, cfg: LossConfig
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Mean hinge over the given triples; returns the loss and d/d(embeddings).
 
+    This is the explicit-triples reference for the training path's reducer.
     The proxy and row normalization sit inside the loss, so the returned
     gradients are with respect to the raw tower outputs.
     """
     if len(triplets) == 0:
         return 0.0, (np.zeros_like(emb.audio), np.zeros_like(emb.visual))
-    proxied_a, cache_a = _proxy_forward(emb.audio, cfg)
-    proxied_v, cache_v = _proxy_forward(emb.visual, cfg)
-    dcache = _distances_with_cache(proxied_a, proxied_v)
-    value, d_dist = _triplet_terms(dcache["dist"], triplets, cfg.margin)
-    d_pa, d_pv = _distance_backward(dcache, d_dist)
-    d_audio = _proxy_backward(cache_a, d_pa, cfg)
-    d_visual = _proxy_backward(cache_v, d_pv, cfg)
-    return value, (d_audio, d_visual)
+    return _through_distances(emb, cfg, lambda dist: _triplet_terms(dist, triplets, cfg.margin))
 
 
 def label_loss(
@@ -427,28 +529,24 @@ def composite_loss(
     if not (np.isfinite(emb.audio).all() and np.isfinite(emb.visual).all()):
         raise NumericError("non-finite embedding values in the student pass")
 
-    proxied_a, cache_a = _proxy_forward(emb.audio, cfg)
-    proxied_v, cache_v = _proxy_forward(emb.visual, cfg)
-    dcache = _distances_with_cache(proxied_a, proxied_v)
-    dist = dcache["dist"]
-
-    triplet_value = 0.0
-    d_dist = np.zeros_like(dist)
     subset_masks = []
     if plan.labeled_idx.size > 0:
         subset_masks.append((plan.labeled_idx, label_masks(batch.labels[plan.labeled_idx])))
     if soft_masks is not None:
         subset_masks.append((plan.soft_idx, soft_masks))
-    for idx, (pos, neg) in subset_masks:
-        grid = np.ix_(idx, idx)
-        local = build_triplets(pos, neg, cfg.strategy, cfg.anchor_mode, dist[grid])
-        value, d_local = _triplet_terms(dist[grid], local, cfg.margin)
-        triplet_value += value
-        d_dist[grid] += d_local
 
-    d_pa, d_pv = _distance_backward(dcache, d_dist)
-    d_audio_trip = _proxy_backward(cache_a, d_pa, cfg)
-    d_visual_trip = _proxy_backward(cache_v, d_pv, cfg)
+    def reduce(dist: np.ndarray) -> tuple[float, np.ndarray]:
+        value, d_dist = 0.0, np.zeros_like(dist)
+        for idx, (pos, neg) in subset_masks:
+            grid = np.ix_(idx, idx)
+            local_value, d_local = _batch_triplet_reduce(
+                pos, neg, dist[grid], cfg.strategy, cfg.anchor_mode, cfg.margin
+            )
+            value += local_value
+            d_dist[grid] += d_local
+        return value, d_dist
+
+    triplet_value, (d_audio_trip, d_visual_trip) = _through_distances(emb, cfg, reduce)
 
     label_value, (d_audio_lab, d_visual_lab) = label_loss(
         emb, one_hot(batch.labels, model.output_dim), plan.labeled_idx

@@ -92,6 +92,19 @@ def build_model(config: RunConfig, meta: DatasetMeta) -> TwoTowerModel:
     return TwoTowerModel.create(audio_spec, visual_spec, seed=config.seed)
 
 
+def _check_gradients_finite(grads: list[np.ndarray], epoch: int, batch: int) -> None:
+    """Raise before the optimizer sees a NaN or infinite gradient entry."""
+    for t, g in enumerate(grads):
+        flat = g.ravel()
+        # One reduction per tensor; a finite tensor whose square sum overflows
+        # is told apart by the full check, which runs only then.
+        if not np.isfinite(np.dot(flat, flat)) and not np.isfinite(flat).all():
+            raise NumericError(
+                f"non-finite gradient at epoch {epoch} batch {batch} "
+                f"(phase gradient, tensor {t})"
+            )
+
+
 def train(config: RunConfig) -> TrainResult:
     """Run a full training job; returns the model, metrics, and final evaluation."""
     meta, full = resolve_dataset(config)
@@ -144,6 +157,7 @@ def train(config: RunConfig) -> TrainResult:
                     raise NumericError(
                         f"non-finite loss at epoch {epoch} batch {b}: {values}"
                     )
+                _check_gradients_finite(grads, epoch, b)
                 optimizer.apply(model.parameters(), grads)
                 emit(
                     MetricsRecord(

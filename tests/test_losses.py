@@ -1,6 +1,7 @@
 """Proxy transforms, triplet mining, the three loss terms, and their composite."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from avdistill import (
     partition_batch,
     proxy_transform,
 )
-from avdistill.losses import normalize_rows
+from avdistill.losses import _batch_triplet_reduce, _triplet_terms, normalize_rows
+from avdistill.softalign import alignment_masks
 
 from oracles import (
     numeric_gradient,
@@ -433,30 +435,115 @@ class TestCompositeLoss:
         assert b_full.total != b_mixed.total
 
     def test_gradients_survive_grad_check(self):
-        from avdistill import SyntheticSpec, TowerSpec, TwoTowerModel, generate_synthetic, grad_check
-        from avdistill.model import Tower
+        _grad_check_composite(LossConfig())
 
-        # Clustered inputs keep the teacher's alignment argmaxes decisive, so
-        # the finite-difference probe never crosses a mask boundary.
-        _, batch = generate_synthetic(
-            SyntheticSpec(n_classes=3, pairs_per_class=2, audio_dim=6, visual_dim=9,
-                          noise_scale=0.3, seed=1)
+    @pytest.mark.parametrize(
+        "cfg",
+        [LossConfig(strategy="hard"), LossConfig(anchor_mode="audio"),
+         LossConfig(anchor_mode="visual")],
+        ids=["hard", "audio", "visual"],
+    )
+    def test_gradients_survive_grad_check_per_mode(self, cfg):
+        _grad_check_composite(cfg)
+
+    def test_batch_of_800_stays_quadratic_in_memory(self):
+        from avdistill import PairedBatch, TowerSpec, TwoTowerModel
+
+        n = 800
+        rng = np.random.default_rng(8)
+        batch = PairedBatch(
+            rng.standard_normal((n, 4)), rng.standard_normal((n, 5)), np.arange(n) % 10
         )
-        a_spec = TowerSpec(input_dim=6, output_dim=3, hidden_dims=(8, 8), dropout_rate=0.1)
-        v_spec = TowerSpec(input_dim=9, output_dim=3, hidden_dims=(8, 8), dropout_rate=0.1)
-        model = TwoTowerModel.create(a_spec, v_spec, seed=2)
-        plan = partition_batch(len(batch), 0.5, seed=4)
-        cfg = LossConfig()
+        model = TwoTowerModel.create(TowerSpec(4, 10, (8,)), TowerSpec(5, 10, (8,)), seed=0)
+        plan = partition_batch(n, 1.0, seed=0)
+        tracemalloc.start()
+        try:
+            breakdown, _ = composite_loss(model, batch, plan, LossConfig(), step_seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The explicit triples would number 92M here, several GB of indices.
+        assert math.isfinite(breakdown.triplet_term)
+        assert peak < 128 * 2**20
 
-        def closure(params):
-            probe = TwoTowerModel(
-                Tower.from_parameters(a_spec, [p.copy() for p in params[:6]]),
-                Tower.from_parameters(v_spec, [p.copy() for p in params[6:]]),
-            )
-            breakdown, grads = composite_loss(
-                probe, batch, plan, cfg, temperature=1.0, step_seed=11
-            )
-            return breakdown.total, grads
 
-        err = grad_check(closure, model.parameters(), tolerance=1e-3, max_coords_per_tensor=12)
-        assert err < 1e-3
+def _grad_check_composite(cfg):
+    from avdistill import SyntheticSpec, TowerSpec, TwoTowerModel, generate_synthetic, grad_check
+    from avdistill.model import Tower
+
+    # Clustered inputs keep the teacher's alignment argmaxes decisive, so
+    # the finite-difference probe never crosses a mask boundary.
+    _, batch = generate_synthetic(
+        SyntheticSpec(n_classes=3, pairs_per_class=2, audio_dim=6, visual_dim=9,
+                      noise_scale=0.3, seed=1)
+    )
+    a_spec = TowerSpec(input_dim=6, output_dim=3, hidden_dims=(8, 8), dropout_rate=0.1)
+    v_spec = TowerSpec(input_dim=9, output_dim=3, hidden_dims=(8, 8), dropout_rate=0.1)
+    model = TwoTowerModel.create(a_spec, v_spec, seed=2)
+    plan = partition_batch(len(batch), 0.5, seed=4)
+
+    def closure(params):
+        probe = TwoTowerModel(
+            Tower.from_parameters(a_spec, [p.copy() for p in params[:6]]),
+            Tower.from_parameters(v_spec, [p.copy() for p in params[6:]]),
+        )
+        breakdown, grads = composite_loss(
+            probe, batch, plan, cfg, temperature=1.0, step_seed=11
+        )
+        return breakdown.total, grads
+
+    err = grad_check(closure, model.parameters(), tolerance=1e-3, max_coords_per_tensor=12)
+    assert err < 1e-3
+
+
+def _reducer_cases(rng):
+    """Masks and distances covering the reducer's edge cases, several of each kind."""
+    for i in range(40):
+        n = int(rng.integers(1, 12))
+        kind = i % 4
+        if kind == 0:  # label masks, some classes singletons
+            pos, neg = label_masks(rng.integers(0, 4, size=n))
+        elif kind == 1:  # teacher alignment masks
+            pos, neg = alignment_masks(rng.random((n, n)), rng.random((n, n)))
+        elif kind == 2:  # sparse masks: anchors with no positive or no negative
+            pos = rng.random((n, n)) < 0.3
+            neg = rng.random((n, n)) < 0.3
+        else:  # all-positive rows next to ordinary ones
+            pos, neg = label_masks(rng.integers(0, 3, size=n))
+            full = rng.random(n) < 0.3
+            pos[full], neg[full] = True, False
+        dist = rng.uniform(0.0, 2.0, size=(n, n))
+        yield pos, neg, dist, 1.2
+        # Quantized distances with margin 0.5 produce exact d_aq == d_ap + margin ties.
+        yield pos, neg, np.round(dist * 4.0) / 4.0, 0.5
+
+
+class TestBatchTripletReducer:
+    """The training path's reducer against the explicit-triples reference."""
+
+    @pytest.mark.parametrize("anchor_mode", ["audio", "visual", "symmetric"])
+    def test_all_matches_materialized_triples(self, rng, anchor_mode):
+        for pos, neg, dist, margin in _reducer_cases(rng):
+            value, d_dist = _batch_triplet_reduce(pos, neg, dist, "all", anchor_mode, margin)
+            trip = build_triplets(pos, neg, "all", anchor_mode, dist)
+            ref_value, ref_d_dist = _triplet_terms(dist, trip, margin)
+            assert abs(value - ref_value) <= 1e-12
+            np.testing.assert_allclose(d_dist, ref_d_dist, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("anchor_mode", ["audio", "visual", "symmetric"])
+    def test_hard_is_bit_identical_to_materialized_triples(self, rng, anchor_mode):
+        for pos, neg, dist, margin in _reducer_cases(rng):
+            value, d_dist = _batch_triplet_reduce(pos, neg, dist, "hard", anchor_mode, margin)
+            trip = build_triplets(pos, neg, "hard", anchor_mode, dist)
+            ref_value, ref_d_dist = _triplet_terms(dist, trip, margin)
+            assert value == ref_value
+            np.testing.assert_array_equal(d_dist, ref_d_dist)
+
+    def test_tie_at_the_margin_is_inactive(self):
+        # d_ap + margin == d_aq exactly: the hinge is zero and carries no gradient.
+        pos = np.array([[True, False], [False, True]])
+        dist = np.array([[0.25, 0.75], [0.75, 0.25]])
+        for strategy in ("all", "hard"):
+            value, d_dist = _batch_triplet_reduce(pos, ~pos, dist, strategy, "symmetric", 0.5)
+            assert value == 0.0
+            assert not d_dist.any()

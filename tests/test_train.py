@@ -1,6 +1,7 @@
 """Training loop orchestration, run configuration, and the ablation grid."""
 
 import dataclasses
+import importlib
 import json
 
 import numpy as np
@@ -131,6 +132,25 @@ class TestTrainLoop:
         with np.errstate(all="ignore"):
             with pytest.raises(NumericError, match=r"epoch \d+ batch \d+"):
                 train(cfg)
+
+    def test_non_finite_gradient_stops_before_the_optimizer(self, monkeypatch):
+        train_module = importlib.import_module("avdistill.train")
+        real_loss = train_module.composite_loss
+        seen = {}
+
+        def nan_gradient_loss(model, *args, **kwargs):
+            breakdown, grads = real_loss(model, *args, **kwargs)
+            seen["model"] = model
+            seen["before"] = [p.copy() for p in model.parameters()]
+            grads[1] = grads[1].copy()
+            grads[1].flat[0] = np.nan
+            return breakdown, grads
+
+        monkeypatch.setattr(train_module, "composite_loss", nan_gradient_loss)
+        with pytest.raises(NumericError, match=r"gradient at epoch 0 batch 0 \(phase gradient"):
+            train(_config())
+        for p, q in zip(seen["model"].parameters(), seen["before"]):
+            np.testing.assert_array_equal(p, q)
 
 
 class TestTrainOutputs:
