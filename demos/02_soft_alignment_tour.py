@@ -1,9 +1,11 @@
 """How the teacher turns embeddings into soft labels and cross-modal triplets.
 
-Each audio embedding gets a softmax distribution over the visual rows of its
-batch (and vice versa). Two positions count as a positive pair when their
-distributions point at each other's argmax; every other pair is negative, so
-the two masks always partition the grid. The labeled fraction of each batch
+The teacher scores every (audio i, visual j) pair with the logit A[i].V[j].
+Audio i points at the visual row it scores highest (the argmax of row i) and
+visual j at the audio row it scores highest (the argmax of column j). Two
+positions count as a positive pair when they point at the same batch
+position; every other pair is negative, so the two masks always partition
+the grid. The labeled fraction of each batch
 follows a ratio schedule that decays as training progresses.
 
 Run from the repository root:
@@ -24,12 +26,14 @@ from avdistill import (
 
 rng = np.random.default_rng(5)
 emb = EmbeddingBatch(rng.standard_normal((4, 3)), rng.standard_normal((4, 3)))
-align = soft_alignment(emb, temperature=0.5)
+logits = emb.audio @ emb.visual.T
+align = soft_alignment(emb)
 
-print("audio -> visual alignment (rows sum to 1):")
-for i, row in enumerate(align.audio_align):
-    print(f"  audio {i}: " + " ".join(f"{p:.3f}" for p in row))
-print("row sums:", np.round(align.audio_align.sum(axis=1), 12).tolist())
+print("teacher logits A.V^T (row i: audio i against every visual j):")
+for i, row in enumerate(logits):
+    print(f"  audio {i}: " + " ".join(f"{x:+.3f}" for x in row))
+print("audio i points at visual  :", logits.argmax(axis=1).tolist())
+print("visual j points at audio  :", logits.argmax(axis=0).tolist())
 
 print("\npositive mask (True = treated as a matching pair):")
 print(align.positive_mask.astype(int))

@@ -8,17 +8,15 @@ failures (non-finite losses, failed gradient checks).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from .bench import DEFAULT_VARIANTS, bench, format_table
 from .checkpoint import load_checkpoint
-from .config import RunConfig, build_run_config, parse_config_file
-from .data import PairedBatch, SyntheticSpec, generate_synthetic, load_features, save_features
+from .config import _KEYS, RunConfig, _parse_int_list, build_run_config, parse_config_file
+from .data import SyntheticSpec, generate_synthetic, load_features, save_features
 from .errors import (
     ConfigError,
     DataError,
@@ -82,62 +80,43 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    """Flags that override config keys store their value under that key."""
     p.add_argument("--config", default=None, help="flat key = value config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--data", default=None, help="dataset file; omitted -> synthetic data")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default=None)
-    p.add_argument("--schedule", choices=("step", "linear", "cosine"), default=None)
-    p.add_argument("--r-start", type=float, default=None)
-    p.add_argument("--r-end", type=float, default=None)
-    p.add_argument("--strategy", choices=("all", "hard"), default=None)
-    p.add_argument("--aa", choices=("identity", "attention"), default=None)
-    p.add_argument("--anchor", choices=("audio", "visual", "symmetric"), default=None)
-    p.add_argument("--no-ldis", action="store_true", help="drop the pair-distance term")
-    p.add_argument("--hidden", default=None, help="comma-separated hidden layer widths")
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--margin", type=float, default=None)
-    p.add_argument("--eval-every", type=int, default=None)
-
-    def _flag_overrides(args: argparse.Namespace) -> dict[str, object]:
-        mapping = {
-            "seed": "train.seed",
-            "data": "data.path",
-            "out": "train.out",
-            "epochs": "train.epochs",
-            "batch": "train.batch",
-            "lr": "train.lr",
-            "optimizer": "train.optimizer",
-            "schedule": "schedule.kind",
-            "r_start": "schedule.start",
-            "r_end": "schedule.end",
-            "strategy": "loss.strategy",
-            "aa": "loss.proxy",
-            "anchor": "loss.anchor",
-            "dropout": "model.dropout",
-            "margin": "loss.margin",
-            "eval_every": "train.eval_every",
-        }
-        overrides: dict[str, object] = {}
-        for attr, key in mapping.items():
-            value = getattr(args, attr)
-            if value is not None:
-                overrides[key] = value
-        if args.hidden is not None:
-            overrides["model.hidden"] = tuple(int(h) for h in args.hidden.split(","))
-        if args.no_ldis:
-            overrides["loss.pair_weight"] = 0.0
-        return overrides
-
-    p.set_defaults(flag_overrides=_flag_overrides)
+    p.add_argument("--seed", dest="train.seed", type=int)
+    p.add_argument("--data", dest="data.path", help="dataset file; omitted -> synthetic data")
+    p.add_argument("--out", dest="train.out", help="output directory")
+    p.add_argument("--epochs", dest="train.epochs", type=int)
+    p.add_argument("--batch", dest="train.batch", type=int)
+    p.add_argument("--lr", dest="train.lr", type=float)
+    p.add_argument("--optimizer", dest="train.optimizer", choices=("adam", "sgd"))
+    p.add_argument("--schedule", dest="schedule.kind", choices=("step", "linear", "cosine"))
+    p.add_argument("--r-start", dest="schedule.start", type=float)
+    p.add_argument("--r-end", dest="schedule.end", type=float)
+    p.add_argument("--strategy", dest="loss.strategy", choices=("all", "hard"))
+    p.add_argument("--aa", dest="loss.proxy", choices=("identity", "attention"))
+    p.add_argument("--anchor", dest="loss.anchor", choices=("audio", "visual", "symmetric"))
+    p.add_argument(
+        "--no-ldis",
+        dest="loss.pair_weight",
+        action="store_const",
+        const=0.0,
+        help="drop the pair-distance term",
+    )
+    p.add_argument(
+        "--hidden",
+        dest="model.hidden",
+        type=_parse_int_list,
+        help="comma-separated hidden layer widths",
+    )
+    p.add_argument("--dropout", dest="model.dropout", type=float)
+    p.add_argument("--margin", dest="loss.margin", type=float)
+    p.add_argument("--eval-every", dest="train.eval_every", type=int)
 
 
 def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
     file_values = parse_config_file(args.config) if args.config else None
-    return build_run_config(file_values, args.flag_overrides(args))
+    overrides = {k: v for k, v in vars(args).items() if k in _KEYS and v is not None}
+    return build_run_config(file_values, overrides)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:

@@ -10,6 +10,7 @@ setup: three 1024-unit hidden layers, dropout 0.1, Adam at 1e-4, batch 400,
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,7 +27,6 @@ class RunConfig:
     hidden_dims: tuple[int, ...] = (1024, 1024, 1024)
     dropout_rate: float = 0.1
     loss: LossConfig = field(default_factory=LossConfig)
-    temperature: float = 1.0
     schedule_kind: str = "step"
     schedule_start: float = 1.0
     schedule_end: float = 0.2
@@ -77,7 +77,6 @@ _KEYS: dict[str, tuple[str, object]] = {
     "loss.label_weight": ("loss.label_weight", float),
     "loss.triplet_weight": ("loss.triplet_weight", float),
     "loss.pair_weight": ("loss.pair_weight", float),
-    "align.temperature": ("temperature", float),
     "schedule.kind": ("schedule_kind", str),
     "schedule.start": ("schedule_start", float),
     "schedule.end": ("schedule_end", float),
@@ -160,29 +159,13 @@ def build_run_config(
 
 
 def config_manifest(config: RunConfig) -> dict[str, object]:
-    """Flat summary of the settings that define a run, for logs and bench tables."""
-    return {
-        "data_path": config.data_path,
-        "hidden_dims": list(config.hidden_dims),
-        "dropout_rate": config.dropout_rate,
-        "margin": config.loss.margin,
-        "strategy": config.loss.strategy,
-        "anchor_mode": config.loss.anchor_mode,
-        "proxy": config.loss.proxy,
-        "proxy_temperature": config.loss.proxy_temperature,
-        "label_weight": config.loss.label_weight,
-        "triplet_weight": config.loss.triplet_weight,
-        "pair_weight": config.loss.pair_weight,
-        "temperature": config.temperature,
-        "schedule_kind": config.schedule_kind,
-        "schedule_start": config.schedule_start,
-        "schedule_end": config.schedule_end,
-        "schedule_steps": config.schedule_steps,
-        "optimizer": config.optimizer,
-        "learning_rate": config.learning_rate,
-        "batch_size": config.batch_size,
-        "epochs": config.epochs,
-        "seed": config.seed,
-        "eval_every": config.eval_every,
-        "train_fraction": config.train_fraction,
-    }
+    """Every setting of a run under its config-file key, for logs and bench tables.
+
+    Tuples become lists; written back as `key = value` lines (lists joined by
+    commas, None values left out) the manifest parses to an equal RunConfig.
+    """
+    manifest: dict[str, object] = {}
+    for key, (target, _) in _KEYS.items():
+        value = functools.reduce(getattr, target.split("."), config)
+        manifest[key] = list(value) if isinstance(value, tuple) else value
+    return manifest

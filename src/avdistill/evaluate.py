@@ -2,9 +2,10 @@
 
 Each test audio row queries the full visual gallery and vice versa; the
 query's own counterpart stays in the gallery. Rankings sort ascending by
-distance with ties resolved to the lowest gallery index, a relevant item is
-one sharing the query's class, and average precision is taken over the full
-ranked list. Queries whose class has no gallery match are excluded from the
+normalized distance (Euclidean between unit-length embeddings, as in the
+triplet loss) with ties resolved to the lowest gallery index, a relevant item
+is one sharing the query's class, and average precision is taken over the
+full ranked list. Queries whose class has no gallery match are excluded from the
 mean and counted in the report.
 """
 
@@ -15,12 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import PairedBatch
-from .errors import ConfigError, DataError, ShapeError
-from .losses import normalize_rows, pairwise_normalized_distances
+from .errors import DataError, ShapeError
+from .losses import pairwise_normalized_distances
 from .model import TwoTowerModel
 from .nn import DTYPE
-
-_DISTANCES = ("normalized", "euclidean", "cosine")
 
 
 @dataclass
@@ -68,7 +67,8 @@ class RetrievalReport:
         return "\n".join(lines)
 
 
-def _distance_vector(query: np.ndarray, gallery: np.ndarray, distance: str) -> np.ndarray:
+def rank_gallery(query: np.ndarray, gallery: np.ndarray) -> np.ndarray:
+    """Gallery indices sorted by ascending distance, ties to the lowest index."""
     query = np.asarray(query, dtype=DTYPE).reshape(1, -1)
     gallery = np.asarray(gallery, dtype=DTYPE)
     if gallery.ndim != 2 or gallery.shape[0] == 0:
@@ -77,23 +77,7 @@ def _distance_vector(query: np.ndarray, gallery: np.ndarray, distance: str) -> n
         raise ShapeError(
             f"query dim {query.shape[1]} does not match gallery dim {gallery.shape[1]}"
         )
-    if distance == "normalized":
-        return pairwise_normalized_distances(query, gallery)[0]
-    if distance == "euclidean":
-        return np.linalg.norm(gallery - query, axis=1)
-    if distance == "cosine":
-        uq, _ = normalize_rows(query, "query")
-        ug, _ = normalize_rows(gallery, "gallery")
-        return 1.0 - (ug @ uq[0])
-    raise ConfigError(f"unknown distance {distance!r}, expected {_DISTANCES}")
-
-
-def rank_gallery(
-    query: np.ndarray, gallery: np.ndarray, distance: str = "normalized"
-) -> np.ndarray:
-    """Gallery indices sorted by ascending distance, ties to the lowest index."""
-    d = _distance_vector(query, gallery, distance)
-    return np.argsort(d, kind="stable")
+    return np.argsort(pairwise_normalized_distances(query, gallery)[0], kind="stable")
 
 
 def average_precision(relevance: np.ndarray) -> float:
@@ -131,31 +115,13 @@ def _direction_metrics(
 
 
 def evaluate(
-    model: TwoTowerModel,
-    data: PairedBatch,
-    *,
-    distance: str = "normalized",
-    ks: tuple[int, ...] = (1, 5, 10),
+    model: TwoTowerModel, data: PairedBatch, *, ks: tuple[int, ...] = (1, 5, 10)
 ) -> RetrievalReport:
     """Encode a test set in inference mode and score retrieval both ways."""
-    if distance not in _DISTANCES:
-        raise ConfigError(f"unknown distance {distance!r}, expected {_DISTANCES}")
     if len(data) < 1:
         raise ShapeError("evaluation needs at least one pair")
     emb = model.encode(data, training=False)
-    if distance == "normalized":
-        dist = pairwise_normalized_distances(emb.audio, emb.visual)
-    elif distance == "euclidean":
-        sq = (
-            (emb.audio**2).sum(axis=1)[:, None]
-            + (emb.visual**2).sum(axis=1)[None, :]
-            - 2.0 * emb.audio @ emb.visual.T
-        )
-        dist = np.sqrt(np.clip(sq, 0.0, None))
-    else:  # cosine
-        ua, _ = normalize_rows(emb.audio, "audio embeddings")
-        uv, _ = normalize_rows(emb.visual, "visual embeddings")
-        dist = 1.0 - ua @ uv.T
+    dist = pairwise_normalized_distances(emb.audio, emb.visual)
 
     labels = data.labels
     map_a2v, n_a2v, excl_a2v, table_a2v = _direction_metrics(dist, labels, labels, ks)
@@ -169,5 +135,4 @@ def evaluate(
         n_queries_v2a=n_v2a,
         n_excluded_a2v=excl_a2v,
         n_excluded_v2a=excl_v2a,
-        distance=distance,
     )

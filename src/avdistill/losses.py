@@ -505,7 +505,6 @@ def composite_loss(
     plan: PartitionPlan,
     cfg: LossConfig,
     *,
-    temperature: float = 1.0,
     step_seed: SeedLike = 0,
 ) -> tuple[LossBreakdown, list[np.ndarray]]:
     """One training step's loss and parameter gradients.
@@ -522,7 +521,7 @@ def composite_loss(
     soft_masks = None
     if plan.soft_idx.size > 0:
         teacher = model.encode(batch.take(plan.soft_idx), training=False)
-        align = soft_alignment(teacher, temperature)
+        align = soft_alignment(teacher)
         soft_masks = (align.positive_mask, align.negative_mask)
 
     emb = model.encode(batch, training=True, step_seed=step_seed)

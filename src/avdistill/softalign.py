@@ -1,8 +1,8 @@
 """Soft alignment between modalities, batch partitioning, and the labeled-fraction schedule.
 
-A teacher pass over a batch yields, for every sample, a softmax distribution
-over the opposite modality's batch positions. Each sample "points at" the
-position it weights highest; an (audio i, visual j) candidate counts as
+A teacher pass over a batch scores every (audio i, visual j) candidate with
+the logit A[i] . V[j]. Each sample "points at" the opposite-modality batch
+position it scores highest; an (audio i, visual j) candidate counts as
 positive exactly when both point at the same batch position. Because paired
 samples share positions, perfectly aligned embeddings make every sample point
 at its own pair.
@@ -17,56 +17,49 @@ import numpy as np
 
 from .errors import ConfigError, RangeError, ShapeError
 from .model import EmbeddingBatch
-from .nn import softmax_rows
 
 
 @dataclass
 class SoftAlignment:
-    """Row-stochastic alignment matrices plus the derived positive/negative masks.
+    """Mutual-pointing masks over the (audio i, visual j) grid of one batch."""
 
-    audio_align[i]  : audio i's distribution over visual batch positions.
-    visual_align[j] : visual j's distribution over audio batch positions.
-    """
-
-    audio_align: np.ndarray
-    visual_align: np.ndarray
     positive_mask: np.ndarray
     negative_mask: np.ndarray
 
 
-def soft_alignment(emb: EmbeddingBatch, temperature: float = 1.0) -> SoftAlignment:
-    """Softmax alignment of each sample against the opposite modality's batch."""
-    if temperature <= 0.0:
-        raise ConfigError(f"temperature must be positive, got {temperature}")
+def soft_alignment(emb: EmbeddingBatch) -> SoftAlignment:
+    """Mutual argmax of the teacher's audio-visual logits A @ V.T."""
     if len(emb) < 1:
         raise ShapeError("soft alignment needs at least one pair")
-    audio_align = softmax_rows(emb.audio @ emb.visual.T / temperature)
-    visual_align = softmax_rows(emb.visual @ emb.audio.T / temperature)
-    positive, negative = alignment_masks(audio_align, visual_align)
-    return SoftAlignment(audio_align, visual_align, positive, negative)
+    logits = emb.audio @ emb.visual.T
+    return SoftAlignment(*alignment_masks(logits, logits.T))
 
 
 def alignment_masks(
-    audio_align: np.ndarray, visual_align: np.ndarray
+    audio_scores: np.ndarray, visual_scores: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mutual-pointing masks: positive[i, j] iff audio i and visual j point at the same position.
 
-    Argmax ties resolve to the lowest index. The two masks partition the full
-    i x j grid, so positive XOR negative is all-ones by construction.
+    audio_scores[i] scores audio i against every visual batch position and
+    visual_scores[j] scores visual j against every audio position; any
+    row-score matrices work (logits, softmax rows), since only each row's
+    argmax is used. Argmax ties resolve to the lowest index. The two masks
+    partition the full i x j grid, so positive XOR negative is all-ones by
+    construction.
     """
-    audio_align = np.asarray(audio_align)
-    visual_align = np.asarray(visual_align)
+    audio_scores = np.asarray(audio_scores)
+    visual_scores = np.asarray(visual_scores)
     if (
-        audio_align.ndim != 2
-        or audio_align.shape[0] != audio_align.shape[1]
-        or audio_align.shape != visual_align.shape
+        audio_scores.ndim != 2
+        or audio_scores.shape[0] != audio_scores.shape[1]
+        or audio_scores.shape != visual_scores.shape
     ):
         raise ShapeError(
             f"alignment matrices must be square and equal-shaped, "
-            f"got {audio_align.shape} and {visual_align.shape}"
+            f"got {audio_scores.shape} and {visual_scores.shape}"
         )
-    points_a = np.argmax(audio_align, axis=1)
-    points_v = np.argmax(visual_align, axis=1)
+    points_a = np.argmax(audio_scores, axis=1)
+    points_v = np.argmax(visual_scores, axis=1)
     positive = points_a[:, None] == points_v[None, :]
     return positive, ~positive
 

@@ -147,7 +147,6 @@ def train(config: RunConfig) -> TrainResult:
                         batch,
                         plan,
                         config.loss,
-                        temperature=config.temperature,
                         step_seed=[config.seed, _DROPOUT_TAG, epoch, b],
                     )
                 except EngineError as e:

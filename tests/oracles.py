@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from avdistill import LossConfig, TripletSet
+from avdistill import LossConfig, TripletSet, alignment_masks, softmax_rows
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -23,6 +23,17 @@ def slow_softmax_row(row: np.ndarray) -> np.ndarray:
     exps = [math.exp(x) for x in shifted]
     total = sum(exps)
     return np.array([e / total for e in exps])
+
+
+def softmax_pointing_masks(
+    audio: np.ndarray, visual: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mutual-pointing masks from two separate softmax matrices, A.V^T and V.A^T.
+
+    Softmax is monotone within a row, so these masks match the engine's, which
+    takes both directions' argmax off the one logits matrix A.V^T.
+    """
+    return alignment_masks(softmax_rows(audio @ visual.T), softmax_rows(visual @ audio.T))
 
 
 def slow_proxy(emb: np.ndarray, cfg: LossConfig) -> np.ndarray:

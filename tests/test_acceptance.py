@@ -140,7 +140,7 @@ def test_accept_adjacency_laws():
     for _ in range(1000):
         n = int(rng.integers(1, 13))
         emb = EmbeddingBatch(rng.standard_normal((n, 4)), rng.standard_normal((n, 4)))
-        align = soft_alignment(emb, temperature=float(rng.uniform(0.2, 2.0)))
+        align = soft_alignment(emb)
         assert (align.positive_mask ^ align.negative_mask).all()
         assert not (align.positive_mask & align.negative_mask).any()
 

@@ -6,7 +6,15 @@ import re
 import numpy as np
 import pytest
 
-from avdistill.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from avdistill.cli import (
+    EXIT_DATA,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    EXIT_USAGE,
+    _run_config_from_args,
+    build_parser,
+    main,
+)
 
 SMALL_GEN = [
     "gen-data",
@@ -107,6 +115,36 @@ class TestEndToEnd:
         assert [row["variant"] for row in saved] == ["full", "no-aa"]
 
 
+class TestTrainFlags:
+    def test_flags_set_their_config_keys(self, tmp_path):
+        args = build_parser().parse_args([
+            "train",
+            "--seed", "4", "--data", "d.avfd", "--out", str(tmp_path),
+            "--epochs", "3", "--batch", "5", "--lr", "0.5", "--optimizer", "sgd",
+            "--schedule", "linear", "--r-start", "0.9", "--r-end", "0.1",
+            "--strategy", "hard", "--aa", "identity", "--anchor", "visual",
+            "--no-ldis", "--hidden", "7,6", "--dropout", "0.2", "--margin", "0.3",
+            "--eval-every", "2",
+        ])
+        cfg = _run_config_from_args(args)
+        assert (cfg.seed, cfg.data_path, cfg.output_dir) == (4, "d.avfd", str(tmp_path))
+        assert (cfg.epochs, cfg.batch_size, cfg.learning_rate) == (3, 5, 0.5)
+        assert (cfg.optimizer, cfg.schedule_kind) == ("sgd", "linear")
+        assert (cfg.schedule_start, cfg.schedule_end) == (0.9, 0.1)
+        assert (cfg.loss.strategy, cfg.loss.proxy, cfg.loss.anchor_mode) == (
+            "hard", "identity", "visual"
+        )
+        assert (cfg.loss.pair_weight, cfg.loss.margin) == (0.0, 0.3)
+        assert (cfg.hidden_dims, cfg.dropout_rate, cfg.eval_every) == ((7, 6), 0.2, 2)
+
+    def test_absent_flags_keep_file_values(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("loss.pair_weight = 0.25\nmodel.hidden = 9\ntrain.lr = 0.01\n")
+        args = build_parser().parse_args(["train", "--config", str(path), "--lr", "0.5"])
+        cfg = _run_config_from_args(args)
+        assert (cfg.loss.pair_weight, cfg.hidden_dims, cfg.learning_rate) == (0.25, (9,), 0.5)
+
+
 class TestGradCheckCommand:
     def test_default_rig_passes(self, capsys):
         assert main(["grad-check"]) == EXIT_OK
@@ -136,6 +174,10 @@ class TestUsageErrors:
 
     def test_bad_choice_value(self, capsys):
         assert main(["train", "--optimizer", "rmsprop"]) == EXIT_USAGE
+
+    def test_bad_hidden_list(self, capsys):
+        assert main(["train", "--hidden", "16,x"]) == EXIT_USAGE
+        assert "--hidden" in capsys.readouterr().err
 
     def test_help_is_success(self, capsys):
         assert main(["--help"]) == EXIT_OK

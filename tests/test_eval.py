@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avdistill import (
-    ConfigError,
     DataError,
     PairedBatch,
     ShapeError,
@@ -156,31 +155,10 @@ class TestEvaluate:
         assert report.n_queries_a2v == 9 and report.n_queries_v2a == 9
         assert report.n_excluded_a2v == 0 and report.n_excluded_v2a == 0
 
-    def test_normalized_and_cosine_rank_identically(self, rng):
-        model, data = _random_instance(rng, 11, n_classes=3)
-        a = evaluate(model, data, distance="normalized")
-        b = evaluate(model, data, distance="cosine")
-        assert abs(a.map_a2v - b.map_a2v) < 1e-12
-        assert abs(a.map_v2a - b.map_v2a) < 1e-12
-
-    def test_euclidean_distance_matrix(self, rng):
-        model, data = _random_instance(rng, 7)
-        emb = model.encode(data)
-        report = evaluate(model, data, distance="euclidean")
-        brute = np.array(
-            [[np.linalg.norm(emb.audio[i] - emb.visual[j]) for j in range(7)] for i in range(7)]
-        )
-        assert abs(report.map_a2v - slow_map(brute, data.labels, data.labels)) < 1e-12
-
     def test_ks_clipped_to_gallery(self, rng):
         model, data = _random_instance(rng, 4)
         report = evaluate(model, data, ks=(1, 5, 10))
         assert set(report.precision_at_k["a2v"]) == {1}
-
-    def test_unknown_distance(self, rng):
-        model, data = _random_instance(rng, 4)
-        with pytest.raises(ConfigError, match="unknown distance"):
-            evaluate(model, data, distance="manhattan")
 
     def test_empty_data_rejected(self):
         model = _identity_model(2)

@@ -488,7 +488,7 @@ def _grad_check_composite(cfg):
             Tower.from_parameters(v_spec, [p.copy() for p in params[6:]]),
         )
         breakdown, grads = composite_loss(
-            probe, batch, plan, cfg, temperature=1.0, step_seed=11
+            probe, batch, plan, cfg, step_seed=11
         )
         return breakdown.total, grads
 

@@ -13,49 +13,49 @@ from avdistill import (
     ShapeError,
     alignment_masks,
     label_masks,
+    one_hot,
     partition_batch,
     soft_alignment,
 )
+
+from oracles import softmax_pointing_masks
 
 
 class TestSoftAlignment:
     def test_single_pair_degenerates_to_certainty(self, rng):
         emb = EmbeddingBatch(rng.standard_normal((1, 4)), rng.standard_normal((1, 4)))
         align = soft_alignment(emb)
-        np.testing.assert_array_equal(align.audio_align, [[1.0]])
-        np.testing.assert_array_equal(align.visual_align, [[1.0]])
         np.testing.assert_array_equal(align.positive_mask, [[True]])
-
-    def test_rows_are_stochastic(self, rng):
-        emb = EmbeddingBatch(rng.standard_normal((7, 5)), rng.standard_normal((7, 5)))
-        align = soft_alignment(emb, temperature=0.7)
-        assert align.audio_align.shape == (7, 7)
-        assert align.visual_align.shape == (7, 7)
-        np.testing.assert_allclose(align.audio_align.sum(axis=1), 1.0, atol=1e-9)
-        np.testing.assert_allclose(align.visual_align.sum(axis=1), 1.0, atol=1e-9)
 
     def test_orthonormal_embeddings_align_diagonally(self):
         emb = EmbeddingBatch(np.eye(3), np.eye(3))
-        align = soft_alignment(emb, temperature=0.1)
-        np.testing.assert_array_equal(align.audio_align.argmax(axis=1), [0, 1, 2])
+        align = soft_alignment(emb)
         np.testing.assert_array_equal(align.positive_mask, np.eye(3, dtype=bool))
         np.testing.assert_array_equal(align.negative_mask, ~np.eye(3, dtype=bool))
 
-    def test_lower_temperature_sharpens(self, rng):
-        emb = EmbeddingBatch(rng.standard_normal((5, 4)), rng.standard_normal((5, 4)))
-        soft = soft_alignment(emb, temperature=2.0).audio_align
-        sharp = soft_alignment(emb, temperature=0.1).audio_align
-        assert sharp.max(axis=1).min() > soft.max(axis=1).min()
-
-    def test_validation(self, rng):
-        emb = EmbeddingBatch(rng.standard_normal((3, 4)), rng.standard_normal((3, 4)))
-        with pytest.raises(ConfigError):
-            soft_alignment(emb, temperature=0.0)
-        with pytest.raises(ConfigError):
-            soft_alignment(emb, temperature=-1.0)
+    def test_validation(self):
         empty = EmbeddingBatch(np.zeros((0, 4)), np.zeros((0, 4)))
         with pytest.raises(ShapeError):
             soft_alignment(empty)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "one_hot", "quarter_grid"])
+    def test_matches_softmax_pointing_oracle(self, kind):
+        # Argmax of the logits and argmax of their softmax rows can part only
+        # where logits less than one ulp apart round to a softmax tie.
+        rng = np.random.default_rng(29)
+        for n in range(1, 14):
+            for _ in range(20):
+                if kind == "gaussian":
+                    audio, visual = rng.standard_normal((2, n, 5))
+                elif kind == "one_hot":
+                    audio = one_hot(rng.integers(0, 4, size=n), 4).astype(float)
+                    visual = one_hot(rng.integers(0, 4, size=n), 4).astype(float)
+                else:
+                    audio, visual = rng.integers(-2, 3, size=(2, n, 3)) * 0.25
+                align = soft_alignment(EmbeddingBatch(audio, visual))
+                expect_pos, expect_neg = softmax_pointing_masks(audio, visual)
+                np.testing.assert_array_equal(align.positive_mask, expect_pos)
+                np.testing.assert_array_equal(align.negative_mask, expect_neg)
 
 
 class TestAlignmentMasks:

@@ -9,6 +9,7 @@ import pytest
 
 from avdistill import (
     ConfigError,
+    LossConfig,
     NumericError,
     RatioSchedule,
     RunConfig,
@@ -25,6 +26,7 @@ from avdistill import (
     train,
     variant_config,
 )
+from avdistill.config import _KEYS
 from avdistill.train import build_model, resolve_dataset
 
 
@@ -243,11 +245,39 @@ class TestConfigFile:
 
     def test_manifest_is_flat_and_complete(self):
         manifest = config_manifest(_config())
-        assert manifest["proxy"] == "attention"
-        assert manifest["schedule_start"] == 1.0
-        assert manifest["schedule_end"] == 0.2
-        assert manifest["hidden_dims"] == [16, 16]
+        assert manifest["loss.proxy"] == "attention"
+        assert manifest["schedule.start"] == 1.0
+        assert manifest["schedule.end"] == 0.2
+        assert manifest["model.hidden"] == [16, 16]
         assert all(not isinstance(v, dict) for v in manifest.values())
+
+    def test_every_run_config_field_has_one_key(self):
+        base = RunConfig()
+        leaves = []
+        for f in dataclasses.fields(base):
+            group = getattr(base, f.name)
+            if dataclasses.is_dataclass(group):
+                leaves += [f"{f.name}.{g.name}" for g in dataclasses.fields(group)]
+            else:
+                leaves.append(f.name)
+        assert sorted(target for target, _ in _KEYS.values()) == sorted(leaves)
+
+    def test_manifest_has_exactly_the_config_keys(self):
+        assert list(config_manifest(_config())) == list(_KEYS)
+
+    def test_manifest_written_back_rebuilds_the_config(self, tmp_path):
+        config = _config(data_path="feats.avfd", eval_ks=(1, 3), output_dir="out",
+                         loss=LossConfig(proxy="identity", margin=0.7))
+        lines = []
+        for key, value in config_manifest(config).items():
+            if value is None:
+                continue
+            if isinstance(value, list):
+                value = ",".join(str(v) for v in value)
+            lines.append(f"{key} = {value}")
+        path = tmp_path / "manifest.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        assert build_run_config(parse_config_file(path)) == config
 
 
 class TestBench:
@@ -279,8 +309,8 @@ class TestBench:
         for row in rows:
             for key in ("map_a2v", "map_v2a", "map_avg"):
                 assert 0.0 <= row[key] <= 1.0
-        assert rows[1]["manifest"]["proxy"] == "identity"
-        assert rows[0]["manifest"]["proxy"] == "attention"
+        assert rows[1]["manifest"]["loss.proxy"] == "identity"
+        assert rows[0]["manifest"]["loss.proxy"] == "attention"
 
         saved = json.loads((tmp_path / "grid" / "bench.json").read_text())
         assert [row["variant"] for row in saved] == ["full", "no-aa"]
