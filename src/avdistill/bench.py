@@ -8,49 +8,33 @@ mining. Every variant records its effective settings in the result manifest.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 
-from .config import RunConfig, config_manifest
+from .config import RunConfig, _with_keys, config_manifest
 from .errors import ConfigError
 from .train import TrainResult, train
 
-DEFAULT_VARIANTS = (
-    "full",
-    "no-ldis",
-    "no-self-dis",
-    "no-aa",
-    "no-ldis-no-aa",
-    "linear",
-    "cosine",
-    "hard-triplet",
-)
+# variant name -> the config keys it overrides, with their typed values
+VARIANTS: dict[str, dict[str, object]] = {
+    "full": {},
+    "no-ldis": {"loss.pair_weight": 0.0},
+    # Labeled fraction pinned at 1: every batch is fully label-supervised.
+    "no-self-dis": {"schedule.start": 1.0, "schedule.end": 1.0},
+    "no-aa": {"loss.proxy": "identity"},
+    "no-ldis-no-aa": {"loss.pair_weight": 0.0, "loss.proxy": "identity"},
+    "linear": {"schedule.kind": "linear"},
+    "cosine": {"schedule.kind": "cosine"},
+    "hard-triplet": {"loss.strategy": "hard"},
+}
+DEFAULT_VARIANTS = tuple(VARIANTS)
 
 
 def variant_config(base: RunConfig, name: str) -> RunConfig:
-    """The named transform of the base config; unknown names are config errors."""
-    loss = base.loss
-    if name == "full":
-        return base
-    if name == "no-ldis":
-        return dataclasses.replace(base, loss=dataclasses.replace(loss, pair_weight=0.0))
-    if name == "no-self-dis":
-        # Labeled fraction pinned at 1: every batch is fully label-supervised.
-        return dataclasses.replace(base, schedule_start=1.0, schedule_end=1.0)
-    if name == "no-aa":
-        return dataclasses.replace(base, loss=dataclasses.replace(loss, proxy="identity"))
-    if name == "no-ldis-no-aa":
-        return dataclasses.replace(
-            base, loss=dataclasses.replace(loss, pair_weight=0.0, proxy="identity")
-        )
-    if name == "linear":
-        return dataclasses.replace(base, schedule_kind="linear")
-    if name == "cosine":
-        return dataclasses.replace(base, schedule_kind="cosine")
-    if name == "hard-triplet":
-        return dataclasses.replace(base, loss=dataclasses.replace(loss, strategy="hard"))
-    raise ConfigError(f"unknown bench variant {name!r}, expected one of {DEFAULT_VARIANTS}")
+    """The base config with the named variant's keys overridden; unknown names are config errors."""
+    if name not in VARIANTS:
+        raise ConfigError(f"unknown bench variant {name!r}, expected one of {DEFAULT_VARIANTS}")
+    return _with_keys(base, VARIANTS[name])
 
 
 def bench(
@@ -61,10 +45,11 @@ def bench(
     """Train every variant and tabulate final retrieval quality."""
     rows = []
     base_out = Path(out_dir) if out_dir else None
-    for name in variants:
-        cfg = variant_config(base, name)
+    # Resolve every name first, so a typo fails before hours of training.
+    configs = [(name, variant_config(base, name)) for name in variants]
+    for name, cfg in configs:
         if base_out is not None:
-            cfg = dataclasses.replace(cfg, output_dir=str(base_out / name))
+            cfg = _with_keys(cfg, {"train.out": str(base_out / name)})
         result: TrainResult = train(cfg)
         report = result.final_report
         rows.append(

@@ -27,9 +27,10 @@ from .errors import (
 )
 from .evaluate import evaluate
 from .gradcheck import grad_check
-from .losses import LossConfig, composite_loss
+from .losses import _ANCHOR_MODES, _PROXIES, _STRATEGIES, LossConfig, composite_loss
 from .model import TowerSpec, TwoTowerModel
-from .softalign import partition_batch
+from .nn import _OPTIMIZERS
+from .softalign import _SCHEDULE_KINDS, partition_batch
 from .train import train
 
 EXIT_OK = 0
@@ -62,14 +63,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_gen = sub.add_parser("gen-data", help="generate a synthetic dataset file")
-    p_gen.add_argument("--classes", type=int, default=10)
-    p_gen.add_argument("--per-class", type=int, default=40)
-    p_gen.add_argument("--audio-dim", type=int, default=128)
-    p_gen.add_argument("--visual-dim", type=int, default=1024)
-    p_gen.add_argument("--noise", type=float, default=0.05)
-    p_gen.add_argument("--correlation", type=float, default=1.0)
-    p_gen.add_argument("--label-noise", type=float, default=0.0)
-    p_gen.add_argument("--seed", type=int, default=0)
+    _key_flag(p_gen, "--classes", "synthetic.classes")
+    _key_flag(p_gen, "--per-class", "synthetic.pairs_per_class")
+    _key_flag(p_gen, "--audio-dim", "synthetic.audio_dim")
+    _key_flag(p_gen, "--visual-dim", "synthetic.visual_dim")
+    _key_flag(p_gen, "--noise", "synthetic.noise")
+    _key_flag(p_gen, "--correlation", "synthetic.correlation")
+    _key_flag(p_gen, "--label-noise", "synthetic.label_noise")
+    _key_flag(p_gen, "--seed", "synthetic.seed")
     p_gen.add_argument("--out", required=True, help="output path (.avfd or .csv)")
 
     p_check = sub.add_parser("grad-check", help="finite-difference check of the composite loss")
@@ -79,22 +80,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _key_flag(p: argparse.ArgumentParser, flag: str, key: str, **kwargs) -> None:
+    """A flag that stores its value under config key `key`, parsed as the config file parses it."""
+    kwargs.setdefault("type", _KEYS[key][1])
+    p.add_argument(flag, dest=key, **kwargs)
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return _parse_int_list(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    """Flags that override config keys store their value under that key."""
     p.add_argument("--config", default=None, help="flat key = value config file")
-    p.add_argument("--seed", dest="train.seed", type=int)
-    p.add_argument("--data", dest="data.path", help="dataset file; omitted -> synthetic data")
-    p.add_argument("--out", dest="train.out", help="output directory")
-    p.add_argument("--epochs", dest="train.epochs", type=int)
-    p.add_argument("--batch", dest="train.batch", type=int)
-    p.add_argument("--lr", dest="train.lr", type=float)
-    p.add_argument("--optimizer", dest="train.optimizer", choices=("adam", "sgd"))
-    p.add_argument("--schedule", dest="schedule.kind", choices=("step", "linear", "cosine"))
-    p.add_argument("--r-start", dest="schedule.start", type=float)
-    p.add_argument("--r-end", dest="schedule.end", type=float)
-    p.add_argument("--strategy", dest="loss.strategy", choices=("all", "hard"))
-    p.add_argument("--aa", dest="loss.proxy", choices=("identity", "attention"))
-    p.add_argument("--anchor", dest="loss.anchor", choices=("audio", "visual", "symmetric"))
+    _key_flag(p, "--seed", "train.seed")
+    _key_flag(p, "--data", "data.path", help="dataset file; omitted -> synthetic data")
+    _key_flag(p, "--out", "train.out", help="output directory")
+    _key_flag(p, "--epochs", "train.epochs")
+    _key_flag(p, "--batch", "train.batch")
+    _key_flag(p, "--lr", "train.lr")
+    _key_flag(p, "--optimizer", "train.optimizer", choices=_OPTIMIZERS)
+    _key_flag(p, "--schedule", "schedule.kind", choices=_SCHEDULE_KINDS)
+    _key_flag(p, "--r-start", "schedule.start")
+    _key_flag(p, "--r-end", "schedule.end")
+    _key_flag(p, "--strategy", "loss.strategy", choices=_STRATEGIES)
+    _key_flag(p, "--aa", "loss.proxy", choices=_PROXIES)
+    _key_flag(p, "--anchor", "loss.anchor", choices=_ANCHOR_MODES)
     p.add_argument(
         "--no-ldis",
         dest="loss.pair_weight",
@@ -102,21 +117,21 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
         const=0.0,
         help="drop the pair-distance term",
     )
-    p.add_argument(
-        "--hidden",
-        dest="model.hidden",
-        type=_parse_int_list,
-        help="comma-separated hidden layer widths",
-    )
-    p.add_argument("--dropout", dest="model.dropout", type=float)
-    p.add_argument("--margin", dest="loss.margin", type=float)
-    p.add_argument("--eval-every", dest="train.eval_every", type=int)
+    _key_flag(p, "--hidden", "model.hidden", type=_int_list,
+              help="comma-separated hidden layer widths")
+    _key_flag(p, "--dropout", "model.dropout")
+    _key_flag(p, "--margin", "loss.margin")
+    _key_flag(p, "--eval-every", "train.eval_every")
+
+
+def _key_overrides(args: argparse.Namespace) -> dict[str, object]:
+    """The config keys the given flags set; absent flags leave keys unset."""
+    return {k: v for k, v in vars(args).items() if k in _KEYS and v is not None}
 
 
 def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
     file_values = parse_config_file(args.config) if args.config else None
-    overrides = {k: v for k, v in vars(args).items() if k in _KEYS and v is not None}
-    return build_run_config(file_values, overrides)
+    return build_run_config(file_values, _key_overrides(args))
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -151,16 +166,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
-    spec = SyntheticSpec(
-        n_classes=args.classes,
-        pairs_per_class=args.per_class,
-        audio_dim=args.audio_dim,
-        visual_dim=args.visual_dim,
-        noise_scale=args.noise,
-        correlation=args.correlation,
-        label_noise=args.label_noise,
-        seed=args.seed,
-    )
+    spec = build_run_config(None, _key_overrides(args)).synthetic
     meta, data = generate_synthetic(spec)
     save_features(args.out, meta, data)
     print(f"wrote {meta.n_pairs} pairs ({meta.n_classes} classes) to {args.out}")

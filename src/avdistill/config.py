@@ -42,15 +42,6 @@ class RunConfig:
     output_dir: str | None = None
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in text.split(",") if part.strip())
 
@@ -133,29 +124,44 @@ def build_run_config(
             resolved[key] = parser(raw)  # type: ignore[operator]
         except (ValueError, TypeError) as e:
             raise ConfigError(f"bad value for {key!r}: {e}") from None
-    for key, value in (overrides or {}).items():
+    resolved.update(overrides or {})
+    return _with_keys(RunConfig(), resolved)
+
+
+def _with_keys(config: RunConfig, values: dict[str, object]) -> RunConfig:
+    """`config` with each dotted key set to its already-typed value.
+
+    The setter twin of `config_manifest`: each key's target path names the
+    group and field to replace. Changed groups are revalidated, and invalid
+    values are config errors. With no values, `config` itself comes back.
+    """
+    for key in values:
         if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        resolved[key] = value
-
-    top: dict[str, object] = {}
-    nested: dict[str, dict[str, object]] = {"synthetic": {}, "loss": {}}
-    for key, value in resolved.items():
-        target, _ = _KEYS[key]
-        if "." in target:
-            group, attr = target.split(".", 1)
-            nested[group][attr] = value
-        else:
-            top[target] = value
-    base = RunConfig()
+    changes: dict[str, object] = {}
+    # Table order, so which bad group is reported does not hang on the caller's order.
+    for key, (target, _) in _KEYS.items():
+        if key in values:
+            *groups, attr = target.split(".")
+            node = changes
+            for group in groups:
+                node = node.setdefault(group, {})
+            node[attr] = values[key]
     try:
-        synthetic = dataclasses.replace(base.synthetic, **nested["synthetic"])
-        loss = dataclasses.replace(base.loss, **nested["loss"])
-        return dataclasses.replace(base, synthetic=synthetic, loss=loss, **top)
+        return _replaced(config, changes)
     except ConfigError:
         raise
     except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid configuration: {e}") from None
+
+
+def _replaced(obj, changes: dict[str, object]):
+    if not changes:
+        return obj
+    return dataclasses.replace(obj, **{
+        name: _replaced(getattr(obj, name), value) if isinstance(value, dict) else value
+        for name, value in changes.items()
+    })
 
 
 def config_manifest(config: RunConfig) -> dict[str, object]:

@@ -43,7 +43,6 @@ class DatasetMeta:
     audio_dim: int = 128
     visual_dim: int = 1024
     n_classes: int = 10
-    class_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.n_pairs < 0:
@@ -54,10 +53,6 @@ class DatasetMeta:
             )
         if self.n_classes < 2:
             raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
-        if self.class_names is not None and len(self.class_names) != self.n_classes:
-            raise ConfigError(
-                f"{len(self.class_names)} class names for {self.n_classes} classes"
-            )
 
 
 @dataclass

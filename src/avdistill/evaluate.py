@@ -32,7 +32,6 @@ class RetrievalReport:
     n_queries_v2a: int = 0
     n_excluded_a2v: int = 0
     n_excluded_v2a: int = 0
-    distance: str = "normalized"
 
     def as_dict(self) -> dict:
         return {
@@ -47,7 +46,7 @@ class RetrievalReport:
             "n_queries_v2a": self.n_queries_v2a,
             "n_excluded_a2v": self.n_excluded_a2v,
             "n_excluded_v2a": self.n_excluded_v2a,
-            "distance": self.distance,
+            "distance": "normalized",
         }
 
     def format_text(self) -> str:
@@ -63,7 +62,7 @@ class RetrievalReport:
         lines.append(f"n_queries_v2a = {self.n_queries_v2a}")
         lines.append(f"n_excluded_a2v = {self.n_excluded_a2v}")
         lines.append(f"n_excluded_v2a = {self.n_excluded_v2a}")
-        lines.append(f"distance = {self.distance}")
+        lines.append("distance = normalized")
         return "\n".join(lines)
 
 

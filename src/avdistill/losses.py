@@ -125,16 +125,6 @@ class TripletSet:
             np.concatenate([p.anchor_is_audio for p in parts]),
         )
 
-    def shifted(self, row_map: np.ndarray) -> "TripletSet":
-        """Remap local row indices to global ones via row_map."""
-        row_map = np.asarray(row_map, dtype=np.int64)
-        return TripletSet(
-            row_map[self.anchor],
-            row_map[self.positive],
-            row_map[self.negative],
-            self.anchor_is_audio,
-        )
-
 
 # ---------------------------------------------------------------------------
 # anchor-aware proxy

@@ -130,7 +130,7 @@ class EmbeddingBatch:
 class TwoTowerModel:
     """Audio tower + visual tower sharing an output space."""
 
-    def __init__(self, audio: Tower, visual: Tower, seed: int = 0) -> None:
+    def __init__(self, audio: Tower, visual: Tower) -> None:
         if audio.spec.output_dim != visual.spec.output_dim:
             raise ConfigError(
                 f"towers must share an output dim: audio {audio.spec.output_dim}, "
@@ -138,7 +138,6 @@ class TwoTowerModel:
             )
         self.audio = audio
         self.visual = visual
-        self.seed = seed
 
     @classmethod
     def create(cls, audio_spec: TowerSpec, visual_spec: TowerSpec, seed: int = 0) -> "TwoTowerModel":
@@ -150,7 +149,7 @@ class TwoTowerModel:
             )
         audio = Tower.build(audio_spec, np.random.default_rng([int(seed), _AUDIO_TAG]))
         visual = Tower.build(visual_spec, np.random.default_rng([int(seed), _VISUAL_TAG]))
-        return cls(audio, visual, seed=int(seed))
+        return cls(audio, visual)
 
     @property
     def output_dim(self) -> int:

@@ -170,34 +170,26 @@ class Sgd:
         if learning_rate <= 0.0:
             raise ConfigError(f"learning rate must be positive, got {learning_rate}")
         self.learning_rate = learning_rate
-        self.t = 0
 
     def apply(self, params: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
         _check_aligned(params, grads)
-        self.t += 1
         for p, g in zip(params, grads):
             p -= self.learning_rate * g
         return params
 
 
 class Adam:
-    """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Adam with bias correction."""
 
     kind = "adam"
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
 
-    def __init__(
-        self,
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
+    def __init__(self, learning_rate: float) -> None:
         if learning_rate <= 0.0:
             raise ConfigError(f"learning rate must be positive, got {learning_rate}")
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m: list[np.ndarray] | None = None
         self._v: list[np.ndarray] | None = None
@@ -224,13 +216,13 @@ class Adam:
 
 Optimizer = Sgd | Adam
 
+_OPTIMIZERS: dict[str, type[Optimizer]] = {"adam": Adam, "sgd": Sgd}
+
 
 def make_optimizer(kind: str, learning_rate: float) -> Optimizer:
-    if kind == "sgd":
-        return Sgd(learning_rate)
-    if kind == "adam":
-        return Adam(learning_rate)
-    raise ConfigError(f"unknown optimizer {kind!r}, expected 'sgd' or 'adam'")
+    if kind not in _OPTIMIZERS:
+        raise ConfigError(f"unknown optimizer {kind!r}, expected one of {tuple(_OPTIMIZERS)}")
+    return _OPTIMIZERS[kind](learning_rate)
 
 
 def _check_aligned(params: list[np.ndarray], grads: list[np.ndarray]) -> None:

@@ -6,11 +6,13 @@ import re
 import numpy as np
 import pytest
 
+from avdistill import SyntheticSpec, generate_synthetic, save_features
 from avdistill.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    _key_overrides,
     _run_config_from_args,
     build_parser,
     main,
@@ -145,6 +147,31 @@ class TestTrainFlags:
         assert (cfg.loss.pair_weight, cfg.hidden_dims, cfg.learning_rate) == (0.25, (9,), 0.5)
 
 
+class TestGenDataFlags:
+    def test_flags_set_their_synthetic_keys(self):
+        args = build_parser().parse_args([
+            "gen-data", "--out", "x.avfd",
+            "--classes", "3", "--per-class", "6", "--audio-dim", "12", "--visual-dim", "16",
+            "--noise", "0.1", "--correlation", "0.5", "--label-noise", "0.2", "--seed", "9",
+        ])
+        assert _key_overrides(args) == {
+            "synthetic.classes": 3,
+            "synthetic.pairs_per_class": 6,
+            "synthetic.audio_dim": 12,
+            "synthetic.visual_dim": 16,
+            "synthetic.noise": 0.1,
+            "synthetic.correlation": 0.5,
+            "synthetic.label_noise": 0.2,
+            "synthetic.seed": 9,
+        }
+
+    def test_no_flags_writes_the_default_spec(self, tmp_path, capsys):
+        out, expected = tmp_path / "x.avfd", tmp_path / "expected.avfd"
+        assert main(["gen-data", "--out", str(out)]) == EXIT_OK
+        save_features(expected, *generate_synthetic(SyntheticSpec()))
+        assert out.read_bytes() == expected.read_bytes()
+
+
 class TestGradCheckCommand:
     def test_default_rig_passes(self, capsys):
         assert main(["grad-check"]) == EXIT_OK
@@ -177,7 +204,9 @@ class TestUsageErrors:
 
     def test_bad_hidden_list(self, capsys):
         assert main(["train", "--hidden", "16,x"]) == EXIT_USAGE
-        assert "--hidden" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--hidden" in err and "comma-separated integers" in err
+        assert "_parse_int_list" not in err
 
     def test_help_is_success(self, capsys):
         assert main(["--help"]) == EXIT_OK

@@ -193,11 +193,6 @@ class TestBuildTriplets:
             build_triplets(np.zeros((2, 2), dtype=bool), np.zeros((2, 2), dtype=bool),
                            "all", "audio", np.zeros((3, 3)))
 
-    def test_shifted_maps_to_batch_rows(self):
-        trip = TripletSet(np.array([0]), np.array([1]), np.array([0]), np.array([True]))
-        moved = trip.shifted(np.array([4, 7]))
-        assert (moved.anchor[0], moved.positive[0], moved.negative[0]) == (4, 7, 4)
-
 
 class TestTripletLoss:
     def _single_triplet(self, d_pos, d_neg):

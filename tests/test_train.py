@@ -26,6 +26,7 @@ from avdistill import (
     train,
     variant_config,
 )
+from avdistill.bench import VARIANTS
 from avdistill.config import _KEYS
 from avdistill.train import build_model, resolve_dataset
 
@@ -295,6 +296,21 @@ class TestBench:
         assert variant_config(base, "hard-triplet").loss.strategy == "hard"
         with pytest.raises(ConfigError, match="unknown bench variant"):
             variant_config(base, "no-such-thing")
+
+    @pytest.mark.parametrize("base", [_config(), RunConfig()], ids=["small", "default"])
+    def test_variant_manifest_is_base_plus_overrides(self, base):
+        for name, overrides in VARIANTS.items():
+            assert set(overrides) <= set(_KEYS)
+            expected = {**config_manifest(base), **overrides}
+            assert config_manifest(variant_config(base, name)) == expected
+
+    def test_every_variant_name_is_checked_before_training(self, monkeypatch):
+        bench_module = importlib.import_module("avdistill.bench")
+        calls = []
+        monkeypatch.setattr(bench_module, "train", lambda cfg: calls.append(cfg))
+        with pytest.raises(ConfigError, match="unknown bench variant"):
+            bench(_config(), ("full", "no-such"))
+        assert calls == []
 
     def test_no_self_dis_never_uses_soft_labels(self):
         result = train(variant_config(_config(), "no-self-dis"))
