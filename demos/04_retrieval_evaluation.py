@@ -12,15 +12,14 @@ Run from the repository root:
 import numpy as np
 
 from avdistill import (
-    PairedBatch,
     RunConfig,
     SyntheticSpec,
     evaluate,
     generate_synthetic,
+    pairwise_normalized_distances,
     split,
     train,
 )
-from avdistill.evaluate import average_precision, rank_gallery
 
 config = RunConfig(
     synthetic=SyntheticSpec(n_classes=3, pairs_per_class=10, audio_dim=12,
@@ -40,20 +39,30 @@ report = evaluate(result.model, test_data, ks=(1, 3))
 
 print(report.format_text())
 
-# Re-derive one query's ranking by hand.
+# Re-derive one query's ranking by hand: ascending distance, ties to the lowest index.
 emb = result.model.encode(test_data)
-order = rank_gallery(emb.audio[0], emb.visual)
-relevance = (test_data.labels[order] == test_data.labels[0]).astype(float)
-print(f"\nquery 0 (class {test_data.labels[0]}) gallery order: {order.tolist()}")
-print(f"relevance along the ranking: {relevance.astype(int).tolist()}")
-print(f"average precision for query 0: {average_precision(relevance):.4f}")
+dist = pairwise_normalized_distances(emb.audio, emb.visual)
+labels = test_data.labels
+
+
+def query_ap(i: int) -> float:
+    """AP = (1/R) * sum over relevant ranks r of hits@r / r."""
+    order = np.argsort(dist[i], kind="stable")
+    relevance = labels[order] == labels[i]
+    hits = np.cumsum(relevance)
+    ranks = np.arange(1, relevance.size + 1)
+    return float((hits[relevance] / ranks[relevance]).sum() / hits[-1])
+
+
+order = np.argsort(dist[0], kind="stable")
+relevance = (labels[order] == labels[0]).astype(int)
+print(f"\nquery 0 (class {labels[0]}) gallery order: {order.tolist()}")
+print(f"relevance along the ranking: {relevance.tolist()}")
+print(f"hits at each rank: {np.cumsum(relevance).tolist()}")
+print(f"average precision for query 0: {query_ap(0):.4f}")
 
 # Averaging per-query AP over all audio queries reproduces map_a2v.
-aps = []
-for i in range(len(test_data)):
-    order = rank_gallery(emb.audio[i], emb.visual)
-    rel = (test_data.labels[order] == test_data.labels[i]).astype(float)
-    aps.append(average_precision(rel))
+aps = [query_ap(i) for i in range(len(test_data))]
 print(f"\nmean of per-query APs: {np.mean(aps):.6f}")
 print(f"reported map_a2v     : {report.map_a2v:.6f}")
 assert abs(np.mean(aps) - report.map_a2v) < 1e-12

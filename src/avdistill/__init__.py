@@ -34,7 +34,7 @@ from .errors import (
     ShapeError,
     StateError,
 )
-from .evaluate import RetrievalReport, average_precision, evaluate, rank_gallery
+from .evaluate import RetrievalReport, evaluate
 from .gradcheck import grad_check
 from .losses import (
     LossBreakdown,

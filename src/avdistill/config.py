@@ -17,6 +17,8 @@ from pathlib import Path
 from .data import SyntheticSpec
 from .errors import ConfigError
 from .losses import LossConfig
+from .nn import make_optimizer
+from .softalign import RatioSchedule
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,18 @@ class RunConfig:
     train_fraction: float = 0.8
     eval_ks: tuple[int, ...] = (1, 5, 10)
     output_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        # Reject what train() would reject, before any dataset is generated or loaded.
+        RatioSchedule(
+            self.schedule_kind, self.schedule_start, self.schedule_end, self.epochs,
+            self.schedule_steps,
+        )
+        make_optimizer(self.optimizer, self.learning_rate)
+        if self.batch_size < 2:
+            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ConfigError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:

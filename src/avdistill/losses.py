@@ -189,10 +189,7 @@ def normalize_rows(m: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, np.
 
 def pairwise_normalized_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix of normalized distances between rows of a and rows of b."""
-    ua, _ = normalize_rows(a, "first operand")
-    ub, _ = normalize_rows(b, "second operand")
-    gram = ua @ ub.T
-    return np.sqrt(np.clip(2.0 - 2.0 * gram, 0.0, None))
+    return _distances_with_cache(a, b)["dist"]
 
 
 # ---------------------------------------------------------------------------

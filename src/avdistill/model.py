@@ -142,11 +142,6 @@ class TwoTowerModel:
     @classmethod
     def create(cls, audio_spec: TowerSpec, visual_spec: TowerSpec, seed: int = 0) -> "TwoTowerModel":
         """Seeded init; the same (specs, seed) always yields identical parameters."""
-        if audio_spec.output_dim != visual_spec.output_dim:
-            raise ConfigError(
-                f"towers must share an output dim: audio {audio_spec.output_dim}, "
-                f"visual {visual_spec.output_dim}"
-            )
         audio = Tower.build(audio_spec, np.random.default_rng([int(seed), _AUDIO_TAG]))
         visual = Tower.build(visual_spec, np.random.default_rng([int(seed), _VISUAL_TAG]))
         return cls(audio, visual)

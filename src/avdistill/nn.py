@@ -115,10 +115,6 @@ class DenseLayer:
     def in_dim(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[1]
-
     def forward(
         self,
         x: np.ndarray,

@@ -79,7 +79,6 @@ class PartitionPlan:
 
     labeled_idx: np.ndarray
     soft_idx: np.ndarray
-    labeled_fraction: float
 
     @property
     def n(self) -> int:
@@ -101,7 +100,7 @@ def partition_batch(n: int, labeled_fraction: float, seed) -> PartitionPlan:
     k = int(math.floor(labeled_fraction * n))
     labeled = np.sort(perm[:k])
     soft = np.sort(perm[k:])
-    return PartitionPlan(labeled, soft, labeled_fraction)
+    return PartitionPlan(labeled, soft)
 
 
 _SCHEDULE_KINDS = ("step", "linear", "cosine")

@@ -172,7 +172,10 @@ def train(config: RunConfig) -> TrainResult:
             is_last = epoch == config.epochs - 1
             if is_last or (config.eval_every > 0 and (epoch + 1) % config.eval_every == 0):
                 t0 = time.perf_counter()
-                report = evaluate(model, test_data, ks=config.eval_ks)
+                try:
+                    report = evaluate(model, test_data, ks=config.eval_ks)
+                except EngineError as e:
+                    raise type(e)(f"epoch {epoch} eval: {e}") from e
                 result.final_report = report
                 emit(
                     MetricsRecord(

@@ -117,6 +117,20 @@ def slow_map(dist: np.ndarray, query_labels: np.ndarray, gallery_labels: np.ndar
     return sum(aps) / len(aps) if aps else 0.0
 
 
+def slow_precision_at_k(
+    dist: np.ndarray, query_labels: np.ndarray, gallery_labels: np.ndarray, k: int
+) -> float:
+    """Mean share of relevant items in each query's top k, over the queries slow_map keeps."""
+    shares = []
+    for i in range(dist.shape[0]):
+        order = sorted(range(dist.shape[1]), key=lambda j: (dist[i][j], j))
+        relevance = [int(gallery_labels[j] == query_labels[i]) for j in order]
+        if sum(relevance) == 0:
+            continue
+        shares.append(sum(relevance[:k]) / k)
+    return sum(shares) / len(shares) if shares else 0.0
+
+
 def nearest_centroid_accuracy(features: np.ndarray, labels: np.ndarray) -> float:
     """Fit per-class means, classify every row by the closest mean."""
     classes = sorted(set(int(c) for c in labels))

@@ -2,24 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from avdistill import (
-    DataError,
     PairedBatch,
     ShapeError,
     TowerSpec,
     TwoTowerModel,
-    average_precision,
     evaluate,
     one_hot,
     pairwise_normalized_distances,
-    rank_gallery,
 )
 from avdistill.model import Tower
 
-from oracles import slow_average_precision, slow_map
+from oracles import slow_map, slow_precision_at_k
 
 
 def _identity_model(n_classes):
@@ -56,63 +51,6 @@ def _random_instance(rng, n_pairs, n_classes=2, dim=4):
             return model, data
 
 
-class TestRankGallery:
-    def test_nearer_item_ranks_first(self):
-        query = np.array([1.0, 0.0])
-        gallery = np.array([[0.9, 0.1], [-1.0, 0.0]])
-        np.testing.assert_array_equal(rank_gallery(query, gallery), [0, 1])
-
-    def test_identical_gallery_keeps_input_order(self):
-        query = np.array([1.0, 1.0])
-        gallery = np.tile([[0.3, 0.4]], (4, 1))
-        np.testing.assert_array_equal(rank_gallery(query, gallery), [0, 1, 2, 3])
-
-    def test_matches_naive_sort(self, rng):
-        query = rng.standard_normal(3)
-        gallery = rng.standard_normal((8, 3))
-        order = rank_gallery(query, gallery)
-        d = pairwise_normalized_distances(query.reshape(1, -1), gallery)[0]
-        naive = sorted(range(8), key=lambda j: (d[j], j))
-        np.testing.assert_array_equal(order, naive)
-
-    def test_empty_gallery_rejected(self):
-        with pytest.raises(ShapeError):
-            rank_gallery(np.ones(3), np.zeros((0, 3)))
-
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            rank_gallery(np.ones(3), np.zeros((2, 4)))
-
-
-class TestAveragePrecision:
-    def test_first_hit_only(self):
-        assert average_precision(np.array([1, 0, 0], dtype=bool)) == 1.0
-
-    def test_split_hits(self):
-        ap = average_precision(np.array([1, 0, 1], dtype=bool))
-        assert abs(ap - (1.0 + 2.0 / 3.0) / 2.0) < 1e-12
-
-    def test_late_single_hit(self):
-        assert abs(average_precision(np.array([0, 0, 1], dtype=bool)) - 1.0 / 3.0) < 1e-12
-
-    def test_all_relevant(self):
-        assert average_precision(np.ones(5, dtype=bool)) == 1.0
-
-    def test_no_relevant_is_data_error(self):
-        with pytest.raises(DataError, match="without a relevant item"):
-            average_precision(np.zeros(4, dtype=bool))
-
-    def test_requires_1d(self):
-        with pytest.raises(ShapeError):
-            average_precision(np.zeros((2, 2), dtype=bool))
-
-    @given(st.lists(st.booleans(), min_size=1, max_size=20).filter(any))
-    @settings(max_examples=100, deadline=None)
-    def test_matches_running_sum_oracle(self, rel):
-        rel = np.array(rel, dtype=bool)
-        assert abs(average_precision(rel) - slow_average_precision(rel)) < 1e-12
-
-
 class TestEvaluate:
     def test_one_hot_embeddings_are_perfect(self):
         labels = np.array([0, 0, 1, 1, 2, 2])
@@ -125,14 +63,26 @@ class TestEvaluate:
         assert report.precision_at_k["a2v"][1] == 1.0
 
     def test_matches_brute_force_map(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(2, 13))
-            model, data = _random_instance(rng, n)
+        cases = [_random_instance(rng, int(rng.integers(2, 13))) for _ in range(20)]
+        # More pairs than one ranking block, ending in a partial block.
+        cases.append(_random_instance(rng, 300, n_classes=5))
+        # One-hot cluster codes with labels drawn apart from the clusters:
+        # relevant and irrelevant items tie exactly, so the index rule decides AP.
+        for n, n_clusters in ((12, 3), (40, 4), (300, 6)):
+            clusters = one_hot(rng.integers(0, n_clusters, size=n), n_clusters).astype(float)
+            labels = rng.integers(0, 3, size=n)
+            cases.append((_identity_model(n_clusters), PairedBatch(clusters, clusters.copy(), labels)))
+        for model, data in cases:
             report = evaluate(model, data)
             emb = model.encode(data)
             dist = pairwise_normalized_distances(emb.audio, emb.visual)
-            assert abs(report.map_a2v - slow_map(dist, data.labels, data.labels)) < 1e-12
-            assert abs(report.map_v2a - slow_map(dist.T, data.labels, data.labels)) < 1e-12
+            labels = data.labels
+            for direction, d, mean_ap in (
+                ("a2v", dist, report.map_a2v), ("v2a", dist.T, report.map_v2a)
+            ):
+                assert abs(mean_ap - slow_map(d, labels, labels)) < 1e-12
+                for k, value in report.precision_at_k[direction].items():
+                    assert abs(value - slow_precision_at_k(d, labels, labels, k)) < 1e-12
 
     def test_map_avg_is_the_mean(self, rng):
         model, data = _random_instance(rng, 8)
@@ -180,3 +130,9 @@ class TestReportSerialization:
         assert text.splitlines()[0].startswith("map_a2v = ")
         assert "map_avg = " in text
         assert "n_excluded_v2a = 0" in text
+        assert [line.split(" = ")[0] for line in text.splitlines()] == [
+            "map_a2v", "map_v2a", "map_avg",
+            "precision_a2v@1", "precision_a2v@5", "precision_v2a@1", "precision_v2a@5",
+            "n_queries_a2v", "n_queries_v2a", "n_excluded_a2v", "n_excluded_v2a",
+            "distance",
+        ]

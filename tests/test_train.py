@@ -10,6 +10,7 @@ import pytest
 from avdistill import (
     ConfigError,
     LossConfig,
+    NormalizationError,
     NumericError,
     RatioSchedule,
     RunConfig,
@@ -155,6 +156,17 @@ class TestTrainLoop:
         for p, q in zip(seen["model"].parameters(), seen["before"]):
             np.testing.assert_array_equal(p, q)
 
+    def test_eval_failure_names_its_epoch(self, monkeypatch):
+        train_module = importlib.import_module("avdistill.train")
+
+        def dead_row_evaluate(*args, **kwargs):
+            raise NormalizationError("zero vector at row 3 of audio embeddings")
+
+        monkeypatch.setattr(train_module, "evaluate", dead_row_evaluate)
+        # eval_every=2: the first evaluation follows epoch 1.
+        with pytest.raises(NormalizationError, match=r"^epoch 1 eval: zero vector at row 3"):
+            train(_config())
+
 
 class TestTrainOutputs:
     def test_checkpoint_and_metrics_files(self, tmp_path):
@@ -243,6 +255,20 @@ class TestConfigFile:
     def test_invalid_final_config(self):
         with pytest.raises(ConfigError):
             build_run_config({"loss.margin": "-2.0"})
+
+    @pytest.mark.parametrize("key, raw, message", [
+        pytest.param(key, raw, message, id=key) for key, raw, message in [
+            ("train.optimizer", "rmsprop", "unknown optimizer 'rmsprop'"),
+            ("train.lr", "0", "learning rate must be positive"),
+            ("schedule.kind", "zigzag", "unknown schedule kind 'zigzag'"),
+            ("train.epochs", "0", "total_epochs must be >= 1"),
+            ("train.batch", "-3", "batch_size must be >= 2, got -3"),
+            ("train.fraction", "7", r"train_fraction must lie in \(0, 1\), got 7.0"),
+        ]
+    ])
+    def test_run_settings_are_checked_when_the_config_is_built(self, key, raw, message):
+        with pytest.raises(ConfigError, match=message):
+            build_run_config({key: raw})
 
     def test_manifest_is_flat_and_complete(self):
         manifest = config_manifest(_config())
