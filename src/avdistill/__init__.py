@@ -44,7 +44,6 @@ from .losses import (
     composite_loss,
     cross_modal_triplet_loss,
     label_loss,
-    normalized_distance,
     pair_distance_loss,
     pairwise_normalized_distances,
     proxy_transform,

@@ -7,6 +7,12 @@ triplet loss) with ties resolved to the lowest gallery index, a relevant item
 is one sharing the query's class, and average precision is taken over the
 full ranked list. Queries whose class has no gallery match are excluded from the
 mean and counted in the report.
+
+Rows are sorted with numpy's default (unstable, vectorized) argsort. A row
+whose sorted values strictly increase has exactly one ascending order, so that
+order is already the lowest-index one; only rows with an equal pair (±0.0
+included) or a NaN are sorted again with the stable argsort. Rankings, and so
+every AP and P@k, are the same as a stable sort of every row.
 """
 
 from __future__ import annotations
@@ -21,10 +27,9 @@ from .errors import ShapeError
 from .losses import pairwise_normalized_distances
 from .model import TwoTowerModel
 
-# Query rows ranked at once. The argsort, relevance and cumsum temporaries are
-# block x gallery: at 4000 pairs, 256-row blocks keep evaluate's peak RSS at the
-# per-query loop's (about 530 MB), while ranking the whole matrix at once peaked
-# near 650 MB and ran slower.
+# Query rows ranked at once. The order, sorted-value, relevance and cumsum
+# temporaries are block x gallery: at 4000 pairs one direction peaks near 40 MB
+# under tracemalloc, a third of the 4000 x 4000 float64 distance matrix.
 _BLOCK = 256
 
 
@@ -70,8 +75,9 @@ def _direction_metrics(
 ) -> tuple[float, int, int, dict[int, float]]:
     """Mean AP, query count, excluded count and mean P@k over the query rows of `dist`.
 
-    Rows are ranked `_BLOCK` at a time. AP of one query is (1/R) times the sum
-    of hits@r / r over its R relevant ranks r.
+    Rows are ranked `_BLOCK` at a time, stably re-sorting only the tied rows
+    (see the module docstring). AP of one query is (1/R) times the sum of
+    hits@r / r over its R relevant ranks r.
     """
     n_gallery = dist.shape[1]
     usable_ks = [k for k in ks if 1 <= k <= n_gallery]
@@ -80,7 +86,12 @@ def _direction_metrics(
     p_at_k: dict[int, list[np.ndarray]] = {k: [] for k in usable_ks}
     for start in range(0, dist.shape[0], _BLOCK):
         rows = slice(start, start + _BLOCK)
-        order = np.argsort(dist[rows], axis=1, kind="stable")
+        block = dist[rows]
+        order = np.argsort(block, axis=1)
+        ranked = np.take_along_axis(block, order, axis=1)
+        tied = ~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
+        if tied.any():
+            order[tied] = np.argsort(block[tied], axis=1, kind="stable")
         rel = labels[order] == labels[rows, None]
         hits = np.cumsum(rel, axis=1)
         kept = hits[:, -1] > 0

@@ -164,19 +164,6 @@ def _proxy_backward(cache: dict | None, upstream: np.ndarray, cfg: LossConfig) -
 # normalized distances
 
 
-def normalized_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Euclidean distance between unit-normalized vectors; lives in [0, 2]."""
-    x = np.asarray(x, dtype=DTYPE).reshape(-1)
-    y = np.asarray(y, dtype=DTYPE).reshape(-1)
-    if x.shape != y.shape:
-        raise ShapeError(f"vectors disagree in length: {x.shape} vs {y.shape}")
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
-    if nx == 0.0 or ny == 0.0:
-        raise NormalizationError("cannot normalize a zero vector")
-    return float(np.linalg.norm(x / nx - y / ny))
-
-
 def normalize_rows(m: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     """Unit-normalize rows; a zero row is an error, never silently fudged."""
     m = np.asarray(m, dtype=DTYPE)
@@ -388,8 +375,12 @@ def _batch_hard_side(
 def _distances_with_cache(a: np.ndarray, b: np.ndarray) -> dict:
     ua, na = normalize_rows(a, "audio embeddings")
     ub, nb = normalize_rows(b, "visual embeddings")
-    gram = ua @ ub.T
-    dist = np.sqrt(np.clip(2.0 - 2.0 * gram, 0.0, None))
+    # 2 - 2g built in one n x m buffer; 2 + (-2g) rounds exactly as 2 - 2g.
+    dist = ua @ ub.T
+    dist *= -2.0
+    dist += 2.0
+    np.clip(dist, 0.0, None, out=dist)
+    np.sqrt(dist, out=dist)
     return {"ua": ua, "ub": ub, "na": na, "nb": nb, "dist": dist}
 
 

@@ -3,6 +3,8 @@
 Everything here trades speed for obviousness: plain Python loops, one triple
 at a time, one query at a time. None of it imports the vectorized code paths
 it is checking, beyond the shared dataclasses used to pass inputs around.
+`stable_direction_metrics` is the one vectorized exception: it pins the
+engine's ranking kernel to the all-stable-sort form it must match bit for bit.
 """
 
 from __future__ import annotations
@@ -11,11 +13,31 @@ import math
 
 import numpy as np
 
-from avdistill import LossConfig, TripletSet, alignment_masks, softmax_rows
+from avdistill import (
+    LossConfig,
+    NormalizationError,
+    ShapeError,
+    TripletSet,
+    alignment_masks,
+    softmax_rows,
+)
 
 
 def unit(v: np.ndarray) -> np.ndarray:
     return v / math.sqrt(float(np.dot(v, v)))
+
+
+def normalized_distance(x: np.ndarray, y: np.ndarray) -> float:
+    """Euclidean distance between unit-normalized vectors; lives in [0, 2]."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    if x.shape != y.shape:
+        raise ShapeError(f"vectors disagree in length: {x.shape} vs {y.shape}")
+    nx = float(np.linalg.norm(x))
+    ny = float(np.linalg.norm(y))
+    if nx == 0.0 or ny == 0.0:
+        raise NormalizationError("cannot normalize a zero vector")
+    return float(np.linalg.norm(x / nx - y / ny))
 
 
 def slow_softmax_row(row: np.ndarray) -> np.ndarray:
@@ -129,6 +151,32 @@ def slow_precision_at_k(
             continue
         shares.append(sum(relevance[:k]) / k)
     return sum(shares) / len(shares) if shares else 0.0
+
+
+def stable_direction_metrics(
+    dist: np.ndarray, labels: np.ndarray, ks: tuple[int, ...]
+) -> tuple[float, int, int, dict[int, float]]:
+    """The retrieval kernel with a stable argsort on every row, unblocked.
+
+    Same operations and float summation order as `evaluate._direction_metrics`;
+    each row's AP is summed within its own row, so blocking does not change
+    the bits either. The two must agree exactly.
+    """
+    ranks = np.arange(1, dist.shape[1] + 1)
+    order = np.argsort(dist, axis=1, kind="stable")
+    rel = labels[order] == labels[:, None]
+    hits = np.cumsum(rel, axis=1)
+    kept = hits[:, -1] > 0
+    rel, hits = rel[kept], hits[kept]
+    ap = ((hits / ranks) * rel).sum(axis=1) / hits[:, -1]
+    n = ap.size
+    mean_ap = float(np.mean(ap)) if n else 0.0
+    table = {
+        k: float(np.mean(hits[:, k - 1] / k)) if n else 0.0
+        for k in ks
+        if 1 <= k <= dist.shape[1]
+    }
+    return mean_ap, n, dist.shape[0] - n, table
 
 
 def nearest_centroid_accuracy(features: np.ndarray, labels: np.ndarray) -> float:

@@ -1,5 +1,7 @@
 """Retrieval ranking, average precision, and bidirectional MAP reports."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,10 @@ from avdistill import (
     one_hot,
     pairwise_normalized_distances,
 )
+from avdistill.evaluate import _direction_metrics
 from avdistill.model import Tower
 
-from oracles import slow_map, slow_precision_at_k
+from oracles import slow_map, slow_precision_at_k, stable_direction_metrics
 
 
 def _identity_model(n_classes):
@@ -115,6 +118,38 @@ class TestEvaluate:
         empty = PairedBatch(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
         with pytest.raises(ShapeError):
             evaluate(model, empty)
+
+
+def _kernel_cases(rng):
+    """Square distance matrices with shared labels, from tie-free to all-tied."""
+    n = 96
+    gaussian = rng.standard_normal((n, n))
+    grid = rng.integers(0, 8, size=(n, n)) * 0.25
+    flat = np.full((n, n), 0.5)
+    signed_zeros = rng.standard_normal((n, n))
+    signed_zeros[rng.random((n, n)) < 0.2] = 0.0
+    signed_zeros[rng.random((n, n)) < 0.2] = -0.0
+    # NaN never compares equal: an equality test alone would miss these rows.
+    nans = rng.standard_normal((n, n))
+    nans[rng.random((n, n)) < 0.1] = np.nan
+    # Every third row carries one equal pair; the rest stay tie-free.
+    mixed = rng.standard_normal((n, n))
+    mixed[::3, 1] = mixed[::3, n - 2]
+    return [gaussian, grid, flat, signed_zeros, nans, mixed]
+
+
+class TestRankingKernel:
+    """`_direction_metrics` against the all-stable-sort kernel, bit for bit."""
+
+    @pytest.mark.parametrize("block", [256, 40])  # one block; a partial last block
+    def test_matches_stable_kernel(self, rng, monkeypatch, block):
+        # The package's `evaluate` attribute is the function; fetch the module.
+        monkeypatch.setattr(importlib.import_module("avdistill.evaluate"), "_BLOCK", block)
+        ks = (1, 5, 10, 96, 97, 1000)  # the last two exceed the 96-item gallery
+        for dist in _kernel_cases(rng):
+            labels = rng.integers(0, 4, size=dist.shape[0])
+            for d in (dist, dist.T):
+                assert _direction_metrics(d, labels, ks) == stable_direction_metrics(d, labels, ks)
 
 
 class TestReportSerialization:

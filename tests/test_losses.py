@@ -19,7 +19,6 @@ from avdistill import (
     cross_modal_triplet_loss,
     label_loss,
     label_masks,
-    normalized_distance,
     one_hot,
     pair_distance_loss,
     pairwise_normalized_distances,
@@ -30,6 +29,7 @@ from avdistill.losses import _batch_triplet_reduce, _triplet_terms, normalize_ro
 from avdistill.softalign import alignment_masks
 
 from oracles import (
+    normalized_distance,
     numeric_gradient,
     slow_build_all_triplets,
     slow_proxy,
@@ -128,6 +128,28 @@ class TestNormalizedDistance:
         for i in range(4):
             for j in range(5):
                 assert abs(dist[i, j] - normalized_distance(a[i], b[j])) < 1e-12
+
+    def test_pairwise_bytes_match_formula(self, rng):
+        a = rng.standard_normal((30, 7))
+        # Shared rows make exact self-pairs, where rounding can push 2 - 2g below 0.
+        b = np.concatenate([rng.standard_normal((20, 7)), a[:10], 3.0 * a[10:20]])
+        for x, y in ((a, b), (a, a), (b, a)):
+            ux, _ = normalize_rows(x)
+            uy, _ = normalize_rows(y)
+            expected = np.sqrt(np.clip(2.0 - 2.0 * (ux @ uy.T), 0.0, None))
+            assert pairwise_normalized_distances(x, y).tobytes() == expected.tobytes()
+
+    def test_pairwise_holds_one_matrix(self, rng):
+        n = 2000
+        a = rng.standard_normal((n, 10))
+        b = rng.standard_normal((n, 10))
+        tracemalloc.start()
+        try:
+            pairwise_normalized_distances(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n * n * 8
 
 
 class TestBuildTriplets:
