@@ -48,6 +48,11 @@ class TowerSpec:
         return list(zip(dims[:-1], dims[1:]))
 
 
+def _activations(spec: TowerSpec) -> list[str]:
+    """ReLU for every hidden layer, identity for the prediction layer."""
+    return ["relu"] * len(spec.hidden_dims) + ["identity"]
+
+
 class Tower:
     """A stack of DenseLayers built from a TowerSpec."""
 
@@ -57,23 +62,22 @@ class Tower:
 
     @classmethod
     def build(cls, spec: TowerSpec, rng: np.random.Generator) -> "Tower":
-        layers = []
-        pairs = spec.layer_dims
-        for i, (d_in, d_out) in enumerate(pairs):
-            activation = "identity" if i == len(pairs) - 1 else "relu"
-            layers.append(DenseLayer.create(d_in, d_out, activation, rng))
+        layers = [
+            DenseLayer.create(d_in, d_out, activation, rng)
+            for (d_in, d_out), activation in zip(spec.layer_dims, _activations(spec))
+        ]
         return cls(spec, layers)
 
     @classmethod
     def from_parameters(cls, spec: TowerSpec, tensors: list[np.ndarray]) -> "Tower":
         """Rebuild a tower from a flat [w0, b0, w1, b1, ...] tensor list."""
-        pairs = spec.layer_dims
-        if len(tensors) != 2 * len(pairs):
-            raise ShapeError(f"expected {2 * len(pairs)} tensors, got {len(tensors)}")
-        layers = []
-        for i in range(len(pairs)):
-            activation = "identity" if i == len(pairs) - 1 else "relu"
-            layers.append(DenseLayer(tensors[2 * i], tensors[2 * i + 1], activation))
+        activations = _activations(spec)
+        if len(tensors) != 2 * len(activations):
+            raise ShapeError(f"expected {2 * len(activations)} tensors, got {len(tensors)}")
+        layers = [
+            DenseLayer(w, b, activation)
+            for w, b, activation in zip(tensors[::2], tensors[1::2], activations)
+        ]
         return cls(spec, layers)
 
     def forward(self, x: np.ndarray, *, training: bool = False, seed_base: list[int] | None = None) -> np.ndarray:
@@ -94,10 +98,10 @@ class Tower:
         """Push a gradient through the cached forward; returns [dw0, db0, ...]."""
         grads: list[np.ndarray] = []
         grad = upstream
-        for layer in reversed(self.layers):
-            dw, db, grad = layer.backward(grad)
-            grads.insert(0, db)
-            grads.insert(0, dw)
+        for i in reversed(range(len(self.layers))):
+            # Layer 0's input gradient would reach the features; nothing reads it.
+            dw, db, grad = self.layers[i].backward(grad, input_grad=i > 0)
+            grads[:0] = [dw, db]
         return grads
 
     def parameters(self) -> list[np.ndarray]:
@@ -175,14 +179,3 @@ class TwoTowerModel:
 
     def parameters(self) -> list[np.ndarray]:
         return self.audio.parameters() + self.visual.parameters()
-
-    def parameter_names(self) -> list[str]:
-        names = []
-        for tower_name, tower in (("audio", self.audio), ("visual", self.visual)):
-            for i in range(len(tower.layers)):
-                names.append(f"{tower_name}.layer{i}.weights")
-                names.append(f"{tower_name}.layer{i}.bias")
-        return names
-
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -83,12 +83,7 @@ def build_model(config: RunConfig, meta: DatasetMeta) -> TwoTowerModel:
         hidden_dims=config.hidden_dims,
         dropout_rate=config.dropout_rate,
     )
-    visual_spec = TowerSpec(
-        input_dim=meta.visual_dim,
-        output_dim=meta.n_classes,
-        hidden_dims=config.hidden_dims,
-        dropout_rate=config.dropout_rate,
-    )
+    visual_spec = replace(audio_spec, input_dim=meta.visual_dim)
     return TwoTowerModel.create(audio_spec, visual_spec, seed=config.seed)
 
 

@@ -3,8 +3,9 @@
 Everything here trades speed for obviousness: plain Python loops, one triple
 at a time, one query at a time. None of it imports the vectorized code paths
 it is checking, beyond the shared dataclasses used to pass inputs around.
-`stable_direction_metrics` is the one vectorized exception: it pins the
-engine's ranking kernel to the all-stable-sort form it must match bit for bit.
+`stable_direction_metrics` and the dense-step formulas (`whole_tensor_adam_step`,
+`dense_forward`, `dense_backward`) are the vectorized exceptions: they pin the
+engine's fast paths to the plain whole-tensor forms they must match bit for bit.
 """
 
 from __future__ import annotations
@@ -177,6 +178,61 @@ def stable_direction_metrics(
         if 1 <= k <= dist.shape[1]
     }
     return mean_ap, n, dist.shape[0] - n, table
+
+
+def whole_tensor_adam_step(
+    params: list[np.ndarray],
+    grads: list[np.ndarray],
+    m: list[np.ndarray],
+    v: list[np.ndarray],
+    t: int,
+    lr: float,
+    b1: float = 0.9,
+    b2: float = 0.999,
+    eps: float = 1e-8,
+) -> None:
+    """Adam step `t` (1-based) on whole tensors, updating params, m and v in place."""
+    bias1 = 1.0 - b1**t
+    bias2 = 1.0 - b2**t
+    for p, g, mi, vi in zip(params, grads, m, v):
+        mi *= b1
+        mi += (1.0 - b1) * g
+        vi *= b2
+        vi += (1.0 - b2) * g * g
+        p -= lr * (mi / bias1) / (np.sqrt(vi / bias2) + eps)
+
+
+def dense_forward(
+    x: np.ndarray, weights: np.ndarray, bias: np.ndarray, activation: str, rate: float, seed
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Training forward of one dense layer: (out, pre, mask), every product out of place.
+
+    The inverted-dropout mask is the keep test cast to float, divided by the keep share.
+    """
+    pre = x @ weights + bias
+    out = np.maximum(pre, 0.0) if activation == "relu" else pre
+    mask = None
+    if rate > 0.0:
+        keep = 1.0 - rate
+        mask = (np.random.default_rng(seed).random(out.shape) >= rate).astype(np.float64) / keep
+        out = out * mask
+    return out, pre, mask
+
+
+def dense_backward(
+    x: np.ndarray,
+    weights: np.ndarray,
+    pre: np.ndarray,
+    mask: np.ndarray | None,
+    activation: str,
+    upstream: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d_weights, d_bias, d_input) of one dense layer, the input gradient always formed."""
+    if mask is not None:
+        upstream = upstream * mask
+    if activation == "relu":
+        upstream = upstream * (pre > 0.0)
+    return x.T @ upstream, upstream.sum(axis=0), upstream @ weights.T
 
 
 def nearest_centroid_accuracy(features: np.ndarray, labels: np.ndarray) -> float:

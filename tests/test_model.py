@@ -17,6 +17,9 @@ from avdistill import (
     save_checkpoint,
 )
 from avdistill.model import Tower
+from avdistill.nn import DenseLayer
+
+from oracles import dense_backward
 
 
 class TestTowerSpec:
@@ -43,7 +46,7 @@ class TestModelConstruction:
         model = TwoTowerModel.create(audio, visual, seed=0)
         audio_count = (128 * 1024 + 1024) + 2 * (1024 * 1024 + 1024) + (1024 * 15 + 15)
         visual_count = (1024 * 1024 + 1024) + 2 * (1024 * 1024 + 1024) + (1024 * 15 + 15)
-        assert model.parameter_count() == audio_count + visual_count
+        assert sum(p.size for p in model.parameters()) == audio_count + visual_count
 
     def test_mismatched_output_dims_rejected(self):
         with pytest.raises(ConfigError):
@@ -69,13 +72,13 @@ class TestModelConstruction:
         assert a0.shape == v0.shape and not np.array_equal(a0, v0)
 
     def test_parameter_names_align(self, small_model):
-        names = small_model.parameter_names()
+        # parameters() runs audio w0, b0, ... then visual, the checkpoint's tensor order.
         params = small_model.parameters()
-        assert len(names) == len(params)
-        assert names[0] == "audio.layer0.weights"
-        assert names[1] == "audio.layer0.bias"
-        assert names[6] == "visual.layer0.weights"
-        assert small_model.parameter_count() == sum(p.size for p in params)
+        layers = small_model.audio.layers + small_model.visual.layers
+        assert len(params) == 2 * len(layers) == 12
+        for i, layer in enumerate(layers):
+            assert params[2 * i] is layer.weights
+            assert params[2 * i + 1] is layer.bias
 
     def test_hidden_layers_relu_output_identity(self, small_model):
         acts = [layer.activation for layer in small_model.audio.layers]
@@ -125,6 +128,37 @@ class TestEncode:
         assert len(grads) == len(params)
         for g, p in zip(grads, params):
             assert g.shape == p.shape
+
+    def test_tower_backward_matches_oracle(self, small_model, small_batch, rng, monkeypatch):
+        emb = small_model.encode(small_batch, training=True, step_seed=2)
+        d_audio, d_visual = rng.standard_normal(emb.audio.shape), rng.standard_normal(emb.visual.shape)
+        # The oracle chain forms every layer's input gradient, layer 0's included.
+        want = []
+        for tower, upstream in ((small_model.audio, d_audio), (small_model.visual, d_visual)):
+            grads, grad = [], upstream
+            for layer in reversed(tower.layers):
+                c = layer._cache
+                dw, db, grad = dense_backward(
+                    c["x"], layer.weights, c["pre"], c["mask"], layer.activation, grad
+                )
+                grads[:0] = [dw, db]
+            want += grads
+        input_grads = {}
+        backward = DenseLayer.backward
+
+        def spy(layer, upstream, **kwargs):
+            out = backward(layer, upstream, **kwargs)
+            input_grads[id(layer)] = out[2]
+            return out
+
+        monkeypatch.setattr(DenseLayer, "backward", spy)
+        got = small_model.backward(d_audio, d_visual)
+        assert len(got) == len(want)
+        for g, expected in zip(got, want):
+            assert np.array_equal(g, expected)
+        for tower in (small_model.audio, small_model.visual):
+            assert input_grads[id(tower.layers[0])] is None
+            assert all(input_grads[id(layer)] is not None for layer in tower.layers[1:])
 
     def test_wrong_feature_width(self, small_model, rng):
         from avdistill import PairedBatch

@@ -20,9 +20,14 @@ from avdistill import (
     relu,
     softmax_rows,
 )
-from avdistill.nn import he_uniform, xavier_uniform
+from avdistill.nn import _ADAM_CHUNK, he_uniform, xavier_uniform
 
-from oracles import numeric_gradient
+from oracles import (
+    dense_backward,
+    dense_forward,
+    numeric_gradient,
+    whole_tensor_adam_step,
+)
 
 
 class TestActivations:
@@ -137,6 +142,33 @@ class TestDenseForward:
         with pytest.raises(ConfigError):
             DropoutSpec(1.0)
 
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.5])
+    def test_training_forward_matches_oracle(self, rng, activation, rate):
+        x = rng.standard_normal((40, 7))
+        w, b = rng.standard_normal((7, 30)), rng.standard_normal(30)
+        layer = DenseLayer(w, b, activation)
+        out = layer.forward(x, training=True, dropout=DropoutSpec(rate, rng_seed=[5, 2]))
+        want_out, want_pre, want_mask = dense_forward(x, w, b, activation, rate, [5, 2])
+        cache = layer._cache
+        assert np.array_equal(out, want_out)
+        assert np.array_equal(cache["x"], x)
+        assert np.array_equal(cache["pre"], want_pre)
+        if rate == 0.0:
+            assert cache["mask"] is None
+        else:
+            assert np.array_equal(cache["mask"], want_mask)
+
+    def test_identity_dropout_keeps_cached_pre(self, rng):
+        x = rng.standard_normal((20, 6))
+        w, b = rng.standard_normal((6, 6)), rng.standard_normal(6)
+        layer = DenseLayer(w, b, "identity")
+        out = layer.forward(x, training=True, dropout=DropoutSpec(0.5, rng_seed=3))
+        pre, mask = layer._cache["pre"], layer._cache["mask"]
+        assert (out == 0.0).any() and (pre != 0.0).all()
+        assert np.array_equal(pre, x @ w + b)
+        assert np.array_equal(out, pre * mask)
+
 
 class TestDenseBackward:
     def test_zero_upstream_gives_zero_gradients(self, rng):
@@ -189,6 +221,23 @@ class TestDenseBackward:
             denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
             assert (np.abs(analytic - numeric) / denom).max() < 1e-4
 
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.5])
+    def test_backward_matches_oracle(self, rng, activation, rate):
+        x = rng.standard_normal((40, 7))
+        w, b = rng.standard_normal((7, 30)), rng.standard_normal(30)
+        upstream = rng.standard_normal((40, 30))
+        layer = DenseLayer(w, b, activation)
+        layer.forward(x, training=True, dropout=DropoutSpec(rate, rng_seed=8))
+        _, pre, mask = dense_forward(x, w, b, activation, rate, 8)
+        want = dense_backward(x, w, pre, mask, activation, upstream)
+        got = layer.backward(upstream)
+        for g, expected in zip(got, want):
+            assert np.array_equal(g, expected)
+        dw, db, dx = layer.backward(upstream, input_grad=False)
+        assert dx is None
+        assert np.array_equal(dw, want[0]) and np.array_equal(db, want[1])
+
     def test_dropout_mask_replayed_in_backward(self, rng):
         x = np.abs(rng.standard_normal((6, 5))) + 0.5
         layer = DenseLayer(np.eye(5), np.zeros(5), "identity")
@@ -238,6 +287,36 @@ class TestOptimizers:
             Sgd(0.1).apply([np.zeros(3)], [np.zeros(4)])
         with pytest.raises(ShapeError):
             Adam(0.1).apply([np.zeros(3)], [np.zeros(3), np.zeros(3)])
+
+    def test_adam_chunks_match_whole_tensor_formula(self, rng):
+        # Sizes below, equal to and above the chunk; two are not a multiple of it.
+        shapes = [(7, 11), (_ADAM_CHUNK,), (2 * _ADAM_CHUNK + 17,), (300, 250)]
+        params = [rng.standard_normal(s) for s in shapes]
+        expected = [p.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        opt = Adam(3e-3)
+        for t in range(1, 5):
+            grads = [rng.standard_normal(s) * 10.0 ** (t - 2) for s in shapes]
+            opt.apply(params, grads)
+            whole_tensor_adam_step(expected, grads, m, v, t, 3e-3)
+            for p, e in zip(params, expected):
+                assert np.array_equal(p, e)
+            for ours, theirs in zip(opt._m + opt._v, m + v):
+                assert np.array_equal(ours, theirs)
+
+    def test_adam_shape_change_is_shape_error(self):
+        opt = Adam(0.1)
+        opt.apply([np.zeros(3), np.zeros(6)], [np.ones(3), np.ones(6)])
+        for changed in (np.zeros((2, 3)), np.zeros(5)):
+            with pytest.raises(ShapeError, match="moment buffer"):
+                opt.apply([np.zeros(3), changed], [np.ones(3), np.ones_like(changed)])
+        assert opt.t == 1
+
+    def test_adam_rejects_non_contiguous_parameter(self):
+        p = np.zeros((4, 4)).T
+        with pytest.raises(ShapeError, match="C-contiguous"):
+            Adam(0.1).apply([p], [np.ones((4, 4))])
 
     def test_make_optimizer(self):
         assert isinstance(make_optimizer("sgd", 0.1), Sgd)
