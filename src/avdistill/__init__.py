@@ -42,11 +42,9 @@ from .losses import (
     TripletSet,
     build_triplets,
     composite_loss,
-    cross_modal_triplet_loss,
     label_loss,
     pair_distance_loss,
     pairwise_normalized_distances,
-    proxy_transform,
 )
 from .model import EmbeddingBatch, TowerSpec, TwoTowerModel
 from .nn import Adam, DenseLayer, DropoutSpec, Sgd, make_optimizer, relu, softmax_rows

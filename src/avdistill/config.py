@@ -17,6 +17,7 @@ from pathlib import Path
 from .data import SyntheticSpec
 from .errors import ConfigError
 from .losses import LossConfig
+from .model import TowerSpec
 from .nn import make_optimizer
 from .softalign import RatioSchedule
 
@@ -44,16 +45,27 @@ class RunConfig:
     output_dir: str | None = None
 
     def __post_init__(self) -> None:
-        # Reject what train() would reject, before any dataset is generated or loaded.
-        RatioSchedule(
-            self.schedule_kind, self.schedule_start, self.schedule_end, self.epochs,
-            self.schedule_steps,
-        )
+        # Reject what train() would reject, before any dataset is generated or loaded:
+        # the schedule, a tower (placeholder dims) and the optimizer check themselves.
+        self.schedule
+        self.tower_spec(input_dim=1, output_dim=2)
         make_optimizer(self.optimizer, self.learning_rate)
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
+
+    @property
+    def schedule(self) -> RatioSchedule:
+        """The labeled-fraction schedule over the run's epochs."""
+        return RatioSchedule(
+            self.schedule_kind, self.schedule_start, self.schedule_end, self.epochs,
+            self.schedule_steps,
+        )
+
+    def tower_spec(self, input_dim: int, output_dim: int) -> TowerSpec:
+        """One tower of the configured architecture."""
+        return TowerSpec(input_dim, output_dim, self.hidden_dims, self.dropout_rate)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:

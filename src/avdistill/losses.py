@@ -10,7 +10,8 @@ triplet_term : cross-modal margin triplets under the normalized distance,
                alignment masks on the soft subset, each reduced as the mean
                hinge over its triples and the two added. Training reduces
                batch-all with per-anchor sorts and batch-hard with masked
-               argmax / argmin, never building the triples.
+               argmax / argmin, never building the triples; the explicit-triples
+               reference it must match lives in tests/oracles.py.
 pair_term    : mean Euclidean distance between the two projections of each pair.
 
 Embeddings may first pass through an anchor-aware proxy that mixes correlated
@@ -20,8 +21,7 @@ backward passes here are written by hand against the cached forward state.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -71,12 +71,7 @@ class LossBreakdown:
     total: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "label_term": self.label_term,
-            "triplet_term": self.triplet_term,
-            "pair_term": self.pair_term,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -86,6 +81,10 @@ class TripletSet:
     anchor_is_audio marks the anchor's modality: audio anchors rank visual
     candidates and vice versa. Positions refer to rows of one batch, so the
     same set indexes audio and visual matrices interchangeably.
+
+    Training never builds triples; this class and build_triplets stay here
+    only because the benchmark wraps and imports build_triplets, and move to
+    tests/oracles.py with the next benchmark change.
     """
 
     anchor: np.ndarray
@@ -128,12 +127,6 @@ class TripletSet:
 
 # ---------------------------------------------------------------------------
 # anchor-aware proxy
-
-
-def proxy_transform(emb: np.ndarray, cfg: LossConfig) -> np.ndarray:
-    """Public forward of the configured proxy (identity or batch attention)."""
-    out, _ = _proxy_forward(emb, cfg)
-    return out
 
 
 def _proxy_forward(emb: np.ndarray, cfg: LossConfig) -> tuple[np.ndarray, dict | None]:
@@ -197,7 +190,7 @@ def build_triplets(
     argmin ties resolve to the lowest index). Anchors missing a positive or a
     negative are skipped. Audio anchors read mask rows, visual anchors read
     mask columns; `distances` is the audio x visual matrix the hard strategy
-    mines against.
+    mines against. Training never calls it; see TripletSet.
     """
     if strategy not in _STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}, expected {_STRATEGIES}")
@@ -256,34 +249,6 @@ def _triplets_one_side(
 # loss terms with gradients
 
 
-def _triplet_rows_cols(triplets: TripletSet) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Index pairs into the audio x visual distance matrix for each triple."""
-    a, p, q = triplets.anchor, triplets.positive, triplets.negative
-    is_a = triplets.anchor_is_audio
-    rows_pos = np.where(is_a, a, p)
-    cols_pos = np.where(is_a, p, a)
-    rows_neg = np.where(is_a, a, q)
-    cols_neg = np.where(is_a, q, a)
-    return rows_pos, cols_pos, rows_neg, cols_neg
-
-
-def _triplet_terms(
-    distances: np.ndarray, triplets: TripletSet, margin: float
-) -> tuple[float, np.ndarray]:
-    """Mean hinge over the triples plus its gradient w.r.t. the distance matrix."""
-    d_dist = np.zeros_like(distances)
-    if len(triplets) == 0:
-        return 0.0, d_dist
-    rows_pos, cols_pos, rows_neg, cols_neg = _triplet_rows_cols(triplets)
-    hinge = distances[rows_pos, cols_pos] - distances[rows_neg, cols_neg] + margin
-    active = hinge > 0.0
-    value = float(np.maximum(hinge, 0.0).mean())
-    coef = 1.0 / len(triplets)
-    np.add.at(d_dist, (rows_pos[active], cols_pos[active]), coef)
-    np.add.at(d_dist, (rows_neg[active], cols_neg[active]), -coef)
-    return value, d_dist
-
-
 def _batch_triplet_reduce(
     positive_mask: np.ndarray,
     negative_mask: np.ndarray,
@@ -294,8 +259,9 @@ def _batch_triplet_reduce(
 ) -> tuple[float, np.ndarray]:
     """Mean hinge over the triples build_triplets would enumerate, and d/d(dist).
 
-    The training path's reducer: it equals build_triplets + _triplet_terms but
-    never materializes the triples, so memory stays O(n^2). Audio anchors read
+    The training path's reducer: it equals build_triplets followed by the
+    explicit-triples reference `triplet_terms` in tests/oracles.py, but never
+    materializes the triples, so memory stays O(n^2). Audio anchors read
     mask and distance rows; visual anchors read the transposes, and their
     gradient is added back transposed.
     """
@@ -399,35 +365,31 @@ def _distance_backward(cache: dict, d_dist: np.ndarray) -> tuple[np.ndarray, np.
     return d_a, d_b
 
 
-def _through_distances(
+def _triplet_term(
     emb: EmbeddingBatch,
+    subset_masks: list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]],
     cfg: LossConfig,
-    reduce: Callable[[np.ndarray], tuple[float, np.ndarray]],
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """Proxy, normalized distances, `reduce(dist) -> (value, d_dist)`, and back.
+    """Summed per-subset triplet means and their gradient w.r.t. the raw tower outputs.
 
-    The returned gradients are with respect to the raw tower outputs.
+    Proxy and distances run once over the whole batch; each subset reduces
+    the grid of its own rows under its own masks. Kept out of composite_loss
+    so its n x n temporaries are freed before the tower backward.
     """
     proxied_a, cache_a = _proxy_forward(emb.audio, cfg)
     proxied_v, cache_v = _proxy_forward(emb.visual, cfg)
     dcache = _distances_with_cache(proxied_a, proxied_v)
-    value, d_dist = reduce(dcache["dist"])
+    dist = dcache["dist"]
+    value, d_dist = 0.0, np.zeros_like(dist)
+    for idx, (pos, neg) in subset_masks:
+        grid = np.ix_(idx, idx)
+        local_value, d_local = _batch_triplet_reduce(
+            pos, neg, dist[grid], cfg.strategy, cfg.anchor_mode, cfg.margin
+        )
+        value += local_value
+        d_dist[grid] += d_local
     d_pa, d_pv = _distance_backward(dcache, d_dist)
     return value, (_proxy_backward(cache_a, d_pa, cfg), _proxy_backward(cache_v, d_pv, cfg))
-
-
-def cross_modal_triplet_loss(
-    emb: EmbeddingBatch, triplets: TripletSet, cfg: LossConfig
-) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """Mean hinge over the given triples; returns the loss and d/d(embeddings).
-
-    This is the explicit-triples reference for the training path's reducer.
-    The proxy and row normalization sit inside the loss, so the returned
-    gradients are with respect to the raw tower outputs.
-    """
-    if len(triplets) == 0:
-        return 0.0, (np.zeros_like(emb.audio), np.zeros_like(emb.visual))
-    return _through_distances(emb, cfg, lambda dist: _triplet_terms(dist, triplets, cfg.margin))
 
 
 def label_loss(
@@ -496,34 +458,18 @@ def composite_loss(
     n = len(batch)
     if plan.n != n:
         raise ConfigError(f"partition plan covers {plan.n} rows but the batch has {n}")
-    soft_masks = None
+    subset_masks = []
+    if plan.labeled_idx.size > 0:
+        subset_masks.append((plan.labeled_idx, label_masks(batch.labels[plan.labeled_idx])))
     if plan.soft_idx.size > 0:
-        teacher = model.encode(batch.take(plan.soft_idx), training=False)
-        align = soft_alignment(teacher)
-        soft_masks = (align.positive_mask, align.negative_mask)
+        align = soft_alignment(model.encode(batch.take(plan.soft_idx), training=False))
+        subset_masks.append((plan.soft_idx, (align.positive_mask, align.negative_mask)))
 
     emb = model.encode(batch, training=True, step_seed=step_seed)
     if not (np.isfinite(emb.audio).all() and np.isfinite(emb.visual).all()):
         raise NumericError("non-finite embedding values in the student pass")
 
-    subset_masks = []
-    if plan.labeled_idx.size > 0:
-        subset_masks.append((plan.labeled_idx, label_masks(batch.labels[plan.labeled_idx])))
-    if soft_masks is not None:
-        subset_masks.append((plan.soft_idx, soft_masks))
-
-    def reduce(dist: np.ndarray) -> tuple[float, np.ndarray]:
-        value, d_dist = 0.0, np.zeros_like(dist)
-        for idx, (pos, neg) in subset_masks:
-            grid = np.ix_(idx, idx)
-            local_value, d_local = _batch_triplet_reduce(
-                pos, neg, dist[grid], cfg.strategy, cfg.anchor_mode, cfg.margin
-            )
-            value += local_value
-            d_dist[grid] += d_local
-        return value, d_dist
-
-    triplet_value, (d_audio_trip, d_visual_trip) = _through_distances(emb, cfg, reduce)
+    triplet_value, (d_audio_trip, d_visual_trip) = _triplet_term(emb, subset_masks, cfg)
 
     label_value, (d_audio_lab, d_visual_lab) = label_loss(
         emb, one_hot(batch.labels, model.output_dim), plan.labeled_idx

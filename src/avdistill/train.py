@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +23,9 @@ from .data import DatasetMeta, PairedBatch, batches, generate_synthetic, load_fe
 from .errors import EngineError, NumericError
 from .evaluate import RetrievalReport, evaluate
 from .losses import LossBreakdown, composite_loss
-from .model import TowerSpec, TwoTowerModel
+from .model import TwoTowerModel
 from .nn import make_optimizer
-from .softalign import RatioSchedule, partition_batch
+from .softalign import partition_batch
 
 _PARTITION_TAG = 201
 _DROPOUT_TAG = 202
@@ -77,14 +77,11 @@ def resolve_dataset(config: RunConfig) -> tuple[DatasetMeta, PairedBatch]:
 
 
 def build_model(config: RunConfig, meta: DatasetMeta) -> TwoTowerModel:
-    audio_spec = TowerSpec(
-        input_dim=meta.audio_dim,
-        output_dim=meta.n_classes,
-        hidden_dims=config.hidden_dims,
-        dropout_rate=config.dropout_rate,
+    return TwoTowerModel.create(
+        config.tower_spec(meta.audio_dim, meta.n_classes),
+        config.tower_spec(meta.visual_dim, meta.n_classes),
+        seed=config.seed,
     )
-    visual_spec = replace(audio_spec, input_dim=meta.visual_dim)
-    return TwoTowerModel.create(audio_spec, visual_spec, seed=config.seed)
 
 
 def _check_gradients_finite(grads: list[np.ndarray], epoch: int, batch: int) -> None:
@@ -106,13 +103,7 @@ def train(config: RunConfig) -> TrainResult:
     train_data, test_data = split(full, config.train_fraction, config.seed)
     model = build_model(config, meta)
     optimizer = make_optimizer(config.optimizer, config.learning_rate)
-    schedule = RatioSchedule(
-        kind=config.schedule_kind,
-        start=config.schedule_start,
-        end=config.schedule_end,
-        total_epochs=config.epochs,
-        steps=config.schedule_steps,
-    )
+    schedule = config.schedule
 
     out_dir = Path(config.output_dir) if config.output_dir else None
     metrics_file = None

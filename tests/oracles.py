@@ -6,6 +6,14 @@ it is checking, beyond the shared dataclasses used to pass inputs around.
 `stable_direction_metrics` and the dense-step formulas (`whole_tensor_adam_step`,
 `dense_forward`, `dense_backward`) are the vectorized exceptions: they pin the
 engine's fast paths to the plain whole-tensor forms they must match bit for bit.
+
+The explicit-triples loss (`proxy_transform`, `triplet_terms`,
+`cross_modal_triplet_loss`) is the reference for the training path's
+batch-all / batch-hard reducer. It gathers one hinge per materialized triple,
+and reuses the engine's private proxy and distance code around it:
+`losses._proxy_forward`, `losses._distances_with_cache`,
+`losses._distance_backward` and `losses._proxy_backward`. The slow triple loop
+`slow_triplet_loss` checks those pieces independently.
 """
 
 from __future__ import annotations
@@ -15,12 +23,19 @@ import math
 import numpy as np
 
 from avdistill import (
+    EmbeddingBatch,
     LossConfig,
     NormalizationError,
     ShapeError,
     TripletSet,
     alignment_masks,
     softmax_rows,
+)
+from avdistill.losses import (
+    _distance_backward,
+    _distances_with_cache,
+    _proxy_backward,
+    _proxy_forward,
 )
 
 
@@ -71,6 +86,50 @@ def slow_proxy(emb: np.ndarray, cfg: LossConfig) -> np.ndarray:
         for j in range(n):
             out[i] += weights[j] * emb[j]
     return out
+
+
+def proxy_transform(emb: np.ndarray, cfg: LossConfig) -> np.ndarray:
+    """The engine's proxy forward alone (identity or batch attention)."""
+    return _proxy_forward(emb, cfg)[0]
+
+
+def triplet_terms(
+    distances: np.ndarray, triplets: TripletSet, margin: float
+) -> tuple[float, np.ndarray]:
+    """Mean hinge over the triples plus its gradient w.r.t. the distance matrix."""
+    d_dist = np.zeros_like(distances)
+    if len(triplets) == 0:
+        return 0.0, d_dist
+    # Audio anchors index (anchor, candidate) cells, visual anchors (candidate, anchor).
+    a, p, q = triplets.anchor, triplets.positive, triplets.negative
+    is_a = triplets.anchor_is_audio
+    rows_pos, cols_pos = np.where(is_a, a, p), np.where(is_a, p, a)
+    rows_neg, cols_neg = np.where(is_a, a, q), np.where(is_a, q, a)
+    hinge = distances[rows_pos, cols_pos] - distances[rows_neg, cols_neg] + margin
+    active = hinge > 0.0
+    value = float(np.maximum(hinge, 0.0).mean())
+    coef = 1.0 / len(triplets)
+    np.add.at(d_dist, (rows_pos[active], cols_pos[active]), coef)
+    np.add.at(d_dist, (rows_neg[active], cols_neg[active]), -coef)
+    return value, d_dist
+
+
+def cross_modal_triplet_loss(
+    emb: EmbeddingBatch, triplets: TripletSet, cfg: LossConfig
+) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """Mean hinge over the given triples; returns the loss and d/d(embeddings).
+
+    The proxy and row normalization sit inside the loss, so the returned
+    gradients are with respect to the raw tower outputs.
+    """
+    if len(triplets) == 0:
+        return 0.0, (np.zeros_like(emb.audio), np.zeros_like(emb.visual))
+    proxied_a, cache_a = _proxy_forward(emb.audio, cfg)
+    proxied_v, cache_v = _proxy_forward(emb.visual, cfg)
+    dcache = _distances_with_cache(proxied_a, proxied_v)
+    value, d_dist = triplet_terms(dcache["dist"], triplets, cfg.margin)
+    d_pa, d_pv = _distance_backward(dcache, d_dist)
+    return value, (_proxy_backward(cache_a, d_pa, cfg), _proxy_backward(cache_v, d_pv, cfg))
 
 
 def slow_triplet_loss(

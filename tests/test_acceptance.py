@@ -22,9 +22,10 @@ from avdistill import (
     RunConfig,
     SyntheticSpec,
     TowerSpec,
+    TripletSet,
     TwoTowerModel,
     build_triplets,
-    cross_modal_triplet_loss,
+    composite_loss,
     evaluate,
     generate_synthetic,
     label_masks,
@@ -32,7 +33,7 @@ from avdistill import (
     load_features,
     one_hot,
     pairwise_normalized_distances,
-    proxy_transform,
+    partition_batch,
     save_checkpoint,
     save_features,
     soft_alignment,
@@ -44,7 +45,13 @@ from avdistill.cli import EXIT_DATA, EXIT_OK, main
 from avdistill.data import DatasetMeta
 from avdistill.train import build_model
 
-from oracles import slow_map, slow_triplet_loss
+from oracles import (
+    cross_modal_triplet_loss,
+    proxy_transform,
+    slow_map,
+    slow_triplet_loss,
+    softmax_pointing_masks,
+)
 
 
 def test_accept_external_features_end_to_end(tmp_path):
@@ -98,6 +105,45 @@ def test_accept_oracle_equivalence():
         trip = build_triplets(pos, neg, strategy, "symmetric", dist)
         value, _ = cross_modal_triplet_loss(emb, trip, cfg)
         assert abs(value - slow_triplet_loss(emb.audio, emb.visual, trip, cfg)) <= 1e-9
+
+    # The training path's triplet term against the triple loop, 1e-9: labeled-only,
+    # soft-only and mixed plans, the proxy over the whole batch, each subset's
+    # triples from its own masks and a mean per subset.
+    spec = TowerSpec(input_dim=5, output_dim=3, hidden_dims=(8,), dropout_rate=0.0)
+    checked = 0
+    while checked < 100:
+        i = checked
+        n = int(rng.integers(2, 9))
+        model = TwoTowerModel.create(spec, spec, seed=int(rng.integers(0, 10_000)))
+        batch = PairedBatch(
+            rng.standard_normal((n, 5)), rng.standard_normal((n, 5)), rng.integers(0, 3, size=n)
+        )
+        emb = model.encode(batch, training=True, step_seed=i)
+        if min(np.linalg.norm(emb.audio, axis=1).min(),
+               np.linalg.norm(emb.visual, axis=1).min()) <= 1e-9:
+            continue  # dead-ReLU row: normalized distance undefined
+        plan = partition_batch(n, (1.0, 0.0, 0.5)[i % 3], seed=i)
+        proxy = proxies[(i // 3) % len(proxies)]
+        cfg = LossConfig(strategy=("all", "hard")[i % 2], proxy=proxy.proxy,
+                         proxy_temperature=proxy.proxy_temperature,
+                         label_weight=0.0, pair_weight=0.0)
+        breakdown, _ = composite_loss(model, batch, plan, cfg, step_seed=i)
+
+        subsets = [(plan.labeled_idx, label_masks(batch.labels[plan.labeled_idx]))]
+        if plan.soft_idx.size > 0:
+            teacher = model.encode(batch.take(plan.soft_idx), training=False)
+            subsets.append((plan.soft_idx, softmax_pointing_masks(teacher.audio, teacher.visual)))
+        dist = pairwise_normalized_distances(
+            proxy_transform(emb.audio, cfg), proxy_transform(emb.visual, cfg)
+        )
+        expected = 0.0
+        for idx, (pos, neg) in subsets:
+            local = build_triplets(pos, neg, cfg.strategy, "symmetric", dist[np.ix_(idx, idx)])
+            trip = TripletSet(idx[local.anchor], idx[local.positive], idx[local.negative],
+                              local.anchor_is_audio)
+            expected += slow_triplet_loss(emb.audio, emb.visual, trip, cfg)
+        assert abs(breakdown.triplet_term - expected) <= 1e-9
+        checked += 1
 
     # MAP against brute-force AP enumeration, 1e-12.
     checked = 0

@@ -16,24 +16,25 @@ from avdistill import (
     TripletSet,
     build_triplets,
     composite_loss,
-    cross_modal_triplet_loss,
     label_loss,
     label_masks,
     one_hot,
     pair_distance_loss,
     pairwise_normalized_distances,
     partition_batch,
-    proxy_transform,
 )
-from avdistill.losses import _batch_triplet_reduce, _triplet_terms, normalize_rows
+from avdistill.losses import _batch_triplet_reduce, normalize_rows
 from avdistill.softalign import alignment_masks
 
 from oracles import (
+    cross_modal_triplet_loss,
     normalized_distance,
     numeric_gradient,
+    proxy_transform,
     slow_build_all_triplets,
     slow_proxy,
     slow_triplet_loss,
+    triplet_terms,
 )
 
 IDENTITY = LossConfig(proxy="identity")
@@ -543,7 +544,7 @@ class TestBatchTripletReducer:
         for pos, neg, dist, margin in _reducer_cases(rng):
             value, d_dist = _batch_triplet_reduce(pos, neg, dist, "all", anchor_mode, margin)
             trip = build_triplets(pos, neg, "all", anchor_mode, dist)
-            ref_value, ref_d_dist = _triplet_terms(dist, trip, margin)
+            ref_value, ref_d_dist = triplet_terms(dist, trip, margin)
             assert abs(value - ref_value) <= 1e-12
             np.testing.assert_allclose(d_dist, ref_d_dist, rtol=0.0, atol=1e-15)
 
@@ -552,7 +553,7 @@ class TestBatchTripletReducer:
         for pos, neg, dist, margin in _reducer_cases(rng):
             value, d_dist = _batch_triplet_reduce(pos, neg, dist, "hard", anchor_mode, margin)
             trip = build_triplets(pos, neg, "hard", anchor_mode, dist)
-            ref_value, ref_d_dist = _triplet_terms(dist, trip, margin)
+            ref_value, ref_d_dist = triplet_terms(dist, trip, margin)
             assert value == ref_value
             np.testing.assert_array_equal(d_dist, ref_d_dist)
 

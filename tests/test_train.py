@@ -264,6 +264,8 @@ class TestConfigFile:
             ("train.epochs", "0", "total_epochs must be >= 1"),
             ("train.batch", "-3", "batch_size must be >= 2, got -3"),
             ("train.fraction", "7", r"train_fraction must lie in \(0, 1\), got 7.0"),
+            ("model.dropout", "1.5", r"dropout_rate must lie in \[0, 1\), got 1.5"),
+            ("model.hidden", "0", r"hidden dims must be >= 1, got \(0,\)"),
         ]
     ])
     def test_run_settings_are_checked_when_the_config_is_built(self, key, raw, message):
