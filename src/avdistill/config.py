@@ -54,6 +54,8 @@ class RunConfig:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def schedule(self) -> RatioSchedule:

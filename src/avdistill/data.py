@@ -125,6 +125,8 @@ class SyntheticSpec:
             raise ConfigError(f"correlation must lie in [0, 1], got {self.correlation}")
         if not 0.0 <= self.label_noise <= 1.0:
             raise ConfigError(f"label_noise must lie in [0, 1], got {self.label_noise}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[DatasetMeta, PairedBatch]:

@@ -7,13 +7,24 @@ involved; each layer knows how to push an upstream gradient through itself,
 and can skip the input gradient, which a network's first layer never needs.
 Adam walks each parameter in cache-sized chunks through preallocated scratch,
 with the same float operations in the same order as the whole-tensor formula.
+
+When two or more CPUs are usable, `_overlap` runs two independent pieces of
+work at once: one on a persistent worker thread, one on the caller. The two
+towers' forward and backward (see model.py) and the two halves of Adam's chunk
+walk go through it. Each piece does exactly the float operations it would do
+alone, and the pieces share no output or scratch, so results are bit-identical
+to the serial order; numpy's BLAS and ufunc loops release the GIL, so the
+pieces really do run on two cores.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -32,6 +43,54 @@ _ACTIVATIONS = ("relu", "identity")
 # at 32K, 59-62 ms at 16K, 61-68 ms at 64K, 83 ms at 128K and 126-130 ms
 # with whole-tensor temporaries.
 _ADAM_CHUNK = 32 * 1024
+
+_A = TypeVar("_A")
+_B = TypeVar("_B")
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _new_worker() -> ThreadPoolExecutor:
+    # The executor starts its one thread when the first task is submitted.
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="avdistill-overlap")
+
+
+_worker = _new_worker()
+
+
+def _renew_worker() -> None:
+    # A forked child inherits the executor but not its thread.
+    global _worker
+    _worker = _new_worker()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_renew_worker)
+
+
+def _overlap(first: Callable[[], _A], second: Callable[[], _B]) -> tuple[_A, _B]:
+    """Run `first` on the worker thread and `second` on the caller; return both results.
+
+    With fewer than 2 usable CPUs this is the plain call `(first(), second())`.
+    `first` runs in a copy of the caller's context, so context-local state such
+    as `np.errstate` holds on the worker too. The worker is always waited for,
+    also when `second` raises, so neither task is still running once this
+    returns or raises; an exception from `first` wins, as in the serial order.
+    The worker is one thread: a task run here must never call `_overlap` itself.
+    """
+    if _usable_cpus() < 2:
+        return first(), second()
+    future = _worker.submit(contextvars.copy_context().run, first)
+    try:
+        second_result = second()
+    finally:
+        first_result = future.result()
+    return first_result, second_result
 
 
 def seed_list(seed: SeedLike) -> list[int]:
@@ -195,6 +254,8 @@ class Sgd:
 class Adam:
     """Adam with bias correction, applied in `_ADAM_CHUNK`-element chunks.
 
+    The chunks are walked in two halves of about equal element count, each
+    through its own scratch buffers, and the halves are `_overlap`ped.
     Parameters must be C-contiguous: they are updated in place through flat views.
     """
 
@@ -210,8 +271,8 @@ class Adam:
         self.t = 0
         self._m: list[np.ndarray] | None = None
         self._v: list[np.ndarray] | None = None
-        self._scratch = np.empty(_ADAM_CHUNK, dtype=DTYPE)
-        self._scratch2 = np.empty(_ADAM_CHUNK, dtype=DTYPE)
+        # Two scratch buffers for each half of the chunk walk.
+        self._scratch = [np.empty((2, _ADAM_CHUNK), dtype=DTYPE) for _ in range(2)]
 
     def apply(self, params: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
         _check_aligned(params, grads)
@@ -228,34 +289,49 @@ class Adam:
             if not p.flags.c_contiguous:
                 raise ShapeError(f"parameter {i} is not C-contiguous; Adam updates it in place")
         self.t += 1
+        chunks = []
+        for p, g, m, v in zip(params, grads, self._m, self._v):
+            p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+            chunks += [
+                (p, g, m, v, lo, min(lo + _ADAM_CHUNK, p.size))
+                for lo in range(0, p.size, _ADAM_CHUNK)
+            ]
+        # Split after the chunk whose running element count is nearest to half the total.
+        done = np.cumsum([hi - lo for *_, lo, hi in chunks])
+        half = int(np.abs(2 * done - done[-1]).argmin()) + 1 if chunks else 0
+        first, second = self._scratch
+        _overlap(
+            lambda: self._walk(chunks[:half], first),
+            lambda: self._walk(chunks[half:], second),
+        )
+        return params
+
+    def _walk(self, chunks: list, scratch: np.ndarray) -> None:
+        """Update each (p, g, m, v, lo, hi) chunk in place through `scratch`'s two rows."""
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         lr, eps = self.learning_rate, self.eps
-        for p, g, m, v in zip(params, grads, self._m, self._v):
-            p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
-            for lo in range(0, p.size, _ADAM_CHUNK):
-                hi = min(lo + _ADAM_CHUNK, p.size)
-                pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
-                s, s2 = self._scratch[: hi - lo], self._scratch2[: hi - lo]
-                # m = b1*m + (1-b1)*g
-                mc *= b1
-                np.multiply(gc, 1.0 - b1, out=s)
-                mc += s
-                # v = b2*v + ((1-b2)*g)*g
-                vc *= b2
-                np.multiply(gc, 1.0 - b2, out=s)
-                s *= gc
-                vc += s
-                # p -= (lr*(m/bias1)) / (sqrt(v/bias2) + eps)
-                np.divide(vc, bias2, out=s2)
-                np.sqrt(s2, out=s2)
-                s2 += eps
-                np.divide(mc, bias1, out=s)
-                s *= lr
-                s /= s2
-                pc -= s
-        return params
+        for p, g, m, v, lo, hi in chunks:
+            pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+            s, s2 = scratch[0, : hi - lo], scratch[1, : hi - lo]
+            # m = b1*m + (1-b1)*g
+            mc *= b1
+            np.multiply(gc, 1.0 - b1, out=s)
+            mc += s
+            # v = b2*v + ((1-b2)*g)*g
+            vc *= b2
+            np.multiply(gc, 1.0 - b2, out=s)
+            s *= gc
+            vc += s
+            # p -= (lr*(m/bias1)) / (sqrt(v/bias2) + eps)
+            np.divide(vc, bias2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += eps
+            np.divide(mc, bias1, out=s)
+            s *= lr
+            s /= s2
+            pc -= s
 
 
 Optimizer = Sgd | Adam

@@ -27,6 +27,16 @@ def small_batch(rng):
     )
 
 
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Set the CPU count the tower overlap sees: 2 or more runs its worker, 1 runs serially."""
+
+    def set_cpus(n: int) -> None:
+        monkeypatch.setattr("avdistill.nn._usable_cpus", lambda: n)
+
+    return set_cpus
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One verdict line per acceptance criterion at the end of the run."""
     rows = []

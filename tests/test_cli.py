@@ -246,6 +246,16 @@ class TestDataErrors:
         assert main(["train", "--config", str(cfg)]) == EXIT_DATA
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "gen-data", "grad-check"])
+    def test_negative_seed_is_a_config_error(self, command, tmp_path, capsys):
+        argv = {
+            "train": SMALL_TRAIN + ["--out", str(tmp_path / "run")],
+            "gen-data": SMALL_GEN + ["--out", str(tmp_path / "data.avfd")],
+            "grad-check": ["grad-check"],
+        }[command]
+        assert main(argv + ["--seed", "-1"]) == EXIT_DATA
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+
     def test_unknown_bench_variant(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("train.epochs = 1\n")

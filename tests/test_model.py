@@ -1,6 +1,7 @@
 """Two-tower encoder wiring and checkpoint serialization."""
 
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from avdistill import (
     ConfigError,
     EmbeddingBatch,
     FormatError,
+    PairedBatch,
     ShapeError,
     StateError,
     TowerSpec,
@@ -16,7 +18,7 @@ from avdistill import (
     load_checkpoint,
     save_checkpoint,
 )
-from avdistill.model import Tower
+from avdistill.model import _OVERLAP_ROWS, Tower
 from avdistill.nn import DenseLayer
 
 from oracles import dense_backward
@@ -171,6 +173,69 @@ class TestEncode:
     def test_embedding_batch_width_check(self, rng):
         with pytest.raises(ShapeError):
             EmbeddingBatch(rng.standard_normal((3, 2)), rng.standard_normal((3, 4)))
+
+
+def _rows(n: int, audio_dim: int = 6, visual_dim: int = 9) -> PairedBatch:
+    rng = np.random.default_rng(n)
+    return PairedBatch(rng.standard_normal((n, audio_dim)), rng.standard_normal((n, visual_dim)),
+                       rng.integers(0, 3, size=n))
+
+
+class TestTowerOverlap:
+    """Both towers at once on two threads, against the same model forced serial."""
+
+    @pytest.mark.parametrize("rows", [6, _OVERLAP_ROWS, _OVERLAP_ROWS + 1])
+    @pytest.mark.parametrize("training", [False, True], ids=["inference", "training"])
+    def test_encode_matches_serial(self, small_model, usable_cpus, monkeypatch, rows, training):
+        batch = _rows(rows)
+        on_caller = {}
+        forward = Tower.forward
+
+        def spy(tower, *args, **kwargs):
+            on_caller[tower is small_model.audio] = threading.current_thread() is threading.main_thread()
+            return forward(tower, *args, **kwargs)
+
+        monkeypatch.setattr(Tower, "forward", spy)
+        usable_cpus(1)
+        serial = small_model.encode(batch, training=training, step_seed=4)
+        usable_cpus(2)
+        overlapped = small_model.encode(batch, training=training, step_seed=4)
+        # The audio tower goes to the worker only for batches of at most _OVERLAP_ROWS.
+        assert on_caller == {True: rows > _OVERLAP_ROWS, False: True}
+        assert np.array_equal(serial.audio, overlapped.audio)
+        assert np.array_equal(serial.visual, overlapped.visual)
+
+    def test_backward_matches_serial(self, small_model, usable_cpus):
+        batch = _rows(6)
+        rng = np.random.default_rng(1)
+        d_audio, d_visual = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
+        runs = []
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            small_model.encode(batch, training=True, step_seed=2)
+            runs.append(small_model.backward(d_audio, d_visual))
+        serial, overlapped = runs
+        assert len(serial) == len(overlapped) == len(small_model.parameters())
+        for g, h in zip(serial, overlapped):
+            assert np.array_equal(g, h)
+
+    def test_worker_shape_error_is_the_serial_one(self, small_model, usable_cpus):
+        bad = _rows(6, audio_dim=7)  # the audio tower, run on the worker, rejects it
+        messages = []
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            with pytest.raises(ShapeError) as caught:
+                small_model.encode(bad, training=True, step_seed=1)
+            assert type(caught.value) is ShapeError
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert "tower input dim 6" in messages[0]
+        # The worker serves the next call.
+        usable_cpus(1)
+        serial = small_model.encode(_rows(6))
+        usable_cpus(2)
+        overlapped = small_model.encode(_rows(6))
+        assert np.array_equal(serial.audio, overlapped.audio)
 
 
 class TestFromParameters:

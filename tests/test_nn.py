@@ -1,5 +1,10 @@
 """Numeric core: activations, dense layers, dropout, optimizers, gradient checking."""
 
+import os
+import signal
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +25,7 @@ from avdistill import (
     relu,
     softmax_rows,
 )
-from avdistill.nn import _ADAM_CHUNK, he_uniform, xavier_uniform
+from avdistill.nn import _ADAM_CHUNK, _overlap, he_uniform, xavier_uniform
 
 from oracles import (
     dense_backward,
@@ -305,6 +310,35 @@ class TestOptimizers:
             for ours, theirs in zip(opt._m + opt._v, m + v):
                 assert np.array_equal(ours, theirs)
 
+    def test_adam_halves_match_the_serial_walk(self, rng, usable_cpus, monkeypatch):
+        # 584K elements, so the two halves run for milliseconds side by side.
+        shapes = [(7, 11), (3 * _ADAM_CHUNK + 5,), (13,), (600, 700), (2 * _ADAM_CHUNK,), (9,)]
+        halves = {}
+        walk = Adam._walk
+
+        def spy(opt, chunks, scratch):
+            halves[id(scratch)] = chunks
+            return walk(opt, chunks, scratch)
+
+        monkeypatch.setattr(Adam, "_walk", spy)
+        runs = []
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            step_rng = np.random.default_rng(5)
+            params = [step_rng.standard_normal(s) for s in shapes]
+            opt = Adam(3e-3)
+            for t in range(4):
+                opt.apply(params, [step_rng.standard_normal(s) * 10.0 ** (t - 2) for s in shapes])
+            runs.append(params + opt._m + opt._v)
+        for serial, overlapped in zip(*runs):
+            assert np.array_equal(serial, overlapped)
+        # The split falls inside the list, with the halves one chunk apart at most.
+        first, second = (halves[id(scratch)] for scratch in opt._scratch)
+        sizes = [sum(hi - lo for *_, lo, hi in half) for half in (first, second)]
+        assert abs(sizes[0] - sizes[1]) <= _ADAM_CHUNK
+        last_first = next(i for i, s in enumerate(shapes) if np.prod(s) == first[-1][0].size)
+        assert 0 < last_first < len(shapes) - 1
+
     def test_adam_shape_change_is_shape_error(self):
         opt = Adam(0.1)
         opt.apply([np.zeros(3), np.zeros(6)], [np.ones(3), np.ones(6)])
@@ -336,6 +370,80 @@ class TestOptimizers:
         p = [np.array([value])]
         Sgd(lr).apply(p, [np.array([grad])])
         assert p[0][0] == value - lr * grad
+
+
+class TestOverlap:
+    def test_results_come_back_in_call_order(self, usable_cpus):
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            assert _overlap(lambda: "first", lambda: "second") == ("first", "second")
+
+    def test_first_runs_on_the_worker_only_with_two_cpus(self, usable_cpus):
+        for cpus, on_caller in ((1, True), (2, False)):
+            usable_cpus(cpus)
+            first, second = _overlap(threading.current_thread, threading.current_thread)
+            assert second is threading.current_thread()
+            assert (first is second) == on_caller
+
+    def test_worker_keeps_the_callers_errstate(self, usable_cpus):
+        usable_cpus(2)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                _overlap(lambda: np.float64(1e308) * 10.0, lambda: None)
+        with np.errstate(over="ignore"):
+            assert _overlap(lambda: np.float64(1e308) * 10.0, lambda: None)[0] == np.inf
+
+    def test_caller_failure_waits_for_the_worker(self, usable_cpus):
+        usable_cpus(2)
+        finished = []
+
+        def slow():
+            time.sleep(0.05)
+            finished.append(True)
+
+        def fail():
+            raise ValueError("caller failed")
+
+        with pytest.raises(ValueError, match="caller failed"):
+            _overlap(slow, fail)
+        assert finished == [True]
+
+    def test_worker_failure_wins_as_in_the_serial_order(self, usable_cpus):
+        def fail(message):
+            def task():
+                raise ShapeError(message)
+            return task
+
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            with pytest.raises(ShapeError, match="^first$"):
+                _overlap(fail("first"), fail("second"))
+            # The worker serves the next call.
+            assert _overlap(lambda: 1, lambda: 2) == (1, 2)
+
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_a_forked_child_gets_its_own_worker(self, usable_cpus):
+        usable_cpus(2)
+        _overlap(lambda: None, lambda: None)  # the parent's worker thread is running
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if _overlap(lambda: 1, lambda: 2) == (1, 2) else 1
+            finally:
+                os._exit(code)
+        for _ in range(200):
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.05)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's overlap never finished")
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestGradCheck:

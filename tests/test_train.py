@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from avdistill import (
     NumericError,
     RatioSchedule,
     RunConfig,
+    ShapeError,
     SyntheticSpec,
     bench,
     build_run_config,
@@ -29,6 +31,7 @@ from avdistill import (
 )
 from avdistill.bench import VARIANTS
 from avdistill.config import _KEYS
+from avdistill.model import Tower
 from avdistill.train import build_model, resolve_dataset
 
 
@@ -202,6 +205,39 @@ class TestTrainOutputs:
         assert result.metrics_path is None
 
 
+class TestTowerOverlap:
+    def test_worker_leaves_checkpoint_and_metrics_unchanged(self, tmp_path, usable_cpus):
+        runs = []
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            out = tmp_path / f"cpus-{cpus}"
+            train(_config(output_dir=str(out)))
+            records = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+            for record in records:
+                record.pop("wall_ms")
+            runs.append(((out / "model.xmdl").read_bytes(), records))
+        assert runs[0] == runs[1]
+
+    def test_worker_failure_names_epoch_and_batch(self, usable_cpus, monkeypatch):
+        usable_cpus(2)
+        forward = Tower.forward
+        on_caller = []
+
+        def failing_audio(tower, x, **kwargs):
+            if tower.spec.input_dim == 12:  # the audio tower, run on the worker
+                on_caller.append(threading.current_thread() is threading.main_thread())
+                raise ShapeError("audio tower failed")
+            return forward(tower, x, **kwargs)
+
+        monkeypatch.setattr(Tower, "forward", failing_audio)
+        with pytest.raises(ShapeError, match=r"^epoch 0 batch 0: audio tower failed$"):
+            train(_config())
+        assert on_caller == [False]
+        # The worker serves the next run.
+        monkeypatch.setattr(Tower, "forward", forward)
+        assert train(_config(epochs=1)).final_report is not None
+
+
 class TestConfigFile:
     def test_parse_and_build(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -266,6 +302,8 @@ class TestConfigFile:
             ("train.fraction", "7", r"train_fraction must lie in \(0, 1\), got 7.0"),
             ("model.dropout", "1.5", r"dropout_rate must lie in \[0, 1\), got 1.5"),
             ("model.hidden", "0", r"hidden dims must be >= 1, got \(0,\)"),
+            ("train.seed", "-1", "seed must be >= 0, got -1"),
+            ("synthetic.seed", "-1", "seed must be >= 0, got -1"),
         ]
     ])
     def test_run_settings_are_checked_when_the_config_is_built(self, key, raw, message):
