@@ -56,6 +56,10 @@ class RunConfig:
             raise ConfigError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.eval_every < 0:
+            raise ConfigError(f"eval_every must be >= 0, got {self.eval_every}")
+        if any(k < 1 for k in self.eval_ks):
+            raise ConfigError(f"eval ks must be >= 1, got {self.eval_ks}")
 
     @property
     def schedule(self) -> RatioSchedule:
@@ -92,9 +96,6 @@ _KEYS: dict[str, tuple[str, object]] = {
     "loss.strategy": ("loss.strategy", str),
     "loss.anchor": ("loss.anchor_mode", str),
     "loss.proxy": ("loss.proxy", str),
-    "loss.proxy_temperature": ("loss.proxy_temperature", float),
-    "loss.label_weight": ("loss.label_weight", float),
-    "loss.triplet_weight": ("loss.triplet_weight", float),
     "loss.pair_weight": ("loss.pair_weight", float),
     "schedule.kind": ("schedule_kind", str),
     "schedule.start": ("schedule_start", float),

@@ -237,6 +237,8 @@ def _load_binary(path: Path) -> tuple[DatasetMeta, PairedBatch]:
         raise DataError(f"invalid feature dims in header: audio {audio_dim}, visual {visual_dim}")
     if n_classes < 2:
         raise DataError(f"invalid class count in header: {n_classes}")
+    if n == 0:
+        raise DataError("dataset header claims no records")
     rec = _record_dtype(audio_dim, visual_dim)
     body = raw[header_size:]
     complete = len(body) // rec.itemsize

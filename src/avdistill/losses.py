@@ -1,7 +1,6 @@
 """Training objective: three-term composite loss with hand-derived gradients.
 
-    total = label_weight * label_term + triplet_weight * triplet_term
-          + pair_weight * pair_term
+    total = label_term + triplet_term + pair_weight * pair_term
 
 label_term   : mean Euclidean distance of each labeled projection to its
                one-hot label row, audio and visual terms added.
@@ -14,9 +13,11 @@ triplet_term : cross-modal margin triplets under the normalized distance,
                reference it must match lives in tests/oracles.py.
 pair_term    : mean Euclidean distance between the two projections of each pair.
 
+pair_weight is the only weight: the paper's ablation drops the pair term.
 Embeddings may first pass through an anchor-aware proxy that mixes correlated
-same-modality batch rows via attention: out = softmax(E E^T / tau) @ E. All
-backward passes here are written by hand against the cached forward state.
+same-modality batch rows via attention: out = softmax(E E^T) @ E. All
+backward passes here are written by hand against the cached forward state;
+every distance's subgradient at zero is zero.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import PairedBatch, one_hot
-from .errors import ConfigError, DataError, NormalizationError, NumericError, ShapeError
+from .errors import ConfigError, NormalizationError, NumericError, ShapeError
 from .model import EmbeddingBatch, TwoTowerModel
 from .nn import DTYPE, SeedLike, softmax_rows
 from .softalign import PartitionPlan, label_masks, soft_alignment
@@ -42,9 +43,6 @@ class LossConfig:
     strategy: str = "all"
     anchor_mode: str = "symmetric"
     proxy: str = "attention"
-    proxy_temperature: float = 1.0
-    label_weight: float = 1.0
-    triplet_weight: float = 1.0
     pair_weight: float = 1.0
 
     def __post_init__(self) -> None:
@@ -56,11 +54,8 @@ class LossConfig:
             raise ConfigError(f"unknown anchor_mode {self.anchor_mode!r}, expected {_ANCHOR_MODES}")
         if self.proxy not in _PROXIES:
             raise ConfigError(f"unknown proxy {self.proxy!r}, expected {_PROXIES}")
-        if self.proxy_temperature <= 0.0:
-            raise ConfigError(f"proxy_temperature must be positive, got {self.proxy_temperature}")
-        for name in ("label_weight", "triplet_weight", "pair_weight"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if self.pair_weight < 0.0:
+            raise ConfigError(f"pair_weight must be non-negative, got {self.pair_weight}")
 
 
 @dataclass
@@ -135,26 +130,37 @@ def _proxy_forward(emb: np.ndarray, cfg: LossConfig) -> tuple[np.ndarray, dict |
         raise ShapeError(f"embeddings must be 2-d, got shape {emb.shape}")
     if cfg.proxy == "identity" or emb.shape[0] == 0:
         return emb, None
-    scores = emb @ emb.T / cfg.proxy_temperature
-    weights = softmax_rows(scores)
+    weights = softmax_rows(emb @ emb.T)
     return weights @ emb, {"emb": emb, "weights": weights}
 
 
-def _proxy_backward(cache: dict | None, upstream: np.ndarray, cfg: LossConfig) -> np.ndarray:
+def _proxy_backward(cache: dict | None, upstream: np.ndarray) -> np.ndarray:
     if cache is None:  # identity proxy
         return upstream
     emb, weights = cache["emb"], cache["weights"]
-    # out = S @ E with S = softmax(E E^T / tau): three gradient paths.
+    # out = S @ E with S = softmax(E E^T): three gradient paths.
     d_emb = weights.T @ upstream
     d_weights = upstream @ emb.T
     inner = (d_weights * weights).sum(axis=1, keepdims=True)
     d_scores = weights * (d_weights - inner)
-    d_emb += (d_scores + d_scores.T) @ emb / cfg.proxy_temperature
+    d_emb += (d_scores + d_scores.T) @ emb
     return d_emb
 
 
 # ---------------------------------------------------------------------------
-# normalized distances
+# distances
+
+
+def _over_distance(num: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """num / dist, with a zero subgradient wherever the distance is zero."""
+    return np.where(dist > 0.0, num / np.where(dist > 0.0, dist, 1.0), 0.0)
+
+
+def _mean_distance(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean Euclidean distance between paired rows of x and y, and its gradient w.r.t. x."""
+    diff = x - y
+    dist = np.linalg.norm(diff, axis=1)
+    return float(dist.mean()), _over_distance(diff, dist[:, None]) / dist.size
 
 
 def normalize_rows(m: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
@@ -353,9 +359,8 @@ def _distances_with_cache(a: np.ndarray, b: np.ndarray) -> dict:
 def _distance_backward(cache: dict, d_dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Backward of D[i, j] = |ua_i - ub_j| through the row normalization."""
     ua, ub, dist = cache["ua"], cache["ub"], cache["dist"]
-    # dD/d(ua_i) = (ua_i - ub_j) / D; zero-distance pairs get a zero subgradient.
-    safe = np.where(dist > 0.0, dist, 1.0)
-    g = np.where(dist > 0.0, d_dist / safe, 0.0)
+    # dD/d(ua_i) = (ua_i - ub_j) / D.
+    g = _over_distance(d_dist, dist)
     row_sum = g.sum(axis=1)
     col_sum = g.sum(axis=0)
     d_ua = row_sum[:, None] * ua - g @ ub
@@ -389,49 +394,35 @@ def _triplet_term(
         value += local_value
         d_dist[grid] += d_local
     d_pa, d_pv = _distance_backward(dcache, d_dist)
-    return value, (_proxy_backward(cache_a, d_pa, cfg), _proxy_backward(cache_v, d_pv, cfg))
+    return value, (_proxy_backward(cache_a, d_pa), _proxy_backward(cache_v, d_pv))
 
 
 def label_loss(
-    emb: EmbeddingBatch, labels_one_hot: np.ndarray, subset: np.ndarray
+    emb: EmbeddingBatch, labels: np.ndarray, subset: np.ndarray
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Mean distance of the subset's projections to their one-hot label rows."""
-    labels_one_hot = np.asarray(labels_one_hot, dtype=DTYPE)
-    if labels_one_hot.shape != emb.audio.shape:
-        raise ShapeError(
-            f"one-hot labels shape {labels_one_hot.shape} does not match "
-            f"embeddings {emb.audio.shape}"
-        )
-    is_binary = np.isin(labels_one_hot, (0.0, 1.0)).all(axis=1)
-    row_ok = is_binary & (labels_one_hot.sum(axis=1) == 1.0)
-    if not row_ok.all():
-        raise DataError(f"row {int(np.argmax(~row_ok))} of the label matrix is not one-hot")
+    labels = np.asarray(labels)
+    if labels.shape != (len(emb),):
+        raise ShapeError(f"labels shape {labels.shape} does not match {len(emb)} embedding rows")
     subset = np.asarray(subset, dtype=np.int64)
     d_audio = np.zeros_like(emb.audio)
     d_visual = np.zeros_like(emb.visual)
     if subset.size == 0:
         return 0.0, (d_audio, d_visual)
+    targets = one_hot(labels[subset], emb.audio.shape[1])
     value = 0.0
     for matrix, grad in ((emb.audio, d_audio), (emb.visual, d_visual)):
-        diff = matrix[subset] - labels_one_hot[subset]
-        dist = np.linalg.norm(diff, axis=1)
-        value += float(dist.mean())
-        safe = np.where(dist > 0.0, dist, 1.0)
-        rows = np.where(dist[:, None] > 0.0, diff / safe[:, None], 0.0) / subset.size
+        term, rows = _mean_distance(matrix[subset], targets)
+        value += term
         np.add.at(grad, subset, rows)
     return value, (d_audio, d_visual)
 
 
 def pair_distance_loss(emb: EmbeddingBatch) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Mean Euclidean distance between the two projections of each pair."""
-    n = len(emb)
-    if n == 0:
+    if len(emb) == 0:
         return 0.0, (np.zeros_like(emb.audio), np.zeros_like(emb.visual))
-    diff = emb.audio - emb.visual
-    dist = np.linalg.norm(diff, axis=1)
-    value = float(dist.mean())
-    safe = np.where(dist > 0.0, dist, 1.0)
-    d_audio = np.where(dist[:, None] > 0.0, diff / safe[:, None], 0.0) / n
+    value, d_audio = _mean_distance(emb.audio, emb.visual)
     return value, (d_audio, -d_audio)
 
 
@@ -471,25 +462,11 @@ def composite_loss(
 
     triplet_value, (d_audio_trip, d_visual_trip) = _triplet_term(emb, subset_masks, cfg)
 
-    label_value, (d_audio_lab, d_visual_lab) = label_loss(
-        emb, one_hot(batch.labels, model.output_dim), plan.labeled_idx
-    )
+    label_value, (d_audio_lab, d_visual_lab) = label_loss(emb, batch.labels, plan.labeled_idx)
     pair_value, (d_audio_pair, d_visual_pair) = pair_distance_loss(emb)
 
-    total = (
-        cfg.label_weight * label_value
-        + cfg.triplet_weight * triplet_value
-        + cfg.pair_weight * pair_value
-    )
-    d_audio = (
-        cfg.label_weight * d_audio_lab
-        + cfg.triplet_weight * d_audio_trip
-        + cfg.pair_weight * d_audio_pair
-    )
-    d_visual = (
-        cfg.label_weight * d_visual_lab
-        + cfg.triplet_weight * d_visual_trip
-        + cfg.pair_weight * d_visual_pair
-    )
+    total = label_value + triplet_value + cfg.pair_weight * pair_value
+    d_audio = d_audio_lab + d_audio_trip + cfg.pair_weight * d_audio_pair
+    d_visual = d_visual_lab + d_visual_trip + cfg.pair_weight * d_visual_pair
     grads = model.backward(d_audio, d_visual)
     return LossBreakdown(label_value, triplet_value, pair_value, total), grads

@@ -81,7 +81,7 @@ def slow_proxy(emb: np.ndarray, cfg: LossConfig) -> np.ndarray:
     n = emb.shape[0]
     out = np.zeros_like(emb)
     for i in range(n):
-        scores = np.array([np.dot(emb[i], emb[j]) / cfg.proxy_temperature for j in range(n)])
+        scores = np.array([np.dot(emb[i], emb[j]) for j in range(n)])
         weights = slow_softmax_row(scores)
         for j in range(n):
             out[i] += weights[j] * emb[j]
@@ -129,7 +129,7 @@ def cross_modal_triplet_loss(
     dcache = _distances_with_cache(proxied_a, proxied_v)
     value, d_dist = triplet_terms(dcache["dist"], triplets, cfg.margin)
     d_pa, d_pv = _distance_backward(dcache, d_dist)
-    return value, (_proxy_backward(cache_a, d_pa, cfg), _proxy_backward(cache_v, d_pv, cfg))
+    return value, (_proxy_backward(cache_a, d_pa), _proxy_backward(cache_v, d_pv))
 
 
 def slow_triplet_loss(

@@ -2,6 +2,7 @@
 
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -225,6 +226,16 @@ class TestDataErrors:
         assert main(SMALL_TRAIN + ["--data", str(bad)]) == EXIT_DATA
         assert "bad magic" in capsys.readouterr().err
 
+    def test_dataset_without_records(self, tmp_path, capsys):
+        data = _gen(tmp_path)
+        raw = bytearray(data.read_bytes()[:22])
+        raw[6:10] = struct.pack("<I", 0)  # header claims 0 records
+        empty = tmp_path / "empty.avfd"
+        empty.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(SMALL_TRAIN + ["--data", str(empty)]) == EXIT_DATA
+        assert "no records" in capsys.readouterr().err
+
     def test_missing_checkpoint(self, tmp_path, capsys):
         data = _gen(tmp_path)
         capsys.readouterr()
@@ -245,6 +256,12 @@ class TestDataErrors:
         cfg.write_text("bogus.key = 1\n")
         assert main(["train", "--config", str(cfg)]) == EXIT_DATA
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_removed_loss_knob_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("loss.proxy_temperature = 1.0\n")
+        assert main(["train", "--config", str(cfg)]) == EXIT_DATA
+        assert "unknown config key 'loss.proxy_temperature'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "gen-data", "grad-check"])
     def test_negative_seed_is_a_config_error(self, command, tmp_path, capsys):

@@ -198,6 +198,16 @@ class TestBinaryFormat:
         with pytest.raises(DataError, match="too short"):
             load_features(path)
 
+    def test_header_without_records(self, tmp_path):
+        meta, data = _tiny_dataset()
+        path = tmp_path / "empty.avfd"
+        save_features(path, meta, data)
+        raw = bytearray(path.read_bytes()[:22])
+        raw[6:10] = struct.pack("<I", 0)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="no records"):
+            load_features(path)
+
 
 class TestCsvFormat:
     def test_roundtrip_exact(self, tmp_path):

@@ -13,6 +13,7 @@ from avdistill import (
     LossConfig,
     NormalizationError,
     NumericError,
+    ShapeError,
     TripletSet,
     build_triplets,
     composite_loss,
@@ -38,7 +39,7 @@ from oracles import (
 )
 
 IDENTITY = LossConfig(proxy="identity")
-ATTENTION = LossConfig(proxy="attention", proxy_temperature=1.0)
+ATTENTION = LossConfig(proxy="attention")
 
 
 def _random_embeddings(rng, n=6, dim=4):
@@ -52,7 +53,7 @@ class TestLossConfig:
         assert cfg.strategy == "all"
         assert cfg.anchor_mode == "symmetric"
         assert cfg.proxy == "attention"
-        assert (cfg.label_weight, cfg.triplet_weight, cfg.pair_weight) == (1.0, 1.0, 1.0)
+        assert cfg.pair_weight == 1.0
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -64,9 +65,7 @@ class TestLossConfig:
         with pytest.raises(ConfigError):
             LossConfig(proxy="mlp")
         with pytest.raises(ConfigError):
-            LossConfig(proxy_temperature=0.0)
-        with pytest.raises(ConfigError):
-            LossConfig(label_weight=-1.0)
+            LossConfig(pair_weight=-1.0)
 
 
 class TestProxyTransform:
@@ -85,8 +84,9 @@ class TestProxyTransform:
 
     def test_attention_matches_row_loop(self, rng):
         emb = rng.standard_normal((6, 5))
-        cfg = LossConfig(proxy="attention", proxy_temperature=0.7)
-        np.testing.assert_allclose(proxy_transform(emb, cfg), slow_proxy(emb, cfg), atol=1e-12)
+        np.testing.assert_allclose(
+            proxy_transform(emb, ATTENTION), slow_proxy(emb, ATTENTION), atol=1e-12
+        )
 
     def test_attention_mixes_within_modality(self, rng):
         emb = rng.standard_normal((4, 3))
@@ -207,8 +207,6 @@ class TestBuildTriplets:
                 assert got == set(slow_build_all_triplets(pos, neg, mode))
 
     def test_mask_shape_validation(self):
-        from avdistill import ShapeError
-
         with pytest.raises(ShapeError):
             build_triplets(np.zeros((2, 3), dtype=bool), np.zeros((2, 3), dtype=bool),
                            "all", "audio", np.zeros((2, 3)))
@@ -253,7 +251,7 @@ class TestTripletLoss:
         assert gv.shape == emb.visual.shape and not gv.any()
 
     def test_matches_slow_loop_both_proxies(self, rng):
-        for cfg in (IDENTITY, ATTENTION, LossConfig(proxy="attention", proxy_temperature=0.5)):
+        for cfg in (IDENTITY, ATTENTION):
             for _ in range(15):
                 n = int(rng.integers(3, 7))
                 emb = _random_embeddings(rng, n=n)
@@ -321,49 +319,54 @@ class TestLabelLoss:
         labels = np.array([0, 1, 0])
         targets = one_hot(labels, 2).astype(float)
         emb = EmbeddingBatch(targets.copy(), targets.copy())
-        value, (ga, gv) = label_loss(emb, targets, np.arange(3))
+        value, (ga, gv) = label_loss(emb, labels, np.arange(3))
         assert value == 0.0
         assert not ga.any() and not gv.any()
 
     def test_unit_offset_costs_one(self):
-        targets = one_hot(np.array([1]), 3).astype(float)
+        labels = np.array([1])
+        targets = one_hot(labels, 3).astype(float)
         audio = targets + np.array([[1.0, 0.0, 0.0]])
         emb = EmbeddingBatch(audio, targets.copy())
-        value, _ = label_loss(emb, targets, np.array([0]))
+        value, _ = label_loss(emb, labels, np.array([0]))
         assert abs(value - 1.0) < 1e-12
 
     def test_empty_subset_is_zero(self, rng):
-        targets = one_hot(np.array([0, 1]), 2).astype(float)
         emb = EmbeddingBatch(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)))
-        value, (ga, gv) = label_loss(emb, targets, np.array([], dtype=np.int64))
+        value, (ga, gv) = label_loss(emb, np.array([0, 1]), np.array([], dtype=np.int64))
         assert value == 0.0 and not ga.any() and not gv.any()
 
     def test_subset_rows_only(self, rng):
-        targets = one_hot(np.array([0, 1, 1]), 2).astype(float)
+        labels = np.array([0, 1, 1])
+        targets = one_hot(labels, 2).astype(float)
         audio = targets.copy()
         audio[1] += [3.0, 4.0]
         emb = EmbeddingBatch(audio, targets.copy())
-        value, (ga, _) = label_loss(emb, targets, np.array([0, 2]))
+        value, (ga, _) = label_loss(emb, labels, np.array([0, 2]))
         assert value == 0.0
         assert not ga[1].any()
 
-    def test_non_one_hot_rejected(self, rng):
-        bad = np.array([[1.0, 0.0], [0.5, 0.5]])
+    def test_label_outside_the_classes_rejected(self, rng):
         emb = EmbeddingBatch(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)))
-        with pytest.raises(DataError, match="row 1 of the label matrix is not one-hot"):
-            label_loss(emb, bad, np.arange(2))
+        with pytest.raises(DataError, match=r"label 2 at position 1 outside \[0, 2\)"):
+            label_loss(emb, np.array([1, 2]), np.arange(2))
+
+    def test_one_label_per_row(self, rng):
+        emb = EmbeddingBatch(rng.standard_normal((3, 2)), rng.standard_normal((3, 2)))
+        with pytest.raises(ShapeError, match=r"labels shape \(2,\) does not match 3"):
+            label_loss(emb, np.array([0, 1]), np.arange(2))
 
     def test_gradient_matches_finite_differences(self, rng):
-        targets = one_hot(np.array([0, 1, 2, 1]), 3).astype(float)
+        labels = np.array([0, 1, 2, 1])
         emb = _random_embeddings(rng, n=4, dim=3)
         subset = np.array([0, 2, 3])
-        _, (ga, gv) = label_loss(emb, targets, subset)
+        _, (ga, gv) = label_loss(emb, labels, subset)
         na = numeric_gradient(
-            lambda a: label_loss(EmbeddingBatch(a, emb.visual), targets, subset)[0], emb.audio
+            lambda a: label_loss(EmbeddingBatch(a, emb.visual), labels, subset)[0], emb.audio
         )
         np.testing.assert_allclose(ga, na, atol=1e-7)
         nv = numeric_gradient(
-            lambda v: label_loss(EmbeddingBatch(emb.audio, v), targets, subset)[0], emb.visual
+            lambda v: label_loss(EmbeddingBatch(emb.audio, v), labels, subset)[0], emb.visual
         )
         np.testing.assert_allclose(gv, nv, atol=1e-7)
 
@@ -398,14 +401,10 @@ class TestPairDistanceLoss:
 
 class TestCompositeLoss:
     def test_total_is_the_weighted_sum(self, small_model, small_batch):
-        cfg = LossConfig(label_weight=2.0, triplet_weight=3.0, pair_weight=0.5)
+        cfg = LossConfig(pair_weight=0.5)
         plan = partition_batch(len(small_batch), 0.5, seed=1)
         breakdown, _ = composite_loss(small_model, small_batch, plan, cfg, step_seed=2)
-        expected = (
-            2.0 * breakdown.label_term
-            + 3.0 * breakdown.triplet_term
-            + 0.5 * breakdown.pair_term
-        )
+        expected = breakdown.label_term + breakdown.triplet_term + 0.5 * breakdown.pair_term
         assert abs(breakdown.total - expected) < 1e-12
         d = breakdown.as_dict()
         assert set(d) == {"label_term", "triplet_term", "pair_term", "total"}
@@ -418,8 +417,7 @@ class TestCompositeLoss:
         breakdown, _ = composite_loss(small_model, small_batch, plan, cfg, step_seed=9)
 
         emb = small_model.encode(small_batch, training=True, step_seed=9)
-        targets = one_hot(small_batch.labels, small_model.output_dim).astype(float)
-        label_value, _ = label_loss(emb, targets, np.arange(n))
+        label_value, _ = label_loss(emb, small_batch.labels, np.arange(n))
         pos, neg = label_masks(small_batch.labels)
         dist = pairwise_normalized_distances(
             proxy_transform(emb.audio, cfg), proxy_transform(emb.visual, cfg)

@@ -304,11 +304,24 @@ class TestConfigFile:
             ("model.hidden", "0", r"hidden dims must be >= 1, got \(0,\)"),
             ("train.seed", "-1", "seed must be >= 0, got -1"),
             ("synthetic.seed", "-1", "seed must be >= 0, got -1"),
+            ("train.eval_every", "-3", "eval_every must be >= 0, got -3"),
+            ("eval.ks", "0,-2", r"eval ks must be >= 1, got \(0, -2\)"),
         ]
     ])
     def test_run_settings_are_checked_when_the_config_is_built(self, key, raw, message):
         with pytest.raises(ConfigError, match=message):
             build_run_config({key: raw})
+
+    @pytest.mark.parametrize(
+        "key", ["loss.label_weight", "loss.triplet_weight", "loss.proxy_temperature"]
+    )
+    def test_removed_loss_knobs_are_unknown_keys(self, key, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = 1.0\n")
+        with pytest.raises(ConfigError, match=rf"run\.cfg:1: unknown config key '{key}'"):
+            parse_config_file(path)
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            build_run_config({key: "1.0"})
 
     def test_manifest_is_flat_and_complete(self):
         manifest = config_manifest(_config())
