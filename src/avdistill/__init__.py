@@ -42,8 +42,6 @@ from .losses import (
     TripletSet,
     build_triplets,
     composite_loss,
-    label_loss,
-    pair_distance_loss,
     pairwise_normalized_distances,
 )
 from .model import EmbeddingBatch, TowerSpec, TwoTowerModel
@@ -52,7 +50,6 @@ from .softalign import (
     PartitionPlan,
     RatioSchedule,
     SoftAlignment,
-    alignment_masks,
     label_masks,
     partition_batch,
     soft_alignment,

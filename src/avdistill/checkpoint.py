@@ -2,20 +2,21 @@
 
 Layout (all little-endian):
 
-    magic "XMDL" | u16 format version | u8 precision tag (0 = f32, 1 = f64)
+    magic "XMDL" | u16 format version | u8 precision tag (1 = f64)
     | audio tower block | visual tower block | tensors in declaration order
 
 Tower block: u32 input_dim | u32 n_hidden | n_hidden x u32 hidden dims
 | u32 output_dim | f64 dropout_rate.
 
 Tensors follow in parameters() order (audio w0, b0, ... then visual), each as
-u32 rank | rank x u32 dims | values as IEEE-754 at the file's precision.
-Saving always writes the 64-bit tag; loading a 32-bit file upcasts values, so
-roundtrips preserve values for both tags and bytes for 64-bit files.
+u32 rank | rank x u32 dims | values as IEEE-754 float64. Tag 1 is the only
+precision written or accepted, so a save -> load -> save roundtrip
+reproduces the file byte for byte.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -28,7 +29,6 @@ from .nn import DTYPE
 XMDL_MAGIC = b"XMDL"
 XMDL_VERSION = 1
 
-_PRECISION_F32 = 0
 _PRECISION_F64 = 1
 
 
@@ -57,9 +57,8 @@ def load_checkpoint(path: str | Path) -> TwoTowerModel:
     if version != XMDL_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}, expected {XMDL_VERSION}")
     (precision,) = struct.unpack("<B", reader.take(1, "precision tag"))
-    if precision not in (_PRECISION_F32, _PRECISION_F64):
+    if precision != _PRECISION_F64:
         raise FormatError(f"unknown precision tag {precision} at byte {reader.offset - 1}")
-    value_dtype = "<f4" if precision == _PRECISION_F32 else "<f8"
 
     audio_spec = _unpack_tower_spec(reader, "audio")
     visual_spec = _unpack_tower_spec(reader, "visual")
@@ -67,8 +66,8 @@ def load_checkpoint(path: str | Path) -> TwoTowerModel:
     tensors: dict[str, list[np.ndarray]] = {"audio": [], "visual": []}
     for tower_name, spec in (("audio", audio_spec), ("visual", visual_spec)):
         for i, (d_in, d_out) in enumerate(spec.layer_dims):
-            w = _read_tensor(reader, f"{tower_name}.layer{i}.weights", (d_in, d_out), value_dtype)
-            b = _read_tensor(reader, f"{tower_name}.layer{i}.bias", (d_out,), value_dtype)
+            w = _read_tensor(reader, f"{tower_name}.layer{i}.weights", (d_in, d_out))
+            b = _read_tensor(reader, f"{tower_name}.layer{i}.bias", (d_out,))
             tensors[tower_name] += [w, b]
     if reader.remaining():
         raise FormatError(
@@ -125,9 +124,7 @@ def _unpack_tower_spec(reader: _Reader, tower_name: str) -> TowerSpec:
         raise FormatError(f"invalid {what}: {e}") from None
 
 
-def _read_tensor(
-    reader: _Reader, name: str, expected_shape: tuple[int, ...], value_dtype: str
-) -> np.ndarray:
+def _read_tensor(reader: _Reader, name: str, expected_shape: tuple[int, ...]) -> np.ndarray:
     (rank,) = struct.unpack("<I", reader.take(4, f"rank of {name}"))
     if rank != len(expected_shape):
         raise FormatError(
@@ -137,8 +134,7 @@ def _read_tensor(
     dims = struct.unpack(f"<{rank}I", reader.take(4 * rank, f"dims of {name}"))
     if dims != expected_shape:
         raise FormatError(f"tensor {name} has dims {dims}, expected {expected_shape}")
-    count = int(np.prod(dims)) if dims else 1
-    itemsize = np.dtype(value_dtype).itemsize
-    values = reader.take(count * itemsize, f"values of {name}")
-    arr = np.frombuffer(values, dtype=value_dtype, count=count).astype(DTYPE).reshape(dims)
-    return arr.copy()
+    # Python ints: a crafted shape must not wrap around int64 to a small count.
+    count = math.prod(dims)
+    values = reader.take(8 * count, f"values of {name}")
+    return np.frombuffer(values, dtype="<f8", count=count).astype(DTYPE).reshape(dims)

@@ -25,7 +25,6 @@ from .softalign import RatioSchedule
 @dataclass(frozen=True)
 class RunConfig:
     data_path: str | None = None
-    data_format: str | None = None
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
     hidden_dims: tuple[int, ...] = (1024, 1024, 1024)
     dropout_rate: float = 0.1
@@ -81,7 +80,6 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 # key -> (target dataclass field path, parser)
 _KEYS: dict[str, tuple[str, object]] = {
     "data.path": ("data_path", str),
-    "data.format": ("data_format", str),
     "synthetic.classes": ("synthetic.n_classes", int),
     "synthetic.pairs_per_class": ("synthetic.pairs_per_class", int),
     "synthetic.audio_dim": ("synthetic.audio_dim", int),

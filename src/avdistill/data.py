@@ -177,37 +177,30 @@ def _record_dtype(audio_dim: int, visual_dim: int) -> np.dtype:
 
 
 def infer_format(path: str | Path) -> str:
+    """`csv` for a `.csv` suffix (any case), `binary` for every other path."""
     suffix = Path(path).suffix.lower()
     if suffix == ".csv":
         return "csv"
     return "binary"
 
 
-def save_features(
-    path: str | Path, meta: DatasetMeta, data: PairedBatch, format: str | None = None
-) -> None:
-    """Write a dataset in either on-disk format (inferred from the suffix by default)."""
-    fmt = format or infer_format(path)
+def save_features(path: str | Path, meta: DatasetMeta, data: PairedBatch) -> None:
+    """Write a dataset in the on-disk format its suffix names (`infer_format`)."""
     if len(data) != meta.n_pairs:
         raise ShapeError(f"meta says {meta.n_pairs} pairs but data has {len(data)}")
     if data.audio.shape[1] != meta.audio_dim or data.visual.shape[1] != meta.visual_dim:
         raise ShapeError("feature dims do not match the dataset meta")
-    if fmt == "binary":
-        _save_binary(Path(path), meta, data)
-    elif fmt == "csv":
+    if infer_format(path) == "csv":
         _save_csv(Path(path), data)
     else:
-        raise ConfigError(f"unknown dataset format {fmt!r}, expected 'binary' or 'csv'")
+        _save_binary(Path(path), meta, data)
 
 
-def load_features(path: str | Path, format: str | None = None) -> tuple[DatasetMeta, PairedBatch]:
+def load_features(path: str | Path) -> tuple[DatasetMeta, PairedBatch]:
     """Read a dataset back; every record is validated (labels in range, finite values)."""
-    fmt = format or infer_format(path)
-    if fmt == "binary":
-        return _load_binary(Path(path))
-    if fmt == "csv":
+    if infer_format(path) == "csv":
         return _load_csv(Path(path))
-    raise ConfigError(f"unknown dataset format {fmt!r}, expected 'binary' or 'csv'")
+    return _load_binary(Path(path))
 
 
 def _save_binary(path: Path, meta: DatasetMeta, data: PairedBatch) -> None:
@@ -239,17 +232,19 @@ def _load_binary(path: Path) -> tuple[DatasetMeta, PairedBatch]:
         raise DataError(f"invalid class count in header: {n_classes}")
     if n == 0:
         raise DataError("dataset header claims no records")
-    rec = _record_dtype(audio_dim, visual_dim)
+    # Sized with Python ints and checked against the body before numpy sees the
+    # dims, so a crafted header is a truncated file, not a dtype too large to build.
+    record_size = 4 * (audio_dim + visual_dim) + 4
     body = raw[header_size:]
-    complete = len(body) // rec.itemsize
+    complete = len(body) // record_size
     if complete < n:
         raise DataError(
             f"truncated file: header claims {n} records, found {complete} complete "
             f"(failed at record {complete})"
         )
-    if len(body) != n * rec.itemsize:
-        raise DataError(f"{len(body) - n * rec.itemsize} trailing bytes after record {n - 1}")
-    records = np.frombuffer(body, dtype=rec, count=n)
+    if len(body) != n * record_size:
+        raise DataError(f"{len(body) - n * record_size} trailing bytes after record {n - 1}")
+    records = np.frombuffer(body, dtype=_record_dtype(audio_dim, visual_dim), count=n)
     audio = records["audio"].astype(DTYPE).reshape(n, audio_dim)
     visual = records["visual"].astype(DTYPE).reshape(n, visual_dim)
     labels = records["label"].astype(np.int64)

@@ -28,40 +28,17 @@ class SoftAlignment:
 
 
 def soft_alignment(emb: EmbeddingBatch) -> SoftAlignment:
-    """Mutual argmax of the teacher's audio-visual logits A @ V.T."""
+    """Mutual argmax of the teacher's audio-visual logits L = A @ V.T.
+
+    Audio i points at argmax(L[i, :]) and visual j at argmax(L[:, j]), ties
+    going to the lowest index. positive[i, j] holds iff both point at the same
+    batch position; the two masks partition the full i x j grid.
+    """
     if len(emb) < 1:
         raise ShapeError("soft alignment needs at least one pair")
     logits = emb.audio @ emb.visual.T
-    return SoftAlignment(*alignment_masks(logits, logits.T))
-
-
-def alignment_masks(
-    audio_scores: np.ndarray, visual_scores: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mutual-pointing masks: positive[i, j] iff audio i and visual j point at the same position.
-
-    audio_scores[i] scores audio i against every visual batch position and
-    visual_scores[j] scores visual j against every audio position; any
-    row-score matrices work (logits, softmax rows), since only each row's
-    argmax is used. Argmax ties resolve to the lowest index. The two masks
-    partition the full i x j grid, so positive XOR negative is all-ones by
-    construction.
-    """
-    audio_scores = np.asarray(audio_scores)
-    visual_scores = np.asarray(visual_scores)
-    if (
-        audio_scores.ndim != 2
-        or audio_scores.shape[0] != audio_scores.shape[1]
-        or audio_scores.shape != visual_scores.shape
-    ):
-        raise ShapeError(
-            f"alignment matrices must be square and equal-shaped, "
-            f"got {audio_scores.shape} and {visual_scores.shape}"
-        )
-    points_a = np.argmax(audio_scores, axis=1)
-    points_v = np.argmax(visual_scores, axis=1)
-    positive = points_a[:, None] == points_v[None, :]
-    return positive, ~positive
+    positive = np.argmax(logits, axis=1)[:, None] == np.argmax(logits, axis=0)[None, :]
+    return SoftAlignment(positive, ~positive)
 
 
 def label_masks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -72,7 +72,7 @@ class TrainResult:
 def resolve_dataset(config: RunConfig) -> tuple[DatasetMeta, PairedBatch]:
     """Load the configured dataset file, or generate the synthetic one."""
     if config.data_path is not None:
-        return load_features(config.data_path, config.data_format)
+        return load_features(config.data_path)
     return generate_synthetic(config.synthetic)
 
 

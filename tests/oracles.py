@@ -28,7 +28,6 @@ from avdistill import (
     NormalizationError,
     ShapeError,
     TripletSet,
-    alignment_masks,
     softmax_rows,
 )
 from avdistill.losses import (
@@ -69,9 +68,13 @@ def softmax_pointing_masks(
     """Mutual-pointing masks from two separate softmax matrices, A.V^T and V.A^T.
 
     Softmax is monotone within a row, so these masks match the engine's, which
-    takes both directions' argmax off the one logits matrix A.V^T.
+    takes both directions' argmax off the one logits matrix A.V^T. Each side
+    points at its row's argmax, the lowest index on ties.
     """
-    return alignment_masks(softmax_rows(audio @ visual.T), softmax_rows(visual @ audio.T))
+    points_a = np.argmax(softmax_rows(audio @ visual.T), axis=1)
+    points_v = np.argmax(softmax_rows(visual @ audio.T), axis=1)
+    positive = points_a[:, None] == points_v[None, :]
+    return positive, ~positive
 
 
 def slow_proxy(emb: np.ndarray, cfg: LossConfig) -> np.ndarray:

@@ -1,18 +1,31 @@
-"""The benchmark's spans still find their targets in the package.
+"""The benchmark's spans and imports still find their targets in the package.
 
 `perfbench/tracing.py` wraps module globals and class attributes by name and
 lists a target it cannot find as absent instead of failing, so a rename or
-move in the package would silently leave a benchmark layer unmeasured.
+move in the package would silently leave a benchmark layer unmeasured. The
+benchmark also imports names from the package root and builds its run
+configs by keyword; removing one of those would break it at run time.
 """
 
+import ast
+import dataclasses
 import importlib.util
 import sys
 import threading
 from pathlib import Path
 
-from avdistill import LossConfig, partition_batch
+import avdistill
+from avdistill import LossConfig, RunConfig, partition_batch
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+
+
+def _perfbench_nodes(kind, name="*.py"):
+    for path in sorted(PERFBENCH.glob(name)):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, kind):
+                yield path.name, node
 
 
 def _tracing(monkeypatch):
@@ -55,3 +68,28 @@ def test_overlapped_towers_keep_every_span_on_the_caller(
         assert calls[key] == 1
     assert tracer._stack == []
     assert on_caller and all(on_caller)
+
+
+def test_perfbench_package_imports_resolve():
+    imported = [
+        (file, alias.name)
+        for file, node in _perfbench_nodes(ast.ImportFrom)
+        if node.module == "avdistill" and node.level == 0
+        for alias in node.names
+    ]
+    assert imported
+    assert [(file, name) for file, name in imported if not hasattr(avdistill, name)] == []
+
+
+def test_worker_config_keywords_are_dataclass_fields():
+    fields = {
+        cls.__name__: {f.name for f in dataclasses.fields(cls)} for cls in (RunConfig, LossConfig)
+    }
+    passed = {name: set() for name in fields}
+    for _, node in _perfbench_nodes(ast.Call, "worker.py"):
+        if isinstance(node.func, ast.Name) and node.func.id in fields:
+            passed[node.func.id].update(k.arg for k in node.keywords)
+    assert all(passed.values())
+    assert {name: keys - fields[name] for name, keys in passed.items()} == {
+        name: set() for name in fields
+    }

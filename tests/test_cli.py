@@ -251,6 +251,22 @@ class TestDataErrors:
         ckpt.write_bytes(ckpt.read_bytes()[:50])
         assert main(["eval", "--model", str(ckpt), "--data", str(data)]) == EXIT_DATA
 
+    def test_checkpoint_with_huge_tensor_shape(self, tmp_path, capsys):
+        data = _gen(tmp_path)
+        capsys.readouterr()
+        big = 2**32 - 1
+        raw = b"XMDL" + struct.pack("<HB", 1, 1) + struct.pack("<IIIId", big, 1, big, 2, 0.0) * 2
+        ckpt = tmp_path / "huge.xmdl"
+        ckpt.write_bytes(raw + struct.pack("<III", 2, big, big))
+        assert main(["eval", "--model", str(ckpt), "--data", str(data)]) == EXIT_DATA
+        assert "values of audio.layer0.weights" in capsys.readouterr().err
+
+    def test_dataset_with_huge_feature_dims(self, tmp_path, capsys):
+        wide = tmp_path / "wide.avfd"
+        wide.write_bytes(b"AVFD" + struct.pack("<HIIII", 1, 1, 2**30, 2**30, 2) + bytes(64))
+        assert main(SMALL_TRAIN + ["--data", str(wide)]) == EXIT_DATA
+        assert "truncated file" in capsys.readouterr().err
+
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus.key = 1\n")
@@ -262,6 +278,13 @@ class TestDataErrors:
         cfg.write_text("loss.proxy_temperature = 1.0\n")
         assert main(["train", "--config", str(cfg)]) == EXIT_DATA
         assert "unknown config key 'loss.proxy_temperature'" in capsys.readouterr().err
+
+    def test_data_format_key_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("data.format = csv\n")
+        argv = SMALL_TRAIN + ["--config", str(cfg), "--out", str(tmp_path / "run")]
+        assert main(argv) == EXIT_DATA
+        assert "unknown config key 'data.format'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "gen-data", "grad-check"])
     def test_negative_seed_is_a_config_error(self, command, tmp_path, capsys):

@@ -208,6 +208,14 @@ class TestBinaryFormat:
         with pytest.raises(DataError, match="no records"):
             load_features(path)
 
+    @pytest.mark.parametrize("dim", [2**30, 2**32 - 1])
+    def test_huge_header_dims_are_a_truncated_file(self, tmp_path, dim):
+        # A record this wide is too large for a numpy dtype; the length check must come first.
+        path = tmp_path / "wide.avfd"
+        path.write_bytes(b"AVFD" + struct.pack("<HIIII", 1, 1, dim, dim, 2) + bytes(64))
+        with pytest.raises(DataError, match="truncated file: header claims 1 records, found 0"):
+            load_features(path)
+
 
 class TestCsvFormat:
     def test_roundtrip_exact(self, tmp_path):
@@ -276,11 +284,6 @@ class TestSaveValidation:
         wrong = DatasetMeta(n_pairs=6, audio_dim=3, visual_dim=4, n_classes=2)
         with pytest.raises(ShapeError, match="meta says 6 pairs"):
             save_features(tmp_path / "x.avfd", wrong, data)
-
-    def test_unknown_format(self, tmp_path):
-        meta, data = _tiny_dataset()
-        with pytest.raises(ConfigError, match="unknown dataset format"):
-            save_features(tmp_path / "x.avfd", meta, data, format="parquet")
 
 
 class TestSplit:

@@ -17,15 +17,12 @@ from avdistill import (
     TripletSet,
     build_triplets,
     composite_loss,
-    label_loss,
     label_masks,
     one_hot,
-    pair_distance_loss,
     pairwise_normalized_distances,
     partition_batch,
 )
-from avdistill.losses import _batch_triplet_reduce, normalize_rows
-from avdistill.softalign import alignment_masks
+from avdistill.losses import _batch_triplet_reduce, label_loss, normalize_rows, pair_distance_loss
 
 from oracles import (
     cross_modal_triplet_loss,
@@ -519,8 +516,11 @@ def _reducer_cases(rng):
         kind = i % 4
         if kind == 0:  # label masks, some classes singletons
             pos, neg = label_masks(rng.integers(0, 4, size=n))
-        elif kind == 1:  # teacher alignment masks
-            pos, neg = alignment_masks(rng.random((n, n)), rng.random((n, n)))
+        elif kind == 1:  # mutual-pointing masks of two random score matrices
+            points_a = rng.random((n, n)).argmax(axis=1)
+            points_v = rng.random((n, n)).argmax(axis=1)
+            pos = points_a[:, None] == points_v[None, :]
+            neg = ~pos
         elif kind == 2:  # sparse masks: anchors with no positive or no negative
             pos = rng.random((n, n)) < 0.3
             neg = rng.random((n, n)) < 0.3

@@ -343,22 +343,26 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="audio.layer0.weights has rank 3"):
             load_checkpoint(path)
 
-    def test_f32_file_upcasts(self, tmp_path, small_model):
-        """A 32-bit value payload loads into the usual 64-bit parameters."""
+    def test_f32_tag_is_unknown(self, tmp_path, small_model):
+        """Tag 0 once meant float32 values; float64 (tag 1) is the only precision read."""
         path = tmp_path / "f32.xmdl"
-        out = bytearray(b"XMDL" + struct.pack("<HB", 1, 0))
-        for spec in (small_model.audio.spec, small_model.visual.spec):
-            out += struct.pack("<II", spec.input_dim, len(spec.hidden_dims))
-            out += struct.pack(f"<{len(spec.hidden_dims)}I", *spec.hidden_dims)
-            out += struct.pack("<I", spec.output_dim)
-            out += struct.pack("<d", spec.dropout_rate)
-        for tensor in small_model.parameters():
-            out += struct.pack("<I", tensor.ndim)
-            out += struct.pack(f"<{tensor.ndim}I", *tensor.shape)
-            out += np.ascontiguousarray(tensor, dtype="<f4").tobytes()
-        path.write_bytes(bytes(out))
+        save_checkpoint(small_model, path)
+        raw = bytearray(path.read_bytes())
+        raw[6] = 0
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="unknown precision tag 0 at byte 6"):
+            load_checkpoint(path)
 
-        loaded = load_checkpoint(path)
-        for p, q in zip(small_model.parameters(), loaded.parameters()):
-            assert q.dtype == np.float64
-            np.testing.assert_array_equal(q, p.astype(np.float32).astype(np.float64))
+    def test_huge_declared_shape_is_a_truncated_file(self, tmp_path):
+        # (2**32 - 1)**2 values wrap around int64; the reader must count them exactly.
+        big = 2**32 - 1
+        out = bytearray(b"XMDL" + struct.pack("<HB", 1, 1))
+        for _ in range(2):  # input, one hidden layer, output, dropout
+            out += struct.pack("<IIIId", big, 1, big, 2, 0.0)
+        out += struct.pack("<III", 2, big, big)  # rank and dims of audio.layer0.weights
+        path = tmp_path / "huge.xmdl"
+        path.write_bytes(bytes(out))
+        with pytest.raises(
+            FormatError, match="unexpected end of file .* values of audio.layer0.weights"
+        ):
+            load_checkpoint(path)

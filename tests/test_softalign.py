@@ -11,7 +11,6 @@ from avdistill import (
     RangeError,
     RatioSchedule,
     ShapeError,
-    alignment_masks,
     label_masks,
     one_hot,
     partition_batch,
@@ -58,41 +57,39 @@ class TestSoftAlignment:
                 np.testing.assert_array_equal(align.negative_mask, expect_neg)
 
 
+def _from_logits(logits) -> EmbeddingBatch:
+    """A batch whose teacher logits A @ V.T are exactly `logits` (V is the identity)."""
+    logits = np.asarray(logits, dtype=float)
+    return EmbeddingBatch(logits, np.eye(len(logits)))
+
+
 class TestAlignmentMasks:
     def test_mutual_pointing_on_distinct_argmaxes(self):
-        audio = np.array([[0.9, 0.1], [0.2, 0.8]])
-        visual = np.array([[0.7, 0.3], [0.4, 0.6]])
-        positive, negative = alignment_masks(audio, visual)
-        np.testing.assert_array_equal(positive, [[True, False], [False, True]])
-        np.testing.assert_array_equal(negative, [[False, True], [True, False]])
+        align = soft_alignment(_from_logits([[0.9, 0.1], [0.2, 0.8]]))
+        np.testing.assert_array_equal(align.positive_mask, [[True, False], [False, True]])
+        np.testing.assert_array_equal(align.negative_mask, [[False, True], [True, False]])
 
     def test_shared_argmax_collapses_to_all_positive(self):
-        audio = np.array([[0.9, 0.1], [0.8, 0.2]])
-        visual = np.array([[0.6, 0.4], [0.7, 0.3]])
-        positive, negative = alignment_masks(audio, visual)
-        assert positive.all()
-        assert not negative.any()
+        # Audio 0 scores highest in every row and every column.
+        align = soft_alignment(_from_logits([[0.9, 0.7], [0.8, 0.6]]))
+        assert align.positive_mask.all()
+        assert not align.negative_mask.any()
 
     def test_argmax_ties_take_lowest_index(self):
-        flat = np.full((2, 2), 0.5)
-        positive, _ = alignment_masks(flat, flat)
-        assert positive.all()
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ShapeError):
-            alignment_masks(np.zeros((2, 3)), np.zeros((2, 3)))
-        with pytest.raises(ShapeError):
-            alignment_masks(np.zeros((2, 2)), np.zeros((3, 3)))
+        align = soft_alignment(_from_logits(np.full((2, 2), 0.5)))
+        assert align.positive_mask.all()
+        # Audio 0 ties between visuals 0 and 1, visual 1 between audios 0 and 1:
+        # both take index 0, so only the cells pointing at position 0 are positive.
+        align = soft_alignment(_from_logits([[1.0, 1.0], [0.0, 1.0]]))
+        np.testing.assert_array_equal(align.positive_mask, [[True, True], [False, False]])
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
     @settings(max_examples=60, deadline=None)
     def test_masks_partition_the_grid(self, seed, n):
         rng = np.random.default_rng(seed)
-        audio = rng.random((n, n))
-        visual = rng.random((n, n))
-        positive, negative = alignment_masks(audio, visual)
-        assert (positive ^ negative).all()
-        assert not (positive & negative).any()
+        align = soft_alignment(EmbeddingBatch(rng.random((n, n)), rng.random((n, n))))
+        assert (align.positive_mask ^ align.negative_mask).all()
+        assert not (align.positive_mask & align.negative_mask).any()
 
 
 class TestLabelMasks:

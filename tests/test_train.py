@@ -323,6 +323,15 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             build_run_config({key: "1.0"})
 
+    def test_data_format_is_an_unknown_key(self, tmp_path):
+        # The dataset format follows the file suffix; there is no override.
+        path = tmp_path / "run.cfg"
+        path.write_text("data.format = csv\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:1: unknown config key 'data\.format'"):
+            parse_config_file(path)
+        with pytest.raises(ConfigError, match=r"unknown config key 'data\.format'"):
+            build_run_config({"data.format": "csv"})
+
     def test_manifest_is_flat_and_complete(self):
         manifest = config_manifest(_config())
         assert manifest["loss.proxy"] == "attention"
