@@ -8,9 +8,9 @@ ground-truth labels while the rest is supervised by the model's own
 inference-mode alignments.
 """
 
-from .bench import DEFAULT_VARIANTS, bench, format_table, variant_config
+from .bench import bench, format_table
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, build_run_config, config_manifest, parse_config_file
+from .config import RunConfig, config_manifest
 from .data import (
     DatasetMeta,
     PairedBatch,
@@ -45,7 +45,6 @@ from .losses import (
     pairwise_normalized_distances,
 )
 from .model import EmbeddingBatch, TowerSpec, TwoTowerModel
-from .nn import Adam, DenseLayer, DropoutSpec, Sgd, make_optimizer, relu, softmax_rows
 from .softalign import (
     PartitionPlan,
     RatioSchedule,

@@ -17,14 +17,7 @@ from .bench import DEFAULT_VARIANTS, bench, format_table
 from .checkpoint import load_checkpoint
 from .config import _KEYS, RunConfig, _parse_int_list, build_run_config, parse_config_file
 from .data import SyntheticSpec, generate_synthetic, load_features, save_features
-from .errors import (
-    ConfigError,
-    DataError,
-    DeterminismError,
-    EngineError,
-    FormatError,
-    NumericError,
-)
+from .errors import ConfigError, DeterminismError, EngineError, NumericError
 from .evaluate import evaluate
 from .gradcheck import grad_check
 from .losses import _ANCHOR_MODES, _PROXIES, _STRATEGIES, LossConfig, composite_loss
@@ -130,8 +123,8 @@ def _key_overrides(args: argparse.Namespace) -> dict[str, object]:
 
 
 def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
-    file_values = parse_config_file(args.config) if args.config else None
-    return build_run_config(file_values, _key_overrides(args))
+    file_values = parse_config_file(args.config) if args.config else {}
+    return build_run_config({**file_values, **_key_overrides(args)})
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -166,7 +159,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
-    spec = build_run_config(None, _key_overrides(args)).synthetic
+    spec = build_run_config(_key_overrides(args)).synthetic
     meta, data = generate_synthetic(spec)
     save_features(args.out, meta, data)
     print(f"wrote {meta.n_pairs} pairs ({meta.n_classes} classes) to {args.out}")
@@ -233,10 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericError, DeterminismError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, DataError, FormatError, EngineError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as e:
+    except (EngineError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
 

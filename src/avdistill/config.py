@@ -1,8 +1,11 @@
 """Run configuration: defaults, flat `key = value` config files, CLI overrides.
 
 Config files hold one dotted key per line (`loss.margin = 1.2`); blank lines
-and `#` comments are ignored. Command-line flags override file values, which
-override the built-in defaults. The defaults mirror the reference training
+and `#` comments are ignored. Each value is parsed as it is read, so an
+unknown key or a bad value names its file and line. Command-line flags
+override file values, which override the built-in defaults; every group
+checks its own values when the config is built, and no numeric setting may
+be NaN or infinite. The defaults mirror the reference training
 setup: three 1024-unit hidden layers, dropout 0.1, Adam at 1e-4, batch 400,
 1000 epochs, margin 1.2, step schedule from 1.0 down to 0.2 in five plateaus.
 """
@@ -111,9 +114,9 @@ _KEYS: dict[str, tuple[str, object]] = {
 }
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Read raw key/value pairs; syntax and unknown-key errors are config errors."""
-    values: dict[str, str] = {}
+def parse_config_file(path: str | Path) -> dict[str, object]:
+    """Read typed key/value pairs; syntax, unknown-key and bad-value errors name the line."""
+    values: dict[str, object] = {}
     try:
         text = Path(path).read_text()
     except OSError as e:
@@ -126,33 +129,22 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
             raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {stripped!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        value = value.strip()
         if key not in _KEYS:
             raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
-        values[key] = value
+        _, parser = _KEYS[key]
+        try:
+            values[key] = parser(value.strip())  # type: ignore[operator]
+        except ValueError as e:
+            raise ConfigError(f"{path}:{line_no}: bad value for {key!r}: {e}") from None
     return values
 
 
-def build_run_config(
-    file_values: dict[str, str] | None = None,
-    overrides: dict[str, object] | None = None,
-) -> RunConfig:
-    """Layer defaults < config file < overrides into a validated RunConfig.
+def build_run_config(values: dict[str, object] | None = None) -> RunConfig:
+    """The defaults with each dotted key set to its already-typed value, validated.
 
-    `overrides` maps the same dotted keys to already-typed values (the CLI
-    passes parsed flag values through here).
+    The CLI passes config-file values overlaid with flag values, so flags win.
     """
-    resolved: dict[str, object] = {}
-    for key, raw in (file_values or {}).items():
-        if key not in _KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-        _, parser = _KEYS[key]
-        try:
-            resolved[key] = parser(raw)  # type: ignore[operator]
-        except (ValueError, TypeError) as e:
-            raise ConfigError(f"bad value for {key!r}: {e}") from None
-    resolved.update(overrides or {})
-    return _with_keys(RunConfig(), resolved)
+    return _with_keys(RunConfig(), values or {})
 
 
 def _with_keys(config: RunConfig, values: dict[str, object]) -> RunConfig:

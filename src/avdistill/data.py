@@ -19,6 +19,7 @@ through f32 so write -> read roundtrips reproduce the arrays bit-exactly.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -119,8 +120,10 @@ class SyntheticSpec:
             raise ConfigError(f"pairs_per_class must be >= 1, got {self.pairs_per_class}")
         if self.audio_dim < 1 or self.visual_dim < 1:
             raise ConfigError("feature dims must be >= 1")
-        if self.noise_scale < 0.0:
-            raise ConfigError(f"noise_scale must be non-negative, got {self.noise_scale}")
+        if not 0.0 <= self.noise_scale < math.inf:
+            raise ConfigError(
+                f"noise_scale must be non-negative and finite, got {self.noise_scale}"
+            )
         if not 0.0 <= self.correlation <= 1.0:
             raise ConfigError(f"correlation must lie in [0, 1], got {self.correlation}")
         if not 0.0 <= self.label_noise <= 1.0:

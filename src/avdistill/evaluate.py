@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import PairedBatch
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 from .losses import pairwise_normalized_distances
 from .model import TwoTowerModel
 
@@ -113,6 +113,8 @@ def evaluate(
     if len(data) < 1:
         raise ShapeError("evaluation needs at least one pair")
     emb = model.encode(data, training=False)
+    if not (np.isfinite(emb.audio).all() and np.isfinite(emb.visual).all()):
+        raise NumericError("non-finite embedding values in evaluation")
     dist = pairwise_normalized_distances(emb.audio, emb.visual)
     map_a2v, n_a2v, excl_a2v, table_a2v = _direction_metrics(dist, data.labels, ks)
     map_v2a, n_v2a, excl_v2a, table_v2a = _direction_metrics(dist.T, data.labels, ks)

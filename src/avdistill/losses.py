@@ -22,6 +22,7 @@ every distance's subgradient at zero is zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -46,16 +47,18 @@ class LossConfig:
     pair_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.margin <= 0.0:
-            raise ConfigError(f"margin must be positive, got {self.margin}")
+        if not 0.0 < self.margin < math.inf:
+            raise ConfigError(f"margin must be positive and finite, got {self.margin}")
         if self.strategy not in _STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}, expected {_STRATEGIES}")
         if self.anchor_mode not in _ANCHOR_MODES:
             raise ConfigError(f"unknown anchor_mode {self.anchor_mode!r}, expected {_ANCHOR_MODES}")
         if self.proxy not in _PROXIES:
             raise ConfigError(f"unknown proxy {self.proxy!r}, expected {_PROXIES}")
-        if self.pair_weight < 0.0:
-            raise ConfigError(f"pair_weight must be non-negative, got {self.pair_weight}")
+        if not 0.0 <= self.pair_weight < math.inf:
+            raise ConfigError(
+                f"pair_weight must be non-negative and finite, got {self.pair_weight}"
+            )
 
 
 @dataclass

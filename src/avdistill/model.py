@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import PairedBatch
 from .errors import ConfigError, ShapeError
-from .nn import DTYPE, DenseLayer, DropoutSpec, SeedLike, _overlap, seed_list
+from .nn import DTYPE, DenseLayer, SeedLike, _overlap, seed_list
 
 _AUDIO_TAG = 0
 _VISUAL_TAG = 1
@@ -101,10 +101,8 @@ class Tower:
             )
         base = seed_base or [0]
         for i, layer in enumerate(self.layers):
-            dropout = None
-            if training and i < len(self.layers) - 1 and self.spec.dropout_rate > 0.0:
-                dropout = DropoutSpec(self.spec.dropout_rate, rng_seed=[*base, i])
-            out = layer.forward(out, training=training, dropout=dropout)
+            rate = self.spec.dropout_rate if i < len(self.layers) - 1 else 0.0
+            out = layer.forward(out, training=training, dropout_rate=rate, dropout_seed=[*base, i])
         return out
 
     def backward(self, upstream: np.ndarray) -> list[np.ndarray]:

@@ -7,6 +7,9 @@ involved; each layer knows how to push an upstream gradient through itself,
 and can skip the input gradient, which a network's first layer never needs.
 Adam walks each parameter in cache-sized chunks through preallocated scratch,
 with the same float operations in the same order as the whole-tensor formula.
+Settings are checked once, by their owner: `make_optimizer` checks the
+learning rate and `model.TowerSpec` the dropout rate, so the layers and
+optimizers here take them as given.
 
 When two or more CPUs are usable, `_overlap` runs two independent pieces of
 work at once: one on a persistent worker thread, one on the caller. The two
@@ -23,7 +26,6 @@ import contextvars
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -126,22 +128,6 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(DTYPE)
 
 
-@dataclass(frozen=True)
-class DropoutSpec:
-    """Inverted dropout: zero units with probability `rate`, scale the rest by 1/(1-rate).
-
-    The mask is drawn from a generator seeded with `rng_seed`, so the same spec
-    always produces the same mask for a given shape.
-    """
-
-    rate: float
-    rng_seed: SeedLike = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rate < 1.0:
-            raise ConfigError(f"dropout rate must lie in [0, 1), got {self.rate}")
-
-
 class DenseLayer:
     """One fully connected layer: out = act(x @ weights + bias), optionally masked.
 
@@ -190,17 +176,25 @@ class DenseLayer:
         x: np.ndarray,
         *,
         training: bool = False,
-        dropout: DropoutSpec | None = None,
+        dropout_rate: float = 0.0,
+        dropout_seed: SeedLike = 0,
     ) -> np.ndarray:
+        """The layer's output; training mode caches it and applies inverted dropout.
+
+        Dropout zeroes each unit with probability `dropout_rate` and scales the
+        rest by 1/(1-rate). The mask comes from a generator seeded with
+        `dropout_seed`, so a seed and shape always give the same mask. The rate
+        is taken as given; `TowerSpec` checks it.
+        """
         x = np.asarray(x, dtype=DTYPE)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(f"input shape {x.shape} does not match layer input dim {self.in_dim}")
         pre = x @ self.weights + self.bias
         out = relu(pre) if self.activation == "relu" else pre
         mask = None
-        if training and dropout is not None and dropout.rate > 0.0:
-            rng = np.random.default_rng(seed_list(dropout.rng_seed))
-            mask = (rng.random(out.shape) >= dropout.rate) * (1.0 / (1.0 - dropout.rate))
+        if training and dropout_rate > 0.0:
+            rng = np.random.default_rng(seed_list(dropout_seed))
+            mask = (rng.random(out.shape) >= dropout_rate) * (1.0 / (1.0 - dropout_rate))
             if out is pre:
                 out = out * mask  # the cache keeps `pre` for backward
             else:
@@ -240,8 +234,6 @@ class Sgd:
     kind = "sgd"
 
     def __init__(self, learning_rate: float) -> None:
-        if learning_rate <= 0.0:
-            raise ConfigError(f"learning rate must be positive, got {learning_rate}")
         self.learning_rate = learning_rate
 
     def apply(self, params: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
@@ -265,8 +257,6 @@ class Adam:
     eps = 1e-8
 
     def __init__(self, learning_rate: float) -> None:
-        if learning_rate <= 0.0:
-            raise ConfigError(f"learning rate must be positive, got {learning_rate}")
         self.learning_rate = learning_rate
         self.t = 0
         self._m: list[np.ndarray] | None = None
@@ -340,8 +330,11 @@ _OPTIMIZERS: dict[str, type[Optimizer]] = {"adam": Adam, "sgd": Sgd}
 
 
 def make_optimizer(kind: str, learning_rate: float) -> Optimizer:
+    """The named optimizer; the one place an optimizer's settings are checked."""
     if kind not in _OPTIMIZERS:
         raise ConfigError(f"unknown optimizer {kind!r}, expected one of {tuple(_OPTIMIZERS)}")
+    if not 0.0 < learning_rate < math.inf:
+        raise ConfigError(f"learning rate must be positive and finite, got {learning_rate}")
     return _OPTIMIZERS[kind](learning_rate)
 
 

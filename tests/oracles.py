@@ -28,7 +28,6 @@ from avdistill import (
     NormalizationError,
     ShapeError,
     TripletSet,
-    softmax_rows,
 )
 from avdistill.losses import (
     _distance_backward,
@@ -36,6 +35,7 @@ from avdistill.losses import (
     _proxy_backward,
     _proxy_forward,
 )
+from avdistill.nn import softmax_rows
 
 
 def unit(v: np.ndarray) -> np.ndarray:

@@ -39,8 +39,8 @@ from avdistill import (
     soft_alignment,
     split,
     train,
-    variant_config,
 )
+from avdistill.bench import variant_config
 from avdistill.cli import EXIT_DATA, EXIT_OK, main
 from avdistill.data import DatasetMeta
 from avdistill.train import build_model

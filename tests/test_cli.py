@@ -7,7 +7,13 @@ import struct
 import numpy as np
 import pytest
 
-from avdistill import SyntheticSpec, generate_synthetic, save_features
+from avdistill import (
+    SyntheticSpec,
+    generate_synthetic,
+    load_checkpoint,
+    save_checkpoint,
+    save_features,
+)
 from avdistill.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -296,6 +302,22 @@ class TestDataErrors:
         assert main(argv + ["--seed", "-1"]) == EXIT_DATA
         assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("train", "--lr", "nan", "learning rate must be positive and finite, got nan"),
+        ("train", "--lr", "inf", "learning rate must be positive and finite, got inf"),
+        ("gen-data", "--noise", "inf", "noise_scale must be non-negative and finite, got inf"),
+    ], ids=["train --lr nan", "train --lr inf", "gen-data --noise inf"])
+    def test_non_finite_setting_is_a_config_error(
+        self, command, flag, value, message, tmp_path, capsys
+    ):
+        argv = {
+            "train": SMALL_TRAIN + ["--out", str(tmp_path / "run")],
+            "gen-data": SMALL_GEN + ["--out", str(tmp_path / "data.avfd")],
+        }[command]
+        assert main(argv + [flag, value]) == EXIT_DATA
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists() and not (tmp_path / "data.avfd").exists()
+
     def test_unknown_bench_variant(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("train.epochs = 1\n")
@@ -321,3 +343,15 @@ class TestNumericErrors:
             ])
         assert code == EXIT_NUMERIC
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_checkpoint_with_nan_weight(self, tmp_path, capsys):
+        data = _gen(tmp_path)
+        out_dir = tmp_path / "run"
+        assert main(SMALL_TRAIN + ["--data", str(data), "--out", str(out_dir)]) == EXIT_OK
+        ckpt = out_dir / "model.xmdl"
+        model = load_checkpoint(ckpt)
+        model.audio.layers[0].weights[0, 0] = np.nan
+        save_checkpoint(model, ckpt)
+        capsys.readouterr()
+        assert main(["eval", "--model", str(ckpt), "--data", str(data)]) == EXIT_NUMERIC
+        assert "non-finite embedding values in evaluation" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from avdistill import (
+    NumericError,
     PairedBatch,
     ShapeError,
     TowerSpec,
@@ -118,6 +119,14 @@ class TestEvaluate:
         empty = PairedBatch(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
         with pytest.raises(ShapeError):
             evaluate(model, empty)
+
+    def test_non_finite_embeddings_rejected(self):
+        model = _identity_model(2)
+        model.audio.layers[0].weights[0, 0] = np.nan
+        labels = np.array([0, 1])
+        feats = one_hot(labels, 2).astype(float)
+        with pytest.raises(NumericError, match="non-finite embedding values in evaluation"):
+            evaluate(model, PairedBatch(feats, feats, labels))
 
 
 def _kernel_cases(rng):

@@ -11,21 +11,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avdistill import (
-    Adam,
     ConfigError,
-    DenseLayer,
     DeterminismError,
-    DropoutSpec,
     NumericError,
-    Sgd,
     ShapeError,
     StateError,
+    TowerSpec,
     grad_check,
+)
+from avdistill.nn import (
+    _ADAM_CHUNK,
+    Adam,
+    DenseLayer,
+    Sgd,
+    _overlap,
+    he_uniform,
     make_optimizer,
     relu,
     softmax_rows,
+    xavier_uniform,
 )
-from avdistill.nn import _ADAM_CHUNK, _overlap, he_uniform, xavier_uniform
 
 from oracles import (
     dense_backward,
@@ -113,7 +118,8 @@ class TestDenseForward:
         out = layer.forward(
             np.ones((100, 100)),
             training=True,
-            dropout=DropoutSpec(0.1, rng_seed=4),
+            dropout_rate=0.1,
+            dropout_seed=4,
         )
         fraction = float((out == 0.0).mean())
         assert abs(fraction - 0.1) < 0.02
@@ -123,7 +129,8 @@ class TestDenseForward:
         out = layer.forward(
             np.ones((100, 100)),
             training=True,
-            dropout=DropoutSpec(0.1, rng_seed=9),
+            dropout_rate=0.1,
+            dropout_seed=9,
         )
         # Surviving units are scaled by 1/0.9, so the mean stays near 1.
         assert abs(float(out.mean()) - 1.0) < 0.02
@@ -132,20 +139,20 @@ class TestDenseForward:
         x = rng.standard_normal((5, 4))
         layer = DenseLayer(rng.standard_normal((4, 4)), np.zeros(4), activation="identity")
         plain = layer.forward(x)
-        masked = layer.forward(x, training=False, dropout=DropoutSpec(0.5, rng_seed=1))
+        masked = layer.forward(x, training=False, dropout_rate=0.5, dropout_seed=1)
         np.testing.assert_array_equal(plain, masked)
 
     def test_dropout_mask_deterministic_per_seed(self):
         layer = DenseLayer(np.eye(10), np.zeros(10), activation="identity")
-        a = layer.forward(np.ones((10, 10)), training=True, dropout=DropoutSpec(0.3, rng_seed=2))
-        b = layer.forward(np.ones((10, 10)), training=True, dropout=DropoutSpec(0.3, rng_seed=2))
-        c = layer.forward(np.ones((10, 10)), training=True, dropout=DropoutSpec(0.3, rng_seed=3))
+        a = layer.forward(np.ones((10, 10)), training=True, dropout_rate=0.3, dropout_seed=2)
+        b = layer.forward(np.ones((10, 10)), training=True, dropout_rate=0.3, dropout_seed=2)
+        c = layer.forward(np.ones((10, 10)), training=True, dropout_rate=0.3, dropout_seed=3)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_dropout_rate_one_rejected(self):
         with pytest.raises(ConfigError):
-            DropoutSpec(1.0)
+            TowerSpec(input_dim=4, output_dim=2, dropout_rate=1.0)
 
     @pytest.mark.parametrize("activation", ["relu", "identity"])
     @pytest.mark.parametrize("rate", [0.0, 0.1, 0.5])
@@ -153,7 +160,7 @@ class TestDenseForward:
         x = rng.standard_normal((40, 7))
         w, b = rng.standard_normal((7, 30)), rng.standard_normal(30)
         layer = DenseLayer(w, b, activation)
-        out = layer.forward(x, training=True, dropout=DropoutSpec(rate, rng_seed=[5, 2]))
+        out = layer.forward(x, training=True, dropout_rate=rate, dropout_seed=[5, 2])
         want_out, want_pre, want_mask = dense_forward(x, w, b, activation, rate, [5, 2])
         cache = layer._cache
         assert np.array_equal(out, want_out)
@@ -168,7 +175,7 @@ class TestDenseForward:
         x = rng.standard_normal((20, 6))
         w, b = rng.standard_normal((6, 6)), rng.standard_normal(6)
         layer = DenseLayer(w, b, "identity")
-        out = layer.forward(x, training=True, dropout=DropoutSpec(0.5, rng_seed=3))
+        out = layer.forward(x, training=True, dropout_rate=0.5, dropout_seed=3)
         pre, mask = layer._cache["pre"], layer._cache["mask"]
         assert (out == 0.0).any() and (pre != 0.0).all()
         assert np.array_equal(pre, x @ w + b)
@@ -233,7 +240,7 @@ class TestDenseBackward:
         w, b = rng.standard_normal((7, 30)), rng.standard_normal(30)
         upstream = rng.standard_normal((40, 30))
         layer = DenseLayer(w, b, activation)
-        layer.forward(x, training=True, dropout=DropoutSpec(rate, rng_seed=8))
+        layer.forward(x, training=True, dropout_rate=rate, dropout_seed=8)
         _, pre, mask = dense_forward(x, w, b, activation, rate, 8)
         want = dense_backward(x, w, pre, mask, activation, upstream)
         got = layer.backward(upstream)
@@ -246,7 +253,7 @@ class TestDenseBackward:
     def test_dropout_mask_replayed_in_backward(self, rng):
         x = np.abs(rng.standard_normal((6, 5))) + 0.5
         layer = DenseLayer(np.eye(5), np.zeros(5), "identity")
-        out = layer.forward(x, training=True, dropout=DropoutSpec(0.4, rng_seed=7))
+        out = layer.forward(x, training=True, dropout_rate=0.4, dropout_seed=7)
         assert (out == 0.0).any(), "seed should drop at least one unit"
         dw, db, dx = layer.backward(np.ones_like(out))
         # With identity weights the mask can be read off the output, and the

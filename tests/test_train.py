@@ -18,19 +18,16 @@ from avdistill import (
     ShapeError,
     SyntheticSpec,
     bench,
-    build_run_config,
     config_manifest,
     evaluate,
     format_table,
     load_checkpoint,
-    parse_config_file,
     save_features,
     split,
     train,
-    variant_config,
 )
-from avdistill.bench import VARIANTS
-from avdistill.config import _KEYS
+from avdistill.bench import VARIANTS, variant_config
+from avdistill.config import _KEYS, build_run_config, parse_config_file
 from avdistill.model import Tower
 from avdistill.train import build_model, resolve_dataset
 
@@ -252,7 +249,8 @@ class TestConfigFile:
             "eval.ks = 1,5\n"
         )
         values = parse_config_file(path)
-        assert values["train.lr"] == "0.01"
+        assert values["train.lr"] == 0.01
+        assert values["model.hidden"] == (32, 16)
         cfg = build_run_config(values)
         assert cfg.learning_rate == 0.01
         assert cfg.hidden_dims == (32, 16)
@@ -264,7 +262,7 @@ class TestConfigFile:
     def test_overrides_beat_file_values(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("train.lr = 0.01\ntrain.epochs = 50\n")
-        cfg = build_run_config(parse_config_file(path), {"train.lr": 0.5})
+        cfg = build_run_config({**parse_config_file(path), "train.lr": 0.5})
         assert cfg.learning_rate == 0.5
         assert cfg.epochs == 50
 
@@ -280,9 +278,11 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="expected 'key = value'"):
             parse_config_file(path)
 
-    def test_bad_value_type(self):
-        with pytest.raises(ConfigError, match="bad value for 'train.epochs'"):
-            build_run_config({"train.epochs": "many"})
+    def test_bad_value_type(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("train.lr = 0.01\ntrain.epochs = many\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:2: bad value for 'train.epochs'"):
+            parse_config_file(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config file"):
@@ -290,10 +290,10 @@ class TestConfigFile:
 
     def test_invalid_final_config(self):
         with pytest.raises(ConfigError):
-            build_run_config({"loss.margin": "-2.0"})
+            build_run_config({"loss.margin": -2.0})
 
     @pytest.mark.parametrize("key, raw, message", [
-        pytest.param(key, raw, message, id=key) for key, raw, message in [
+        *(pytest.param(key, raw, message, id=key) for key, raw, message in [
             ("train.optimizer", "rmsprop", "unknown optimizer 'rmsprop'"),
             ("train.lr", "0", "learning rate must be positive"),
             ("schedule.kind", "zigzag", "unknown schedule kind 'zigzag'"),
@@ -306,11 +306,24 @@ class TestConfigFile:
             ("synthetic.seed", "-1", "seed must be >= 0, got -1"),
             ("train.eval_every", "-3", "eval_every must be >= 0, got -3"),
             ("eval.ks", "0,-2", r"eval ks must be >= 1, got \(0, -2\)"),
-        ]
+        ]),
+        # float() accepts these; each would train a NaN model or write unloadable data.
+        *(pytest.param(key, raw, message, id=f"{key}={raw}") for key, raw, message in [
+            ("train.lr", "nan", "learning rate must be positive and finite, got nan"),
+            ("train.lr", "inf", "learning rate must be positive and finite, got inf"),
+            ("loss.margin", "nan", "margin must be positive and finite, got nan"),
+            ("loss.margin", "inf", "margin must be positive and finite, got inf"),
+            ("loss.pair_weight", "nan", "pair_weight must be non-negative and finite, got nan"),
+            ("synthetic.noise", "inf", "noise_scale must be non-negative and finite, got inf"),
+        ]),
     ])
-    def test_run_settings_are_checked_when_the_config_is_built(self, key, raw, message):
+    def test_run_settings_are_checked_when_the_config_is_built(
+        self, key, raw, message, tmp_path
+    ):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {raw}\n")
         with pytest.raises(ConfigError, match=message):
-            build_run_config({key: raw})
+            build_run_config(parse_config_file(path))
 
     @pytest.mark.parametrize(
         "key", ["loss.label_weight", "loss.triplet_weight", "loss.proxy_temperature"]
@@ -321,7 +334,7 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=rf"run\.cfg:1: unknown config key '{key}'"):
             parse_config_file(path)
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
-            build_run_config({key: "1.0"})
+            build_run_config({key: 1.0})
 
     def test_data_format_is_an_unknown_key(self, tmp_path):
         # The dataset format follows the file suffix; there is no override.
