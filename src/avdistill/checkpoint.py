@@ -33,16 +33,16 @@ _PRECISION_F64 = 1
 
 
 def save_checkpoint(model: TwoTowerModel, path: str | Path) -> None:
-    out = bytearray()
-    out += XMDL_MAGIC
-    out += struct.pack("<HB", XMDL_VERSION, _PRECISION_F64)
-    for spec in (model.audio.spec, model.visual.spec):
-        out += _pack_tower_spec(spec)
-    for tensor in model.parameters():
-        out += struct.pack("<I", tensor.ndim)
-        out += struct.pack(f"<{tensor.ndim}I", *tensor.shape)
-        out += np.ascontiguousarray(tensor, dtype="<f8").tobytes()
-    Path(path).write_bytes(bytes(out))
+    """Write the model to `path`, streaming each tensor's values from its own buffer."""
+    with open(path, "wb") as f:
+        f.write(XMDL_MAGIC)
+        f.write(struct.pack("<HB", XMDL_VERSION, _PRECISION_F64))
+        for spec in (model.audio.spec, model.visual.spec):
+            f.write(_pack_tower_spec(spec))
+        for tensor in model.parameters():
+            f.write(struct.pack(f"<{1 + tensor.ndim}I", tensor.ndim, *tensor.shape))
+            # No copy for a C-contiguous float64 tensor on a little-endian host.
+            f.write(memoryview(np.ascontiguousarray(tensor, dtype="<f8")))
 
 
 def load_checkpoint(path: str | Path) -> TwoTowerModel:

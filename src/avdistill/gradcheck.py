@@ -7,11 +7,12 @@ randomness has to be seed-pinned so two calls at the same point agree exactly.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
-from .errors import DeterminismError, NumericError, ShapeError
+from .errors import ConfigError, DeterminismError, NumericError, ShapeError
 from .nn import DTYPE
 
 Closure = Callable[[list[np.ndarray]], tuple[float, list[np.ndarray]]]
@@ -31,9 +32,13 @@ def grad_check(
     Samples at most `max_coords_per_tensor` coordinates of each tensor (seeded,
     so the check is reproducible), perturbs each by +/- step, and reports the
     maximum relative error |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
-    Raises NumericError when that maximum exceeds `tolerance` and
-    DeterminismError when two evaluations at the same point disagree.
+    Raises ConfigError for a negative or non-finite `tolerance`, NumericError
+    when a relative error is not finite (naming the tensor and coordinate) or
+    the maximum exceeds `tolerance`, and DeterminismError when two evaluations
+    at the same point disagree.
     """
+    if not 0.0 <= tolerance < math.inf:
+        raise ConfigError(f"tolerance must be non-negative and finite, got {tolerance}")
     work = [np.array(p, dtype=DTYPE, copy=True) for p in params]
     value, grads = model_closure(work)
     value2, _ = model_closure(work)
@@ -66,9 +71,16 @@ def grad_check(
             flat[idx] = original - step
             minus, _ = model_closure(work)
             flat[idx] = original
-            numeric = (plus - minus) / (2.0 * step)
-            analytic = analytic_flat[idx]
+            # Python floats: a NaN or infinity flows into `rel` without a warning.
+            numeric = (float(plus) - float(minus)) / (2.0 * step)
+            analytic = float(analytic_flat[idx])
             rel = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
+            if not math.isfinite(rel):
+                coord = tuple(int(i) for i in np.unravel_index(idx, p.shape))
+                raise NumericError(
+                    f"gradient check failed: non-finite relative error at tensor {t} "
+                    f"coordinate {coord} (analytic {analytic}, numeric {numeric})"
+                )
             max_rel = max(max_rel, rel)
     if max_rel > tolerance:
         raise NumericError(

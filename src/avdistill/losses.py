@@ -30,7 +30,7 @@ import numpy as np
 from .data import PairedBatch, one_hot
 from .errors import ConfigError, NormalizationError, NumericError, ShapeError
 from .model import EmbeddingBatch, TwoTowerModel
-from .nn import DTYPE, SeedLike, softmax_rows
+from .nn import DTYPE, SeedLike, _overlap, softmax_rows
 from .softalign import PartitionPlan, label_masks, soft_alignment
 
 _STRATEGIES = ("all", "hard")
@@ -272,25 +272,30 @@ def _batch_triplet_reduce(
     explicit-triples reference `triplet_terms` in tests/oracles.py, but never
     materializes the triples, so memory stays O(n^2). Audio anchors read
     mask and distance rows; visual anchors read the transposes, and their
-    gradient is added back transposed.
+    gradient counts are added back transposed. Under "symmetric" the two
+    sides share nothing they write, so they run at once (`nn._overlap`).
     """
     reduce_side = _batch_all_side if strategy == "all" else _batch_hard_side
-    counts = np.zeros(dist.shape, dtype=np.int64)  # gradient in units of 1 / n_triples
-    sides = []
-    if anchor_mode in ("audio", "symmetric"):
-        sides.append((positive_mask, negative_mask, dist, counts))
-    if anchor_mode in ("visual", "symmetric"):
-        sides.append((positive_mask.T, negative_mask.T, dist.T, counts.T))
-    hinges, n_triples = [], 0
-    for pos, neg, d, side_counts in sides:
-        hinge, grad_counts, side_triples = reduce_side(pos, neg, d, margin)
-        side_counts += grad_counts
-        hinges.append(hinge)
-        n_triples += side_triples
+
+    def audio() -> tuple[np.ndarray, np.ndarray, int]:
+        return reduce_side(positive_mask, negative_mask, dist, margin)
+
+    def visual() -> tuple[np.ndarray, np.ndarray, int]:
+        hinge, counts, n_triples = reduce_side(positive_mask.T, negative_mask.T, dist.T, margin)
+        return hinge, counts.T, n_triples
+
+    if anchor_mode == "symmetric":
+        sides = _overlap(audio, visual)
+    else:
+        sides = (audio() if anchor_mode == "audio" else visual(),)
+    n_triples = sum(side_triples for _, _, side_triples in sides)
     if n_triples == 0:
         return 0.0, np.zeros_like(dist)
     # Audio-then-visual order, so "hard" sums exactly as the reference's mean.
-    value = float(np.concatenate(hinges).sum() / n_triples)
+    # The counts are integers (gradient in units of 1 / n_triples), so their
+    # sum is exact in any order.
+    value = float(np.concatenate([hinge for hinge, _, _ in sides]).sum() / n_triples)
+    counts = sum(side_counts for _, side_counts, _ in sides)
     return value, counts * (1.0 / n_triples)
 
 
@@ -303,27 +308,44 @@ def _batch_all_side(
     d_aq < d_ap + margin, whose hinges sum to k * (d_ap + margin) - prefix[k].
     O(n^2 log n) time. Returns per-anchor hinge sums, the gradient counts and
     the number of triples.
+
+    The sort need not be stable: the order of tied values changes no output.
+    Sorted values, and so `prefix` and every k, are the same in any tie order.
+    When tied finite negatives sit in slots j and j + 1, no positive has
+    k = j + 1, because k counts values strictly smaller than its threshold;
+    so `at_least`, the only thing written through `order`, is equal at the two
+    slots. Non-negatives sort last as +inf, past every k, and receive 0.
     """
     n = dist.shape[0]
     neg_dist = np.where(neg, dist, np.inf)  # non-negatives sort last and are never counted
-    order = np.argsort(neg_dist, axis=1, kind="stable")
+    order = np.argsort(neg_dist, axis=1)
     sorted_neg = np.take_along_axis(neg_dist, order, axis=1)
     prefix = np.zeros((n, n + 1), dtype=dist.dtype)
     np.cumsum(sorted_neg, axis=1, out=prefix[:, 1:])
     threshold = dist + margin
     # The tie rule: negative q is active for positive p iff d_aq < d_ap + margin.
-    k = np.stack([np.searchsorted(row, t, side="left") for row, t in zip(sorted_neg, threshold)])
-    k = np.where(pos, k, 0)
-    hinge = (k * threshold - np.take_along_axis(prefix, k, axis=1)).sum(axis=1)
+    # Only positive cells are ranked; a boolean index lists them row by row.
+    pos_count = pos.sum(axis=1)
+    bounds = np.concatenate(([0], np.cumsum(pos_count)))
+    rows = np.repeat(np.arange(n), pos_count)
+    pos_threshold = threshold[pos]
+    pos_k = np.empty(rows.size, dtype=np.int64)
+    for a in np.flatnonzero(pos_count):
+        lo, hi = bounds[a], bounds[a + 1]
+        pos_k[lo:hi] = np.searchsorted(sorted_neg[a], pos_threshold[lo:hi], side="left")
+    # Each row sums a full n-wide grid, zero off the positives, so the sum's
+    # pairing and rounding do not depend on where the positives sit.
+    hinge_grid = np.zeros((n, n), dtype=dist.dtype)
+    hinge_grid[pos] = pos_k * pos_threshold - prefix[rows, pos_k]
+    hinge = hinge_grid.sum(axis=1)
 
     # The negative in sorted slot j is active for every positive with k > j.
-    cells = (np.arange(n)[:, None] * (n + 1) + k)[pos]
-    k_hist = np.bincount(cells, minlength=n * (n + 1)).reshape(n, n + 1)
-    at_least = k_hist[:, ::-1].cumsum(axis=1)[:, ::-1]  # [a, j]: positives with k >= j
+    k_hist = np.bincount(rows * (n + 1) + pos_k, minlength=n * (n + 1)).reshape(n, n + 1)
+    at_least = pos_count[:, None] - np.cumsum(k_hist[:, :-1], axis=1)  # [a, j]: k > j
     grad_counts = np.empty((n, n), dtype=np.int64)
-    np.put_along_axis(grad_counts, order, -at_least[:, 1:], axis=1)
-    grad_counts += k
-    n_triples = int(pos.sum(axis=1) @ neg.sum(axis=1))
+    np.put_along_axis(grad_counts, order, -at_least, axis=1)
+    grad_counts[pos] += pos_k
+    n_triples = int(pos_count @ neg.sum(axis=1))
     return hinge, grad_counts, n_triples
 
 
@@ -381,11 +403,14 @@ def _triplet_term(
     """Summed per-subset triplet means and their gradient w.r.t. the raw tower outputs.
 
     Proxy and distances run once over the whole batch; each subset reduces
-    the grid of its own rows under its own masks. Kept out of composite_loss
-    so its n x n temporaries are freed before the tower backward.
+    the grid of its own rows under its own masks. The audio and visual
+    proxies share nothing, so each pass runs them at once (`nn._overlap`).
+    Kept out of composite_loss so its n x n temporaries are freed before the
+    tower backward.
     """
-    proxied_a, cache_a = _proxy_forward(emb.audio, cfg)
-    proxied_v, cache_v = _proxy_forward(emb.visual, cfg)
+    (proxied_a, cache_a), (proxied_v, cache_v) = _overlap(
+        lambda: _proxy_forward(emb.audio, cfg), lambda: _proxy_forward(emb.visual, cfg)
+    )
     dcache = _distances_with_cache(proxied_a, proxied_v)
     dist = dcache["dist"]
     value, d_dist = 0.0, np.zeros_like(dist)
@@ -397,7 +422,9 @@ def _triplet_term(
         value += local_value
         d_dist[grid] += d_local
     d_pa, d_pv = _distance_backward(dcache, d_dist)
-    return value, (_proxy_backward(cache_a, d_pa), _proxy_backward(cache_v, d_pv))
+    return value, _overlap(
+        lambda: _proxy_backward(cache_a, d_pa), lambda: _proxy_backward(cache_v, d_pv)
+    )
 
 
 def label_loss(

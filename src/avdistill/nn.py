@@ -12,12 +12,18 @@ learning rate and `model.TowerSpec` the dropout rate, so the layers and
 optimizers here take them as given.
 
 When two or more CPUs are usable, `_overlap` runs two independent pieces of
-work at once: one on a persistent worker thread, one on the caller. The two
-towers' forward and backward (see model.py) and the two halves of Adam's chunk
-walk go through it. Each piece does exactly the float operations it would do
-alone, and the pieces share no output or scratch, so results are bit-identical
-to the serial order; numpy's BLAS and ufunc loops release the GIL, so the
-pieces really do run on two cores.
+work at once: one on a persistent worker thread, one on the caller. Four
+pairs go through it, and none nests another:
+
+- the two towers' forward and backward (model.py);
+- the two halves of Adam's chunk walk (below);
+- the audio-anchor and visual-anchor sides of the triplet reducer (losses.py);
+- the audio and visual proxies' forward and backward (losses.py).
+
+Each piece does exactly the float operations it would do alone, and the
+pieces share no output or scratch, so results are bit-identical to the serial
+order; numpy's BLAS and ufunc loops release the GIL, so the pieces really do
+run on two cores.
 """
 
 from __future__ import annotations

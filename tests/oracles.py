@@ -178,6 +178,40 @@ def slow_build_all_triplets(
     return out
 
 
+def slow_build_hard_triplets(
+    pos_mask: np.ndarray,
+    neg_mask: np.ndarray,
+    audio: np.ndarray,
+    visual: np.ndarray,
+    anchor_mode: str,
+) -> list[tuple[int, int, int, bool]]:
+    """Each anchor's farthest positive and nearest negative, one distance at a time.
+
+    Ties go to the lowest index; anchors missing a positive or a negative are skipped.
+    """
+    n = pos_mask.shape[0]
+    out = []
+    for is_audio in (True, False):
+        if anchor_mode != "symmetric" and (anchor_mode == "audio") != is_audio:
+            continue
+        for a in range(n):
+            farthest = nearest = None
+            for c in range(n):
+                if is_audio:
+                    d = normalized_distance(audio[a], visual[c])
+                    is_pos, is_neg = pos_mask[a][c], neg_mask[a][c]
+                else:
+                    d = normalized_distance(visual[a], audio[c])
+                    is_pos, is_neg = pos_mask[c][a], neg_mask[c][a]
+                if is_pos and (farthest is None or d > farthest[0]):
+                    farthest = (d, c)
+                if is_neg and (nearest is None or d < nearest[0]):
+                    nearest = (d, c)
+            if farthest is not None and nearest is not None:
+                out.append((a, farthest[1], nearest[1], is_audio))
+    return out
+
+
 def slow_average_precision(relevance: list[int]) -> float:
     hits = 0
     total = 0.0

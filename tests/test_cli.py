@@ -192,6 +192,11 @@ class TestGradCheckCommand:
     def test_pairs_floor(self, capsys):
         assert main(["grad-check", "--pairs", "1"]) == EXIT_DATA
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-3"])
+    def test_bad_tolerance_is_a_config_error(self, capsys, tolerance):
+        assert main(["grad-check", "--pairs", "4", f"--tolerance={tolerance}"]) == EXIT_DATA
+        assert "tolerance must be non-negative and finite" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_no_subcommand(self, capsys):

@@ -30,8 +30,10 @@ from oracles import (
     numeric_gradient,
     proxy_transform,
     slow_build_all_triplets,
+    slow_build_hard_triplets,
     slow_proxy,
     slow_triplet_loss,
+    softmax_pointing_masks,
     triplet_terms,
 )
 
@@ -563,3 +565,58 @@ class TestBatchTripletReducer:
             value, d_dist = _batch_triplet_reduce(pos, ~pos, dist, strategy, "symmetric", 0.5)
             assert value == 0.0
             assert not d_dist.any()
+
+
+def _tie_heavy_cases(rng):
+    """One-decimal embeddings with duplicated rows, under label and soft masks.
+
+    Each mask pair is edited so that audio anchor 0 has no positive and visual
+    anchor n - 1 has no negative.
+    """
+    for _ in range(40):
+        n = int(rng.integers(2, 10))
+        audio, visual = (np.round(rng.standard_normal((n, 3)), 1) for _ in range(2))
+        for m in (audio, visual):
+            m[~m.any(axis=1), 0] = 0.1  # no zero rows: their distance is undefined
+        audio[-1] = audio[0]
+        visual[n // 2] = visual[0]
+        labeled = label_masks(rng.integers(0, 3, size=n))
+        soft = softmax_pointing_masks(audio, visual)
+        for pos, neg in (labeled, soft):
+            pos, neg = pos.copy(), neg.copy()
+            pos[0] = False
+            neg[:, -1] = False
+            yield audio, visual, pos, neg
+
+
+def _triplet_set(triples):
+    return TripletSet(*zip(*triples)) if triples else TripletSet.empty()
+
+
+class TestTieHeavyReducer:
+    """Tied distances, duplicate rows and degenerate anchors, on one CPU and on two."""
+
+    @pytest.mark.parametrize("strategy", ["all", "hard"])
+    @pytest.mark.parametrize("anchor_mode", ["audio", "visual", "symmetric"])
+    def test_matches_the_triple_loop_bytewise_across_cpus(
+        self, rng, usable_cpus, strategy, anchor_mode
+    ):
+        for audio, visual, pos, neg in _tie_heavy_cases(rng):
+            dist = pairwise_normalized_distances(audio, visual)
+            for margin in (0.5, 1.2):
+                runs = []
+                for cpus in (1, 2):
+                    usable_cpus(cpus)
+                    runs.append(_batch_triplet_reduce(pos, neg, dist, strategy, anchor_mode, margin))
+                (value, d_dist), (value_2, d_dist_2) = runs
+                assert np.float64(value).tobytes() == np.float64(value_2).tobytes()
+                assert d_dist.tobytes() == d_dist_2.tobytes()
+                if strategy == "all":
+                    triples = slow_build_all_triplets(pos, neg, anchor_mode)
+                else:
+                    triples = slow_build_hard_triplets(pos, neg, audio, visual, anchor_mode)
+                trip = _triplet_set(triples)
+                cfg = LossConfig(proxy="identity", margin=margin)
+                assert abs(value - slow_triplet_loss(audio, visual, trip, cfg)) <= 1e-9
+                _, ref_d_dist = triplet_terms(dist, trip, margin)
+                np.testing.assert_allclose(d_dist, ref_d_dist, rtol=0.0, atol=1e-15)

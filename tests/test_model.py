@@ -255,6 +255,36 @@ class TestFromParameters:
 
 
 class TestCheckpoint:
+    def test_writes_the_documented_layout(self, tmp_path):
+        # Expected bytes are packed by hand from the layout in checkpoint.py, so a
+        # change made to both the writer and the reader still fails here.
+        audio_spec = TowerSpec(input_dim=2, output_dim=2, hidden_dims=(3,), dropout_rate=0.25)
+        visual_spec = TowerSpec(input_dim=1, output_dim=2, hidden_dims=(2,), dropout_rate=0.0)
+        audio_values = [
+            [[0.5, -1.0, 2.0], [0.25, 3.0, -0.125]],  # w0, 2 x 3
+            [1.0, -2.0, 0.0],  # b0
+            [[1.5, 2.5], [-3.5, 4.5], [0.0625, -0.75]],  # w1, 3 x 2
+            [-1.0, 1.0],  # b1
+        ]
+        visual_values = [[[7.0, -8.0]], [0.5, 0.5], [[1e-3, -1e300], [2.0**-1074, 1.0]], [9.0, -9.0]]
+        model = TwoTowerModel(
+            Tower.from_parameters(audio_spec, [np.array(v) for v in audio_values]),
+            Tower.from_parameters(visual_spec, [np.array(v) for v in visual_values]),
+        )
+        path = tmp_path / "golden.xmdl"
+        save_checkpoint(model, path)
+
+        expected = b"XMDL" + struct.pack("<H", 1) + struct.pack("<B", 1)
+        # Tower blocks: input dim, hidden count, hidden dims, output dim, dropout rate.
+        expected += struct.pack("<IIIId", 2, 1, 3, 2, 0.25)
+        expected += struct.pack("<IIIId", 1, 1, 2, 2, 0.0)
+        for values in audio_values + visual_values:
+            array = np.array(values)
+            expected += struct.pack("<I", array.ndim)
+            expected += struct.pack(f"<{array.ndim}I", *array.shape)
+            expected += struct.pack(f"<{array.size}d", *array.reshape(-1).tolist())
+        assert path.read_bytes() == expected
+
     def test_roundtrip_bit_exact(self, tmp_path, small_model, small_batch):
         path = tmp_path / "model.xmdl"
         save_checkpoint(small_model, path)

@@ -1,5 +1,6 @@
 """Numeric core: activations, dense layers, dropout, optimizers, gradient checking."""
 
+import math
 import os
 import signal
 import threading
@@ -468,6 +469,39 @@ class TestGradCheck:
             return float((p**2).sum()), [3.0 * p]
 
         with pytest.raises(NumericError):
+            grad_check(closure, [np.array([1.0, 2.0])], tolerance=1e-3)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-3])
+    def test_bad_tolerance_is_a_config_error(self, tolerance):
+        calls = {"n": 0}
+
+        def closure(params):
+            calls["n"] += 1
+            (p,) = params
+            return float((p**2).sum()), [3.0 * p]  # wrong, so only the check can save it
+
+        with pytest.raises(ConfigError, match="tolerance must be non-negative and finite"):
+            grad_check(closure, [np.array([1.0, 2.0])], tolerance=tolerance)
+        assert calls["n"] == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_relative_error_names_tensor_and_coordinate(self, bad):
+        def closure(params):
+            p, q = params
+            g = 2.0 * q
+            g[1, 0] = bad
+            return float((p**2).sum() + (q**2).sum()), [2.0 * p, g]
+
+        params = [np.array([1.0, 2.0]), np.arange(1.0, 7.0).reshape(3, 2)]
+        with pytest.raises(NumericError, match=r"non-finite relative error at tensor 1 coordinate \(1, 0\)"):
+            grad_check(closure, params, tolerance=1e-3)
+
+    def test_all_nan_gradient_fails(self):
+        def closure(params):
+            (p,) = params
+            return float((p**2).sum()), [np.full_like(p, np.nan)]
+
+        with pytest.raises(NumericError, match="tensor 0 coordinate \\(0,\\)"):
             grad_check(closure, [np.array([1.0, 2.0])], tolerance=1e-3)
 
     def test_nondeterministic_closure_detected(self):
