@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .config import RunConfig, _with_keys, config_manifest
 from .errors import ConfigError
-from .train import TrainResult, train
+from .train import train
 
 # variant name -> the config keys it overrides, with their typed values
 VARIANTS: dict[str, dict[str, object]] = {
@@ -50,14 +50,13 @@ def bench(
     for name, cfg in configs:
         if base_out is not None:
             cfg = _with_keys(cfg, {"train.out": str(base_out / name)})
-        result: TrainResult = train(cfg)
-        report = result.final_report
+        report = train(cfg).final_report
         rows.append(
             {
                 "variant": name,
-                "map_a2v": report.map_a2v if report else None,
-                "map_v2a": report.map_v2a if report else None,
-                "map_avg": report.map_avg if report else None,
+                "map_a2v": report.map_a2v,
+                "map_v2a": report.map_v2a,
+                "map_avg": report.map_avg,
                 "manifest": config_manifest(cfg),
             }
         )

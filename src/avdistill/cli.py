@@ -130,9 +130,7 @@ def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
 def _cmd_train(args: argparse.Namespace) -> int:
     config = _run_config_from_args(args)
     result = train(config)
-    report = result.final_report
-    if report is not None:
-        print(report.format_text())
+    print(result.final_report.format_text())
     if result.checkpoint_path:
         print(f"checkpoint = {result.checkpoint_path}")
         print(f"metrics = {result.metrics_path}")

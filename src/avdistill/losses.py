@@ -4,12 +4,13 @@
 
 label_term   : mean Euclidean distance of each labeled projection to its
                one-hot label row, audio and visual terms added.
-triplet_term : cross-modal margin triplets under the normalized distance,
-               built from label masks on the labeled subset and teacher
-               alignment masks on the soft subset, each reduced as the mean
-               hinge over its triples and the two added. Training reduces
-               batch-all with per-anchor sorts and batch-hard with masked
-               argmax / argmin, never building the triples; the explicit-triples
+triplet_term : cross-modal margin triplets under the normalized distance.
+               Each subset reads one positive mask (labels on the labeled
+               subset, teacher alignment on the soft one) and takes every
+               other cell as a negative; each is reduced as the mean hinge
+               over its triples and the two added. Training reduces batch-all
+               with per-anchor sorts and batch-hard with masked argmax /
+               argmin, never building the triples; the explicit-triples
                reference it must match lives in tests/oracles.py.
 pair_term    : mean Euclidean distance between the two projections of each pair.
 
@@ -260,7 +261,6 @@ def _triplets_one_side(
 
 def _batch_triplet_reduce(
     positive_mask: np.ndarray,
-    negative_mask: np.ndarray,
     dist: np.ndarray,
     strategy: str,
     anchor_mode: str,
@@ -268,20 +268,22 @@ def _batch_triplet_reduce(
 ) -> tuple[float, np.ndarray]:
     """Mean hinge over the triples build_triplets would enumerate, and d/d(dist).
 
-    The training path's reducer: it equals build_triplets followed by the
-    explicit-triples reference `triplet_terms` in tests/oracles.py, but never
-    materializes the triples, so memory stays O(n^2). Audio anchors read
-    mask and distance rows; visual anchors read the transposes, and their
-    gradient counts are added back transposed. Under "symmetric" the two
-    sides share nothing they write, so they run at once (`nn._overlap`).
+    Every cell outside `positive_mask` is a negative. The training path's
+    reducer: it equals build_triplets(positive_mask, ~positive_mask, ...)
+    followed by the explicit-triples reference `triplet_terms` in
+    tests/oracles.py, but never materializes the triples, so memory stays
+    O(n^2). Audio anchors read mask and distance rows; visual anchors read
+    the transposes, and their gradient counts are added back transposed.
+    Under "symmetric" the two sides share nothing they write, so they run at
+    once (`nn._overlap`).
     """
     reduce_side = _batch_all_side if strategy == "all" else _batch_hard_side
 
     def audio() -> tuple[np.ndarray, np.ndarray, int]:
-        return reduce_side(positive_mask, negative_mask, dist, margin)
+        return reduce_side(positive_mask, dist, margin)
 
     def visual() -> tuple[np.ndarray, np.ndarray, int]:
-        hinge, counts, n_triples = reduce_side(positive_mask.T, negative_mask.T, dist.T, margin)
+        hinge, counts, n_triples = reduce_side(positive_mask.T, dist.T, margin)
         return hinge, counts.T, n_triples
 
     if anchor_mode == "symmetric":
@@ -300,44 +302,40 @@ def _batch_triplet_reduce(
 
 
 def _batch_all_side(
-    pos: np.ndarray, neg: np.ndarray, dist: np.ndarray, margin: float
+    pos: np.ndarray, dist: np.ndarray, margin: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Batch-all for anchors on rows: one sort and prefix sum per anchor.
 
-    Positive p of anchor a is violated by the k negatives q with
-    d_aq < d_ap + margin, whose hinges sum to k * (d_ap + margin) - prefix[k].
-    O(n^2 log n) time. Returns per-anchor hinge sums, the gradient counts and
-    the number of triples.
+    Every non-positive cell of a row is a negative of its anchor. Positive p
+    of anchor a is violated by the k negatives q with d_aq < d_ap + margin,
+    whose hinges sum to k * (d_ap + margin) - prefix[k]. O(n^2 log n) time.
+    Returns one hinge sum per positive cell in row-major order, the gradient
+    counts and the number of triples.
 
     The sort need not be stable: the order of tied values changes no output.
     Sorted values, and so `prefix` and every k, are the same in any tie order.
     When tied finite negatives sit in slots j and j + 1, no positive has
     k = j + 1, because k counts values strictly smaller than its threshold;
     so `at_least`, the only thing written through `order`, is equal at the two
-    slots. Non-negatives sort last as +inf, past every k, and receive 0.
+    slots. Positives sort last as +inf, past every k, and receive 0 there.
     """
     n = dist.shape[0]
-    neg_dist = np.where(neg, dist, np.inf)  # non-negatives sort last and are never counted
+    neg_dist = np.where(pos, np.inf, dist)  # positives sort last and are never counted
     order = np.argsort(neg_dist, axis=1)
     sorted_neg = np.take_along_axis(neg_dist, order, axis=1)
     prefix = np.zeros((n, n + 1), dtype=dist.dtype)
     np.cumsum(sorted_neg, axis=1, out=prefix[:, 1:])
-    threshold = dist + margin
     # The tie rule: negative q is active for positive p iff d_aq < d_ap + margin.
     # Only positive cells are ranked; a boolean index lists them row by row.
     pos_count = pos.sum(axis=1)
     bounds = np.concatenate(([0], np.cumsum(pos_count)))
     rows = np.repeat(np.arange(n), pos_count)
-    pos_threshold = threshold[pos]
+    pos_threshold = dist[pos] + margin
     pos_k = np.empty(rows.size, dtype=np.int64)
     for a in np.flatnonzero(pos_count):
         lo, hi = bounds[a], bounds[a + 1]
         pos_k[lo:hi] = np.searchsorted(sorted_neg[a], pos_threshold[lo:hi], side="left")
-    # Each row sums a full n-wide grid, zero off the positives, so the sum's
-    # pairing and rounding do not depend on where the positives sit.
-    hinge_grid = np.zeros((n, n), dtype=dist.dtype)
-    hinge_grid[pos] = pos_k * pos_threshold - prefix[rows, pos_k]
-    hinge = hinge_grid.sum(axis=1)
+    hinge = pos_k * pos_threshold - prefix[rows, pos_k]
 
     # The negative in sorted slot j is active for every positive with k > j.
     k_hist = np.bincount(rows * (n + 1) + pos_k, minlength=n * (n + 1)).reshape(n, n + 1)
@@ -345,21 +343,21 @@ def _batch_all_side(
     grad_counts = np.empty((n, n), dtype=np.int64)
     np.put_along_axis(grad_counts, order, -at_least, axis=1)
     grad_counts[pos] += pos_k
-    n_triples = int(pos_count @ neg.sum(axis=1))
+    n_triples = int(pos_count @ (n - pos_count))
     return hinge, grad_counts, n_triples
 
 
 def _batch_hard_side(
-    pos: np.ndarray, neg: np.ndarray, dist: np.ndarray, margin: float
+    pos: np.ndarray, dist: np.ndarray, margin: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Batch-hard for anchors on rows: farthest positive against nearest negative.
 
     Anchors missing a positive or a negative are skipped; argmax / argmin ties
     resolve to the lowest index, as in build_triplets.
     """
-    anchors = np.flatnonzero(pos.any(axis=1) & neg.any(axis=1))
+    anchors = np.flatnonzero(pos.any(axis=1) & ~pos.all(axis=1))
     p = np.argmax(np.where(pos, dist, -np.inf), axis=1)[anchors]
-    q = np.argmin(np.where(neg, dist, np.inf), axis=1)[anchors]
+    q = np.argmin(np.where(pos, np.inf, dist), axis=1)[anchors]
     hinge = dist[anchors, p] - dist[anchors, q] + margin
     active = hinge > 0.0
     # One triple per anchor row, so no cell is indexed twice within one update.
@@ -397,13 +395,13 @@ def _distance_backward(cache: dict, d_dist: np.ndarray) -> tuple[np.ndarray, np.
 
 def _triplet_term(
     emb: EmbeddingBatch,
-    subset_masks: list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]],
+    subset_positives: list[tuple[np.ndarray, np.ndarray]],
     cfg: LossConfig,
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Summed per-subset triplet means and their gradient w.r.t. the raw tower outputs.
 
     Proxy and distances run once over the whole batch; each subset reduces
-    the grid of its own rows under its own masks. The audio and visual
+    the grid of its own rows under its own positive mask. The audio and visual
     proxies share nothing, so each pass runs them at once (`nn._overlap`).
     Kept out of composite_loss so its n x n temporaries are freed before the
     tower backward.
@@ -414,13 +412,13 @@ def _triplet_term(
     dcache = _distances_with_cache(proxied_a, proxied_v)
     dist = dcache["dist"]
     value, d_dist = 0.0, np.zeros_like(dist)
-    for idx, (pos, neg) in subset_masks:
+    for idx, pos in subset_positives:
         grid = np.ix_(idx, idx)
         local_value, d_local = _batch_triplet_reduce(
-            pos, neg, dist[grid], cfg.strategy, cfg.anchor_mode, cfg.margin
+            pos, dist[grid], cfg.strategy, cfg.anchor_mode, cfg.margin
         )
         value += local_value
-        d_dist[grid] += d_local
+        d_dist[grid] = d_local  # subset grids never overlap
     d_pa, d_pv = _distance_backward(dcache, d_dist)
     return value, _overlap(
         lambda: _proxy_backward(cache_a, d_pa), lambda: _proxy_backward(cache_v, d_pv)
@@ -470,27 +468,28 @@ def composite_loss(
 ) -> tuple[LossBreakdown, list[np.ndarray]]:
     """One training step's loss and parameter gradients.
 
-    Teacher first: an inference-mode encode of the soft subset yields alignment
-    masks that carry no gradient. Then one training-mode student encode of the
-    full batch feeds all three terms; triplet distances are computed once over
-    the whole batch (proxy included) and each subset contributes the triples
-    its own masks allow.
+    Teacher first: an inference-mode encode of the soft subset yields its
+    positive mask, which carries no gradient. Then one training-mode student
+    encode of the full batch feeds all three terms; triplet distances are
+    computed once over the whole batch (proxy included) and each subset
+    contributes the triples its own positive mask allows.
     """
     n = len(batch)
     if plan.n != n:
         raise ConfigError(f"partition plan covers {plan.n} rows but the batch has {n}")
-    subset_masks = []
+    subset_positives = []
     if plan.labeled_idx.size > 0:
-        subset_masks.append((plan.labeled_idx, label_masks(batch.labels[plan.labeled_idx])))
+        positive, _ = label_masks(batch.labels[plan.labeled_idx])
+        subset_positives.append((plan.labeled_idx, positive))
     if plan.soft_idx.size > 0:
         align = soft_alignment(model.encode(batch.take(plan.soft_idx), training=False))
-        subset_masks.append((plan.soft_idx, (align.positive_mask, align.negative_mask)))
+        subset_positives.append((plan.soft_idx, align.positive_mask))
 
     emb = model.encode(batch, training=True, step_seed=step_seed)
     if not (np.isfinite(emb.audio).all() and np.isfinite(emb.visual).all()):
         raise NumericError("non-finite embedding values in the student pass")
 
-    triplet_value, (d_audio_trip, d_visual_trip) = _triplet_term(emb, subset_masks, cfg)
+    triplet_value, (d_audio_trip, d_visual_trip) = _triplet_term(emb, subset_positives, cfg)
 
     label_value, (d_audio_lab, d_visual_lab) = label_loss(emb, batch.labels, plan.labeled_idx)
     pair_value, (d_audio_pair, d_visual_pair) = pair_distance_loss(emb)

@@ -125,13 +125,13 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 def he_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     """Uniform init scaled for ReLU layers: limit = sqrt(6 / fan_in)."""
     limit = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(DTYPE)
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     """Uniform init for linear output layers: limit = sqrt(6 / (fan_in + fan_out))."""
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(DTYPE)
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
 class DenseLayer:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,8 +63,8 @@ class MetricsRecord:
 class TrainResult:
     model: TwoTowerModel
     meta: DatasetMeta
-    records: list[MetricsRecord] = field(default_factory=list)
-    final_report: RetrievalReport | None = None
+    records: list[MetricsRecord]
+    final_report: RetrievalReport
     checkpoint_path: str | None = None
     metrics_path: str | None = None
 
@@ -111,10 +111,10 @@ def train(config: RunConfig) -> TrainResult:
         out_dir.mkdir(parents=True, exist_ok=True)
         metrics_file = open(out_dir / METRICS_NAME, "w")
 
-    result = TrainResult(model=model, meta=meta)
+    records: list[MetricsRecord] = []
 
     def emit(record: MetricsRecord) -> None:
-        result.records.append(record)
+        records.append(record)
         if metrics_file is not None:
             metrics_file.write(json.dumps(record.as_dict()) + "\n")
 
@@ -162,7 +162,6 @@ def train(config: RunConfig) -> TrainResult:
                     report = evaluate(model, test_data, ks=config.eval_ks)
                 except EngineError as e:
                     raise type(e)(f"epoch {epoch} eval: {e}") from e
-                result.final_report = report
                 emit(
                     MetricsRecord(
                         kind="eval",
@@ -177,6 +176,8 @@ def train(config: RunConfig) -> TrainResult:
         if metrics_file is not None:
             metrics_file.close()
 
+    # RunConfig rejects epochs < 1, and the last epoch always evaluates.
+    result = TrainResult(model, meta, records, final_report=report)
     if out_dir is not None:
         checkpoint_path = out_dir / CHECKPOINT_NAME
         save_checkpoint(model, checkpoint_path)

@@ -323,6 +323,12 @@ class TestDataErrors:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists() and not (tmp_path / "data.avfd").exists()
 
+    def test_zero_epochs_is_a_config_error(self, tmp_path, capsys):
+        # A run always ends in an evaluation, so it has at least one epoch.
+        assert main(SMALL_TRAIN + ["--out", str(tmp_path / "run"), "--epochs", "0"]) == EXIT_DATA
+        assert "error: total_epochs must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_bench_variant(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("train.epochs = 1\n")

@@ -512,28 +512,32 @@ def _grad_check_composite(cfg):
 
 
 def _reducer_cases(rng):
-    """Masks and distances covering the reducer's edge cases, several of each kind."""
+    """Positive masks and distances covering the reducer's edge cases, several of each kind.
+
+    Every non-positive cell is a negative, as in training.
+    """
     for i in range(40):
         n = int(rng.integers(1, 12))
         kind = i % 4
         if kind == 0:  # label masks, some classes singletons
-            pos, neg = label_masks(rng.integers(0, 4, size=n))
+            pos, _ = label_masks(rng.integers(0, 4, size=n))
         elif kind == 1:  # mutual-pointing masks of two random score matrices
             points_a = rng.random((n, n)).argmax(axis=1)
             points_v = rng.random((n, n)).argmax(axis=1)
             pos = points_a[:, None] == points_v[None, :]
-            neg = ~pos
         elif kind == 2:  # sparse masks: anchors with no positive or no negative
             pos = rng.random((n, n)) < 0.3
-            neg = rng.random((n, n)) < 0.3
+            if i % 8 == 2:
+                pos[0] = False
+            else:
+                pos[:, -1] = True
         else:  # all-positive rows next to ordinary ones
-            pos, neg = label_masks(rng.integers(0, 3, size=n))
-            full = rng.random(n) < 0.3
-            pos[full], neg[full] = True, False
+            pos, _ = label_masks(rng.integers(0, 3, size=n))
+            pos[rng.random(n) < 0.3] = True
         dist = rng.uniform(0.0, 2.0, size=(n, n))
-        yield pos, neg, dist, 1.2
+        yield pos, dist, 1.2
         # Quantized distances with margin 0.5 produce exact d_aq == d_ap + margin ties.
-        yield pos, neg, np.round(dist * 4.0) / 4.0, 0.5
+        yield pos, np.round(dist * 4.0) / 4.0, 0.5
 
 
 class TestBatchTripletReducer:
@@ -541,18 +545,18 @@ class TestBatchTripletReducer:
 
     @pytest.mark.parametrize("anchor_mode", ["audio", "visual", "symmetric"])
     def test_all_matches_materialized_triples(self, rng, anchor_mode):
-        for pos, neg, dist, margin in _reducer_cases(rng):
-            value, d_dist = _batch_triplet_reduce(pos, neg, dist, "all", anchor_mode, margin)
-            trip = build_triplets(pos, neg, "all", anchor_mode, dist)
+        for pos, dist, margin in _reducer_cases(rng):
+            value, d_dist = _batch_triplet_reduce(pos, dist, "all", anchor_mode, margin)
+            trip = build_triplets(pos, ~pos, "all", anchor_mode, dist)
             ref_value, ref_d_dist = triplet_terms(dist, trip, margin)
             assert abs(value - ref_value) <= 1e-12
             np.testing.assert_allclose(d_dist, ref_d_dist, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("anchor_mode", ["audio", "visual", "symmetric"])
     def test_hard_is_bit_identical_to_materialized_triples(self, rng, anchor_mode):
-        for pos, neg, dist, margin in _reducer_cases(rng):
-            value, d_dist = _batch_triplet_reduce(pos, neg, dist, "hard", anchor_mode, margin)
-            trip = build_triplets(pos, neg, "hard", anchor_mode, dist)
+        for pos, dist, margin in _reducer_cases(rng):
+            value, d_dist = _batch_triplet_reduce(pos, dist, "hard", anchor_mode, margin)
+            trip = build_triplets(pos, ~pos, "hard", anchor_mode, dist)
             ref_value, ref_d_dist = triplet_terms(dist, trip, margin)
             assert value == ref_value
             np.testing.assert_array_equal(d_dist, ref_d_dist)
@@ -562,31 +566,34 @@ class TestBatchTripletReducer:
         pos = np.array([[True, False], [False, True]])
         dist = np.array([[0.25, 0.75], [0.75, 0.25]])
         for strategy in ("all", "hard"):
-            value, d_dist = _batch_triplet_reduce(pos, ~pos, dist, strategy, "symmetric", 0.5)
+            value, d_dist = _batch_triplet_reduce(pos, dist, strategy, "symmetric", 0.5)
             assert value == 0.0
             assert not d_dist.any()
 
 
 def _tie_heavy_cases(rng):
-    """One-decimal embeddings with duplicated rows, under label and soft masks.
+    """One-decimal embeddings with duplicated rows, under label and soft positive masks.
 
-    Each mask pair is edited so that audio anchor 0 has no positive and visual
-    anchor n - 1 has no negative.
+    Each positive mask is edited so that audio anchor 0 has no positive or,
+    in alternate cases, visual anchor n - 1 has no negative. Every
+    non-positive cell is a negative, so one cell cannot serve both edits.
     """
-    for _ in range(40):
+    for i in range(40):
         n = int(rng.integers(2, 10))
         audio, visual = (np.round(rng.standard_normal((n, 3)), 1) for _ in range(2))
         for m in (audio, visual):
             m[~m.any(axis=1), 0] = 0.1  # no zero rows: their distance is undefined
         audio[-1] = audio[0]
         visual[n // 2] = visual[0]
-        labeled = label_masks(rng.integers(0, 3, size=n))
-        soft = softmax_pointing_masks(audio, visual)
-        for pos, neg in (labeled, soft):
-            pos, neg = pos.copy(), neg.copy()
-            pos[0] = False
-            neg[:, -1] = False
-            yield audio, visual, pos, neg
+        labeled, _ = label_masks(rng.integers(0, 3, size=n))
+        soft, _ = softmax_pointing_masks(audio, visual)
+        for j, pos in enumerate((labeled, soft)):
+            pos = pos.copy()
+            if (i + j) % 2 == 0:
+                pos[0] = False
+            else:
+                pos[:, -1] = True
+            yield audio, visual, pos
 
 
 def _triplet_set(triples):
@@ -601,20 +608,20 @@ class TestTieHeavyReducer:
     def test_matches_the_triple_loop_bytewise_across_cpus(
         self, rng, usable_cpus, strategy, anchor_mode
     ):
-        for audio, visual, pos, neg in _tie_heavy_cases(rng):
+        for audio, visual, pos in _tie_heavy_cases(rng):
             dist = pairwise_normalized_distances(audio, visual)
             for margin in (0.5, 1.2):
                 runs = []
                 for cpus in (1, 2):
                     usable_cpus(cpus)
-                    runs.append(_batch_triplet_reduce(pos, neg, dist, strategy, anchor_mode, margin))
+                    runs.append(_batch_triplet_reduce(pos, dist, strategy, anchor_mode, margin))
                 (value, d_dist), (value_2, d_dist_2) = runs
                 assert np.float64(value).tobytes() == np.float64(value_2).tobytes()
                 assert d_dist.tobytes() == d_dist_2.tobytes()
                 if strategy == "all":
-                    triples = slow_build_all_triplets(pos, neg, anchor_mode)
+                    triples = slow_build_all_triplets(pos, ~pos, anchor_mode)
                 else:
-                    triples = slow_build_hard_triplets(pos, neg, audio, visual, anchor_mode)
+                    triples = slow_build_hard_triplets(pos, ~pos, audio, visual, anchor_mode)
                 trip = _triplet_set(triples)
                 cfg = LossConfig(proxy="identity", margin=margin)
                 assert abs(value - slow_triplet_loss(audio, visual, trip, cfg)) <= 1e-9
