@@ -588,7 +588,6 @@ def _tie_heavy_cases(rng):
         labeled, _ = label_masks(rng.integers(0, 3, size=n))
         soft, _ = softmax_pointing_masks(audio, visual)
         for j, pos in enumerate((labeled, soft)):
-            pos = pos.copy()
             if (i + j) % 2 == 0:
                 pos[0] = False
             else:
