@@ -13,6 +13,11 @@ whose sorted values strictly increase has exactly one ascending order, so that
 order is already the lowest-index one; only rows with an equal pair (±0.0
 included) or a NaN are sorted again with the stable argsort. Rankings, and so
 every AP and P@k, are the same as a stable sort of every row.
+
+When two or more CPUs are usable, the two directions rank at once through
+`nn._overlap`: a2v on the worker thread, v2a on the caller, both reading the
+one distance matrix. Each direction does the same float operations on the same
+rows as it would alone, so the report is bit-identical to the serial order.
 """
 
 from __future__ import annotations
@@ -26,11 +31,16 @@ from .data import PairedBatch
 from .errors import NumericError, ShapeError
 from .losses import pairwise_normalized_distances
 from .model import TwoTowerModel
+from .nn import _overlap
 
 # Query rows ranked at once. The order, sorted-value, relevance and cumsum
-# temporaries are block x gallery: at 4000 pairs one direction peaks near 40 MB
-# under tracemalloc, a third of the 4000 x 4000 float64 distance matrix.
-_BLOCK = 256
+# temporaries are block x gallery, and with two usable CPUs both directions
+# hold one block each at the same time, so two blocks must fit where one
+# serial block did. On the eval-4k benchmark (2-core host) the overlapped
+# evaluate peaked at 366 MB with 256-row blocks and 315 MB with 64, against
+# 310 MB for the serial 256-row ranking; 32 rows peaked no lower and ranked no
+# faster than 64.
+_BLOCK = 64
 
 
 @dataclass
@@ -86,7 +96,9 @@ def _direction_metrics(
     p_at_k: dict[int, list[np.ndarray]] = {k: [] for k in usable_ks}
     for start in range(0, dist.shape[0], _BLOCK):
         rows = slice(start, start + _BLOCK)
-        block = dist[rows]
+        # A contiguous copy, so the v2a side (rows of dist.T) sorts
+        # contiguous rows; for a2v the slice is contiguous already.
+        block = np.ascontiguousarray(dist[rows])
         order = np.argsort(block, axis=1)
         ranked = np.take_along_axis(block, order, axis=1)
         tied = ~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
@@ -116,8 +128,10 @@ def evaluate(
     if not (np.isfinite(emb.audio).all() and np.isfinite(emb.visual).all()):
         raise NumericError("non-finite embedding values in evaluation")
     dist = pairwise_normalized_distances(emb.audio, emb.visual)
-    map_a2v, n_a2v, excl_a2v, table_a2v = _direction_metrics(dist, data.labels, ks)
-    map_v2a, n_v2a, excl_v2a, table_v2a = _direction_metrics(dist.T, data.labels, ks)
+    (map_a2v, n_a2v, excl_a2v, table_a2v), (map_v2a, n_v2a, excl_v2a, table_v2a) = _overlap(
+        lambda: _direction_metrics(dist, data.labels, ks),
+        lambda: _direction_metrics(dist.T, data.labels, ks),
+    )
     return RetrievalReport(
         map_a2v=map_a2v,
         map_v2a=map_v2a,

@@ -12,13 +12,14 @@ learning rate and `model.TowerSpec` the dropout rate, so the layers and
 optimizers here take them as given.
 
 When two or more CPUs are usable, `_overlap` runs two independent pieces of
-work at once: one on a persistent worker thread, one on the caller. Four
+work at once: one on a persistent worker thread, one on the caller. Five
 pairs go through it, and none nests another:
 
 - the two towers' forward and backward (model.py);
 - the two halves of Adam's chunk walk (below);
 - the audio-anchor and visual-anchor sides of the triplet reducer (losses.py);
-- the audio and visual proxies' forward and backward (losses.py).
+- the audio and visual proxies' forward and backward (losses.py);
+- evaluate's a2v and v2a rankings (evaluate.py).
 
 Each piece does exactly the float operations it would do alone, and the
 pieces share no output or scratch, so results are bit-identical to the serial
@@ -31,6 +32,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
@@ -63,9 +65,19 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# Marked on the worker thread when it starts, so `_overlap` can refuse to nest.
+_thread_state = threading.local()
+
+
+def _mark_worker_thread() -> None:
+    _thread_state.is_worker = True
+
+
 def _new_worker() -> ThreadPoolExecutor:
     # The executor starts its one thread when the first task is submitted.
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="avdistill-overlap")
+    return ThreadPoolExecutor(
+        max_workers=1, thread_name_prefix="avdistill-overlap", initializer=_mark_worker_thread
+    )
 
 
 _worker = _new_worker()
@@ -89,8 +101,14 @@ def _overlap(first: Callable[[], _A], second: Callable[[], _B]) -> tuple[_A, _B]
     as `np.errstate` holds on the worker too. The worker is always waited for,
     also when `second` raises, so neither task is still running once this
     returns or raises; an exception from `first` wins, as in the serial order.
-    The worker is one thread: a task run here must never call `_overlap` itself.
+    The worker is one thread, so a task run on it that called `_overlap` again
+    would queue behind itself forever; such a nested call raises `StateError`.
     """
+    if getattr(_thread_state, "is_worker", False):
+        raise StateError(
+            "nested _overlap: called from a task on the overlap worker thread, "
+            "which would wait on itself forever"
+        )
     if _usable_cpus() < 2:
         return first(), second()
     future = _worker.submit(contextvars.copy_context().run, first)

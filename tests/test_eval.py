@@ -1,6 +1,7 @@
 """Retrieval ranking, average precision, and bidirectional MAP reports."""
 
 import importlib
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from avdistill.evaluate import _direction_metrics
 from avdistill.model import Tower
 
 from oracles import slow_map, slow_precision_at_k, stable_direction_metrics
+
+# The package's `evaluate` attribute is the function; fetch the module.
+_evaluate_module = importlib.import_module("avdistill.evaluate")
 
 
 def _identity_model(n_classes):
@@ -55,6 +59,19 @@ def _random_instance(rng, n_pairs, n_classes=2, dim=4):
             return model, data
 
 
+def _brute_force_cases(rng):
+    cases = [_random_instance(rng, int(rng.integers(2, 13))) for _ in range(20)]
+    # More pairs than one ranking block, ending in a partial block.
+    cases.append(_random_instance(rng, 300, n_classes=5))
+    # One-hot cluster codes with labels drawn apart from the clusters:
+    # relevant and irrelevant items tie exactly, so the index rule decides AP.
+    for n, n_clusters in ((12, 3), (40, 4), (300, 6)):
+        clusters = one_hot(rng.integers(0, n_clusters, size=n), n_clusters).astype(float)
+        labels = rng.integers(0, 3, size=n)
+        cases.append((_identity_model(n_clusters), PairedBatch(clusters, clusters.copy(), labels)))
+    return cases
+
+
 class TestEvaluate:
     def test_one_hot_embeddings_are_perfect(self):
         labels = np.array([0, 0, 1, 1, 2, 2])
@@ -67,16 +84,7 @@ class TestEvaluate:
         assert report.precision_at_k["a2v"][1] == 1.0
 
     def test_matches_brute_force_map(self, rng):
-        cases = [_random_instance(rng, int(rng.integers(2, 13))) for _ in range(20)]
-        # More pairs than one ranking block, ending in a partial block.
-        cases.append(_random_instance(rng, 300, n_classes=5))
-        # One-hot cluster codes with labels drawn apart from the clusters:
-        # relevant and irrelevant items tie exactly, so the index rule decides AP.
-        for n, n_clusters in ((12, 3), (40, 4), (300, 6)):
-            clusters = one_hot(rng.integers(0, n_clusters, size=n), n_clusters).astype(float)
-            labels = rng.integers(0, 3, size=n)
-            cases.append((_identity_model(n_clusters), PairedBatch(clusters, clusters.copy(), labels)))
-        for model, data in cases:
+        for model, data in _brute_force_cases(rng):
             report = evaluate(model, data)
             emb = model.encode(data)
             dist = pairwise_normalized_distances(emb.audio, emb.visual)
@@ -87,6 +95,31 @@ class TestEvaluate:
                 assert abs(mean_ap - slow_map(d, labels, labels)) < 1e-12
                 for k, value in report.precision_at_k[direction].items():
                     assert abs(value - slow_precision_at_k(d, labels, labels, k)) < 1e-12
+
+    def test_one_cpu_and_two_give_the_same_report(self, rng, usable_cpus):
+        for model, data in _brute_force_cases(rng):
+            usable_cpus(1)
+            serial = evaluate(model, data).as_dict()
+            usable_cpus(2)
+            assert evaluate(model, data).as_dict() == serial
+
+    def test_a_direction_runs_on_the_worker_only_with_two_cpus(
+        self, rng, usable_cpus, monkeypatch
+    ):
+        model, data = _random_instance(rng, 8)
+        threads = []
+
+        def spy(*args):
+            threads.append(threading.current_thread())
+            return _direction_metrics(*args)
+
+        monkeypatch.setattr(_evaluate_module, "_direction_metrics", spy)
+        for cpus, on_worker in ((1, 0), (2, 1)):
+            usable_cpus(cpus)
+            threads.clear()
+            evaluate(model, data)
+            assert len(threads) == 2
+            assert sum(t is not threading.current_thread() for t in threads) == on_worker
 
     def test_map_avg_is_the_mean(self, rng):
         model, data = _random_instance(rng, 8)
@@ -150,10 +183,10 @@ def _kernel_cases(rng):
 class TestRankingKernel:
     """`_direction_metrics` against the all-stable-sort kernel, bit for bit."""
 
-    @pytest.mark.parametrize("block", [256, 40])  # one block; a partial last block
+    # The module's block and a smaller one; both end the 96 rows in a partial block.
+    @pytest.mark.parametrize("block", [_evaluate_module._BLOCK, 40])
     def test_matches_stable_kernel(self, rng, monkeypatch, block):
-        # The package's `evaluate` attribute is the function; fetch the module.
-        monkeypatch.setattr(importlib.import_module("avdistill.evaluate"), "_BLOCK", block)
+        monkeypatch.setattr(_evaluate_module, "_BLOCK", block)
         ks = (1, 5, 10, 96, 97, 1000)  # the last two exceed the 96-item gallery
         for dist in _kernel_cases(rng):
             labels = rng.integers(0, 4, size=dist.shape[0])

@@ -429,6 +429,12 @@ class TestOverlap:
             # The worker serves the next call.
             assert _overlap(lambda: 1, lambda: 2) == (1, 2)
 
+    def test_a_nested_call_on_the_worker_is_a_state_error(self, usable_cpus):
+        usable_cpus(2)
+        with pytest.raises(StateError, match="nested _overlap"):
+            _overlap(lambda: _overlap(lambda: 1, lambda: 2), lambda: None)
+        # The worker is not stuck, and the caller may still overlap.
+        assert _overlap(lambda: 1, lambda: 2) == (1, 2)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
