@@ -39,7 +39,6 @@ from .gradcheck import grad_check
 from .losses import (
     LossBreakdown,
     LossConfig,
-    TripletSet,
     build_triplets,
     composite_loss,
     pairwise_normalized_distances,
@@ -48,7 +47,6 @@ from .model import EmbeddingBatch, TowerSpec, TwoTowerModel
 from .softalign import (
     PartitionPlan,
     RatioSchedule,
-    SoftAlignment,
     label_masks,
     partition_batch,
     soft_alignment,

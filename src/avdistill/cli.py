@@ -21,10 +21,9 @@ from .errors import ConfigError, DeterminismError, EngineError, NumericError
 from .evaluate import evaluate
 from .gradcheck import grad_check
 from .losses import _ANCHOR_MODES, _PROXIES, _STRATEGIES, LossConfig, composite_loss
-from .model import TowerSpec, TwoTowerModel
 from .nn import _OPTIMIZERS
 from .softalign import _SCHEDULE_KINDS, partition_batch
-from .train import train
+from .train import build_model, resolve_dataset, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -176,13 +175,12 @@ def _cmd_grad_check(args: argparse.Namespace) -> int:
         noise_scale=0.3,
         seed=args.seed,
     )
-    _, data = generate_synthetic(spec)
+    config = RunConfig(synthetic=spec, hidden_dims=(16, 16, 16), seed=args.seed)
+    meta, data = resolve_dataset(config)
     rng = np.random.default_rng(args.seed)
     rows = rng.choice(len(data), size=args.pairs, replace=False)
     batch = data.take(np.sort(rows))
-    audio_spec = TowerSpec(input_dim=24, output_dim=3, hidden_dims=(16, 16, 16), dropout_rate=0.1)
-    visual_spec = TowerSpec(input_dim=40, output_dim=3, hidden_dims=(16, 16, 16), dropout_rate=0.1)
-    model = TwoTowerModel.create(audio_spec, visual_spec, seed=args.seed)
+    model = build_model(config, meta)
     plan = partition_batch(len(batch), 0.5, [args.seed, 1])
     cfg = LossConfig()
 

@@ -3,7 +3,8 @@
 Both towers end in a linear prediction layer whose width equals the label
 space, so audio and visual embeddings are directly comparable there. Hidden
 layers are ReLU with dropout; the prediction layer is linear without dropout
-and emits raw (unnormalized) projections.
+and emits raw (unnormalized) projections. Each `Tower` owns its layers: it
+holds their weights and biases and writes out their forward and backward.
 
 The towers share no state, so `TwoTowerModel.encode` and `backward` run the
 audio tower on a worker thread while the caller runs the visual tower (see
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PairedBatch
-from .errors import ConfigError, ShapeError
-from .nn import DTYPE, DenseLayer, SeedLike, _overlap, seed_list
+from .errors import ConfigError, ShapeError, StateError
+from .nn import DTYPE, SeedLike, _overlap, he_uniform, relu, seed_list, xavier_uniform
 
 _AUDIO_TAG = 0
 _VISUAL_TAG = 1
@@ -61,66 +62,99 @@ class TowerSpec:
         return list(zip(dims[:-1], dims[1:]))
 
 
-def _activations(spec: TowerSpec) -> list[str]:
-    """ReLU for every hidden layer, identity for the prediction layer."""
-    return ["relu"] * len(spec.hidden_dims) + ["identity"]
-
-
 class Tower:
-    """A stack of DenseLayers built from a TowerSpec."""
+    """One modality's encoder: ReLU hidden layers with inverted dropout, then a linear layer.
 
-    def __init__(self, spec: TowerSpec, layers: list[DenseLayer]) -> None:
+    The tower holds its flat [w0, b0, w1, b1, ...] parameter list. A
+    training-mode forward caches each layer's input, pre-activation and dropout
+    mask for backward; an inference forward leaves that cache alone, so a side
+    evaluation never invalidates a pending backward.
+    """
+
+    def __init__(self, spec: TowerSpec, params: list[np.ndarray]) -> None:
         self.spec = spec
-        self.layers = layers
+        self._params = params
+        self._cache: list[tuple | None] = [None] * len(spec.layer_dims)
 
     @classmethod
     def build(cls, spec: TowerSpec, rng: np.random.Generator) -> "Tower":
-        layers = [
-            DenseLayer.create(d_in, d_out, activation, rng)
-            for (d_in, d_out), activation in zip(spec.layer_dims, _activations(spec))
-        ]
-        return cls(spec, layers)
+        """Seeded init: He-uniform hidden weights, Xavier-uniform last weights, zero biases."""
+        params: list[np.ndarray] = []
+        for i, (d_in, d_out) in enumerate(spec.layer_dims):
+            init = he_uniform if i < len(spec.hidden_dims) else xavier_uniform
+            params += [init(rng, d_in, d_out), np.zeros(d_out, dtype=DTYPE)]
+        return cls(spec, params)
 
     @classmethod
     def from_parameters(cls, spec: TowerSpec, tensors: list[np.ndarray]) -> "Tower":
-        """Rebuild a tower from a flat [w0, b0, w1, b1, ...] tensor list."""
-        activations = _activations(spec)
-        if len(tensors) != 2 * len(activations):
-            raise ShapeError(f"expected {2 * len(activations)} tensors, got {len(tensors)}")
-        layers = [
-            DenseLayer(w, b, activation)
-            for w, b, activation in zip(tensors[::2], tensors[1::2], activations)
-        ]
-        return cls(spec, layers)
+        """Rebuild a tower from a flat [w0, b0, w1, b1, ...] list shaped as `spec` says."""
+        shapes = [shape for d_in, d_out in spec.layer_dims for shape in ((d_in, d_out), (d_out,))]
+        if len(tensors) != len(shapes):
+            raise ShapeError(f"expected {len(shapes)} tensors, got {len(tensors)}")
+        params = [np.asarray(t, dtype=DTYPE) for t in tensors]
+        for i, (p, shape) in enumerate(zip(params, shapes)):
+            if p.shape != shape:
+                raise ShapeError(f"tensor {i} has shape {p.shape}, expected {shape}")
+        return cls(spec, params)
 
     def forward(self, x: np.ndarray, *, training: bool = False, seed_base: list[int] | None = None) -> np.ndarray:
-        out = np.asarray(x, dtype=DTYPE)
-        if out.ndim != 2 or out.shape[1] != self.spec.input_dim:
+        """The tower's output; training mode applies dropout and caches for backward.
+
+        Dropout zeroes each hidden unit with probability `spec.dropout_rate` and
+        scales the rest by 1/(1-rate). Layer i's mask comes from a generator
+        seeded with [*seed_base, i], so a seed and shape always give the same mask.
+        """
+        h = np.asarray(x, dtype=DTYPE)
+        if h.ndim != 2 or h.shape[1] != self.spec.input_dim:
             raise ShapeError(
-                f"input shape {out.shape} does not match tower input dim {self.spec.input_dim}"
+                f"input shape {h.shape} does not match tower input dim {self.spec.input_dim}"
             )
         base = seed_base or [0]
-        for i, layer in enumerate(self.layers):
-            rate = self.spec.dropout_rate if i < len(self.layers) - 1 else 0.0
-            out = layer.forward(out, training=training, dropout_rate=rate, dropout_seed=[*base, i])
+        rate = self.spec.dropout_rate if training else 0.0
+        last = len(self.spec.hidden_dims)
+        for i in range(last):
+            pre = h @ self._params[2 * i] + self._params[2 * i + 1]
+            out, mask = relu(pre), None
+            if rate > 0.0:
+                rng = np.random.default_rng([*base, i])
+                mask = (rng.random(out.shape) >= rate) * (1.0 / (1.0 - rate))
+                out *= mask
+            if training:
+                self._cache[i] = (h, pre, mask)
+            # Free this layer's pre-activation, then its input, before the next
+            # product: holding either raises peak memory by an activation.
+            pre, h = None, out
+        out = h @ self._params[2 * last] + self._params[2 * last + 1]
+        if training:
+            self._cache[last] = (h, out, None)
         return out
 
     def backward(self, upstream: np.ndarray) -> list[np.ndarray]:
-        """Push a gradient through the cached forward; returns [dw0, db0, ...]."""
+        """Push a gradient through the cached training forward; returns [dw0, db0, ...]."""
+        if self._cache[-1] is None:
+            raise StateError("backward called without a cached training-mode forward pass")
+        grad = np.asarray(upstream, dtype=DTYPE)
+        output = self._cache[-1][1]
+        if grad.shape != output.shape:
+            raise ShapeError(
+                f"upstream gradient shape {grad.shape} does not match output {output.shape}"
+            )
         grads: list[np.ndarray] = []
-        grad = upstream
-        for i in reversed(range(len(self.layers))):
+        last = len(self.spec.hidden_dims)
+        for i in reversed(range(last + 1)):
+            x, pre, mask = self._cache[i]
+            if mask is not None:
+                grad = grad * mask
+            if i < last:
+                grad = grad * (pre > 0.0)
+            grads[:0] = [x.T @ grad, grad.sum(axis=0)]
             # Layer 0's input gradient would reach the features; nothing reads it.
-            dw, db, grad = self.layers[i].backward(grad, input_grad=i > 0)
-            grads[:0] = [dw, db]
+            if i > 0:
+                grad = grad @ self._params[2 * i].T
         return grads
 
     def parameters(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for layer in self.layers:
-            out.append(layer.weights)
-            out.append(layer.bias)
-        return out
+        return list(self._params)
 
 
 @dataclass

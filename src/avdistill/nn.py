@@ -1,15 +1,13 @@
 """Dense-network numeric core.
 
-Everything here runs on 64-bit numpy arrays: fully connected layers with
-cached forward state for hand-written backprop, inverted dropout, numerically
-stable row softmax, and the two optimizers (SGD, Adam). No autodiff graph is
-involved; each layer knows how to push an upstream gradient through itself,
-and can skip the input gradient, which a network's first layer never needs.
-Adam walks each parameter in cache-sized chunks through preallocated scratch,
-with the same float operations in the same order as the whole-tensor formula.
-Settings are checked once, by their owner: `make_optimizer` checks the
-learning rate and `model.TowerSpec` the dropout rate, so the layers and
-optimizers here take them as given.
+Everything here runs on 64-bit numpy arrays: the ReLU, weight initializers
+and numerically stable row softmax that the towers and losses use, and the
+two optimizers (SGD, Adam). No autodiff graph is involved; `model.Tower`
+writes out its own layers' forward and backward. Adam walks each parameter in
+cache-sized chunks through preallocated scratch, with the same float
+operations in the same order as the whole-tensor formula. Settings are
+checked once, by their owner: `make_optimizer` checks the learning rate and
+`model.TowerSpec` the dropout rate.
 
 When two or more CPUs are usable, `_overlap` runs two independent pieces of
 work at once: one on a persistent worker thread, one on the caller. Five
@@ -43,8 +41,6 @@ from .errors import ConfigError, ShapeError, StateError
 DTYPE = np.float64
 
 SeedLike = int | Sequence[int]
-
-_ACTIVATIONS = ("relu", "identity")
 
 # Adam updates each parameter this many elements at a time. A chunk of p, g,
 # m, v and the two scratch buffers is 6 x 256 KiB = 1.5 MiB of float64, which
@@ -150,106 +146,6 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     """Uniform init for linear output layers: limit = sqrt(6 / (fan_in + fan_out))."""
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
-class DenseLayer:
-    """One fully connected layer: out = act(x @ weights + bias), optionally masked.
-
-    A training-mode forward caches its inputs, pre-activations, and dropout
-    mask; backward replays that cache. Inference-mode forwards leave the cache
-    untouched so a pending backward is never invalidated by a side evaluation.
-    """
-
-    def __init__(self, weights: np.ndarray, bias: np.ndarray, activation: str = "relu") -> None:
-        weights = np.asarray(weights, dtype=DTYPE)
-        bias = np.asarray(bias, dtype=DTYPE)
-        if weights.ndim != 2:
-            raise ShapeError(f"weights must be 2-d, got shape {weights.shape}")
-        if bias.shape != (weights.shape[1],):
-            raise ShapeError(
-                f"bias shape {bias.shape} does not match weight columns {weights.shape[1]}"
-            )
-        if activation not in _ACTIVATIONS:
-            raise ConfigError(f"unknown activation {activation!r}, expected one of {_ACTIVATIONS}")
-        self.weights = weights
-        self.bias = bias
-        self.activation = activation
-        self._cache: dict | None = None
-
-    @classmethod
-    def create(
-        cls,
-        in_dim: int,
-        out_dim: int,
-        activation: str,
-        rng: np.random.Generator,
-    ) -> "DenseLayer":
-        """Seeded init: He-uniform for relu layers, Xavier-uniform otherwise."""
-        if activation == "relu":
-            w = he_uniform(rng, in_dim, out_dim)
-        else:
-            w = xavier_uniform(rng, in_dim, out_dim)
-        return cls(w, np.zeros(out_dim, dtype=DTYPE), activation)
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[0]
-
-    def forward(
-        self,
-        x: np.ndarray,
-        *,
-        training: bool = False,
-        dropout_rate: float = 0.0,
-        dropout_seed: SeedLike = 0,
-    ) -> np.ndarray:
-        """The layer's output; training mode caches it and applies inverted dropout.
-
-        Dropout zeroes each unit with probability `dropout_rate` and scales the
-        rest by 1/(1-rate). The mask comes from a generator seeded with
-        `dropout_seed`, so a seed and shape always give the same mask. The rate
-        is taken as given; `TowerSpec` checks it.
-        """
-        x = np.asarray(x, dtype=DTYPE)
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ShapeError(f"input shape {x.shape} does not match layer input dim {self.in_dim}")
-        pre = x @ self.weights + self.bias
-        out = relu(pre) if self.activation == "relu" else pre
-        mask = None
-        if training and dropout_rate > 0.0:
-            rng = np.random.default_rng(seed_list(dropout_seed))
-            mask = (rng.random(out.shape) >= dropout_rate) * (1.0 / (1.0 - dropout_rate))
-            if out is pre:
-                out = out * mask  # the cache keeps `pre` for backward
-            else:
-                out *= mask
-        if training:
-            self._cache = {"x": x, "pre": pre, "mask": mask}
-        return out
-
-    def backward(
-        self, upstream: np.ndarray, *, input_grad: bool = True
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Return (d_weights, d_bias, d_input) for the cached training forward.
-
-        With `input_grad=False` d_input is None and its matrix product is skipped.
-        """
-        if self._cache is None:
-            raise StateError("backward called without a cached training-mode forward pass")
-        upstream = np.asarray(upstream, dtype=DTYPE)
-        x, pre, mask = self._cache["x"], self._cache["pre"], self._cache["mask"]
-        if upstream.shape != pre.shape:
-            raise ShapeError(
-                f"upstream gradient shape {upstream.shape} does not match output {pre.shape}"
-            )
-        if mask is not None:
-            upstream = upstream * mask
-        if self.activation == "relu":
-            upstream = upstream * (pre > 0.0)
-        d_weights = x.T @ upstream
-        d_bias = upstream.sum(axis=0)
-        d_input = upstream @ self.weights.T if input_grad else None
-        return d_weights, d_bias, d_input
 
 
 class Sgd:

@@ -21,10 +21,14 @@ from .model import EmbeddingBatch
 
 @dataclass
 class SoftAlignment:
-    """Mutual-pointing masks over the (audio i, visual j) grid of one batch."""
+    """Mutual-pointing positives over the (audio i, visual j) grid of one batch."""
 
     positive_mask: np.ndarray
-    negative_mask: np.ndarray
+
+    @property
+    def negative_mask(self) -> np.ndarray:
+        """Every candidate that is not a positive, built on each read."""
+        return ~self.positive_mask
 
 
 def soft_alignment(emb: EmbeddingBatch) -> SoftAlignment:
@@ -32,13 +36,13 @@ def soft_alignment(emb: EmbeddingBatch) -> SoftAlignment:
 
     Audio i points at argmax(L[i, :]) and visual j at argmax(L[:, j]), ties
     going to the lowest index. positive[i, j] holds iff both point at the same
-    batch position; the two masks partition the full i x j grid.
+    batch position; every other candidate is a negative.
     """
     if len(emb) < 1:
         raise ShapeError("soft alignment needs at least one pair")
     logits = emb.audio @ emb.visual.T
     positive = np.argmax(logits, axis=1)[:, None] == np.argmax(logits, axis=0)[None, :]
-    return SoftAlignment(positive, ~positive)
+    return SoftAlignment(positive)
 
 
 def label_masks(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -27,9 +27,9 @@ from avdistill import (
     LossConfig,
     NormalizationError,
     ShapeError,
-    TripletSet,
 )
 from avdistill.losses import (
+    TripletSet,
     _distance_backward,
     _distances_with_cache,
     _proxy_backward,

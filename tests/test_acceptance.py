@@ -22,7 +22,6 @@ from avdistill import (
     RunConfig,
     SyntheticSpec,
     TowerSpec,
-    TripletSet,
     TwoTowerModel,
     build_triplets,
     composite_loss,
@@ -43,6 +42,7 @@ from avdistill import (
 from avdistill.bench import variant_config
 from avdistill.cli import EXIT_DATA, EXIT_OK, main
 from avdistill.data import DatasetMeta
+from avdistill.losses import TripletSet
 from avdistill.train import build_model
 
 from oracles import (

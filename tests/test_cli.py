@@ -361,7 +361,7 @@ class TestNumericErrors:
         assert main(SMALL_TRAIN + ["--data", str(data), "--out", str(out_dir)]) == EXIT_OK
         ckpt = out_dir / "model.xmdl"
         model = load_checkpoint(ckpt)
-        model.audio.layers[0].weights[0, 0] = np.nan
+        model.parameters()[0][0, 0] = np.nan
         save_checkpoint(model, ckpt)
         capsys.readouterr()
         assert main(["eval", "--model", str(ckpt), "--data", str(data)]) == EXIT_NUMERIC

@@ -155,7 +155,7 @@ class TestEvaluate:
 
     def test_non_finite_embeddings_rejected(self):
         model = _identity_model(2)
-        model.audio.layers[0].weights[0, 0] = np.nan
+        model.parameters()[0][0, 0] = np.nan
         labels = np.array([0, 1])
         feats = one_hot(labels, 2).astype(float)
         with pytest.raises(NumericError, match="non-finite embedding values in evaluation"):

@@ -14,7 +14,6 @@ from avdistill import (
     NormalizationError,
     NumericError,
     ShapeError,
-    TripletSet,
     build_triplets,
     composite_loss,
     label_masks,
@@ -22,7 +21,13 @@ from avdistill import (
     pairwise_normalized_distances,
     partition_batch,
 )
-from avdistill.losses import _batch_triplet_reduce, label_loss, normalize_rows, pair_distance_loss
+from avdistill.losses import (
+    TripletSet,
+    _batch_triplet_reduce,
+    label_loss,
+    normalize_rows,
+    pair_distance_loss,
+)
 
 from oracles import (
     cross_modal_triplet_loss,
@@ -435,7 +440,7 @@ class TestCompositeLoss:
             composite_loss(small_model, small_batch, plan, LossConfig())
 
     def test_non_finite_weights_detected(self, small_model, small_batch):
-        small_model.audio.layers[0].weights[:] = np.inf
+        small_model.parameters()[0][:] = np.inf
         plan = partition_batch(len(small_batch), 0.5, seed=0)
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match="student pass"):

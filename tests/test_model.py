@@ -1,10 +1,16 @@
 """Two-tower encoder wiring and checkpoint serialization."""
 
+import re
 import struct
+import tempfile
 import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avdistill import (
     ConfigError,
@@ -19,9 +25,34 @@ from avdistill import (
     save_checkpoint,
 )
 from avdistill.model import _OVERLAP_ROWS, Tower
-from avdistill.nn import DenseLayer
 
-from oracles import dense_backward
+from oracles import dense_backward, dense_forward
+
+
+def _oracle_forward(tower: Tower, x: np.ndarray, rate: float, seed_base: list[int]):
+    """(output, [(input, pre, mask) per layer]) of the one-layer oracles chained."""
+    params = tower.parameters()
+    last = len(params) // 2 - 1
+    h, cache = x, []
+    for i in range(last + 1):
+        kind, layer_rate = ("relu", rate) if i < last else ("identity", 0.0)
+        out, pre, mask = dense_forward(h, params[2 * i], params[2 * i + 1], kind, layer_rate,
+                                       [*seed_base, i])
+        cache.append((h, pre, mask))
+        h = out
+    return h, cache
+
+
+def _oracle_backward(tower: Tower, cache: list, upstream: np.ndarray) -> list[np.ndarray]:
+    """[dw0, db0, ...] of the one-layer oracles chained, every input gradient formed."""
+    params = tower.parameters()
+    grads, grad = [], upstream
+    for i in reversed(range(len(cache))):
+        x, pre, mask = cache[i]
+        kind = "relu" if i < len(cache) - 1 else "identity"
+        dw, db, grad = dense_backward(x, params[2 * i], pre, mask, kind, grad)
+        grads[:0] = [dw, db]
+    return grads
 
 
 class TestTowerSpec:
@@ -69,22 +100,29 @@ class TestModelConstruction:
 
     def test_towers_start_different(self, small_model):
         # The two towers draw from per-tower seed streams, not a shared one.
-        a0 = small_model.audio.layers[1].weights
-        v0 = small_model.visual.layers[1].weights
+        a0 = small_model.audio.parameters()[2]
+        v0 = small_model.visual.parameters()[2]
         assert a0.shape == v0.shape and not np.array_equal(a0, v0)
 
     def test_parameter_names_align(self, small_model):
-        # parameters() runs audio w0, b0, ... then visual, the checkpoint's tensor order.
+        # parameters() runs audio w0, b0, ... then visual, the checkpoint's tensor order,
+        # and hands out the towers' own arrays, which optimizers update in place.
         params = small_model.parameters()
-        layers = small_model.audio.layers + small_model.visual.layers
-        assert len(params) == 2 * len(layers) == 12
-        for i, layer in enumerate(layers):
-            assert params[2 * i] is layer.weights
-            assert params[2 * i + 1] is layer.bias
+        towers = (small_model.audio, small_model.visual)
+        assert len(params) == 12
+        assert all(p is q for p, q in zip(params, towers[0].parameters() + towers[1].parameters()))
+        shapes = [
+            shape
+            for tower in towers
+            for d_in, d_out in tower.spec.layer_dims
+            for shape in ((d_in, d_out), (d_out,))
+        ]
+        assert [p.shape for p in params] == shapes
 
-    def test_hidden_layers_relu_output_identity(self, small_model):
-        acts = [layer.activation for layer in small_model.audio.layers]
-        assert acts == ["relu", "relu", "identity"]
+    def test_hidden_layers_relu_output_identity(self, small_model, rng):
+        x = rng.standard_normal((6, 6))
+        want, _ = _oracle_forward(small_model.audio, x, 0.0, [0])
+        assert np.array_equal(small_model.audio.forward(x), want)
 
 
 class TestEncode:
@@ -131,36 +169,20 @@ class TestEncode:
         for g, p in zip(grads, params):
             assert g.shape == p.shape
 
-    def test_tower_backward_matches_oracle(self, small_model, small_batch, rng, monkeypatch):
+    def test_tower_backward_matches_oracle(self, small_model, small_batch, rng):
         emb = small_model.encode(small_batch, training=True, step_seed=2)
         d_audio, d_visual = rng.standard_normal(emb.audio.shape), rng.standard_normal(emb.visual.shape)
-        # The oracle chain forms every layer's input gradient, layer 0's included.
         want = []
-        for tower, upstream in ((small_model.audio, d_audio), (small_model.visual, d_visual)):
-            grads, grad = [], upstream
-            for layer in reversed(tower.layers):
-                c = layer._cache
-                dw, db, grad = dense_backward(
-                    c["x"], layer.weights, c["pre"], c["mask"], layer.activation, grad
-                )
-                grads[:0] = [dw, db]
-            want += grads
-        input_grads = {}
-        backward = DenseLayer.backward
-
-        def spy(layer, upstream, **kwargs):
-            out = backward(layer, upstream, **kwargs)
-            input_grads[id(layer)] = out[2]
-            return out
-
-        monkeypatch.setattr(DenseLayer, "backward", spy)
+        for tower, batch_x, tag, upstream in (
+            (small_model.audio, small_batch.audio, 0, d_audio),
+            (small_model.visual, small_batch.visual, 1, d_visual),
+        ):
+            _, cache = _oracle_forward(tower, batch_x, tower.spec.dropout_rate, [2, tag])
+            want += _oracle_backward(tower, cache, upstream)
         got = small_model.backward(d_audio, d_visual)
         assert len(got) == len(want)
         for g, expected in zip(got, want):
             assert np.array_equal(g, expected)
-        for tower in (small_model.audio, small_model.visual):
-            assert input_grads[id(tower.layers[0])] is None
-            assert all(input_grads[id(layer)] is not None for layer in tower.layers[1:])
 
     def test_wrong_feature_width(self, small_model, rng):
         from avdistill import PairedBatch
@@ -173,6 +195,54 @@ class TestEncode:
     def test_embedding_batch_width_check(self, rng):
         with pytest.raises(ShapeError):
             EmbeddingBatch(rng.standard_normal((3, 2)), rng.standard_normal((3, 4)))
+
+
+class TestTower:
+    """One tower against the chained one-layer oracles, and its memory use."""
+
+    @pytest.mark.parametrize("rate", [0.0, 0.1])
+    def test_training_matches_chained_oracle(self, rng, rate):
+        tower = Tower.build(TowerSpec(6, 3, (8, 8), rate), np.random.default_rng(0))
+        x, upstream = rng.standard_normal((20, 6)), rng.standard_normal((20, 3))
+        out = tower.forward(x, training=True, seed_base=[4, 1])
+        want, cache = _oracle_forward(tower, x, rate, [4, 1])
+        assert np.array_equal(out, want)
+        for got_layer, want_layer in zip(tower._cache, cache, strict=True):
+            for got, expected in zip(got_layer, want_layer):
+                assert (got is None) == (expected is None)
+                assert expected is None or np.array_equal(got, expected)
+        got, want_grads = tower.backward(upstream), _oracle_backward(tower, cache, upstream)
+        assert len(got) == len(want_grads) == 6
+        for g, expected in zip(got, want_grads):
+            assert np.array_equal(g, expected)
+
+    def test_backward_forms_no_input_gradient(self, rng):
+        # Layer 0's input gradient would be as large as the 8 MB input; nothing reads it.
+        tower = Tower.build(TowerSpec(4096, 2, (4,)), rng)
+        x = rng.standard_normal((256, 4096))
+        tower.forward(x, training=True)
+        upstream = np.ones((256, 2))
+        tracemalloc.start()
+        try:
+            tower.backward(upstream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes // 8
+
+    def test_inference_forward_holds_three_activations(self, rng):
+        # A layer's input, pre-activation and output; the previous layer's
+        # pre-activation must be gone before the next product.
+        tower = Tower.build(TowerSpec(64, 4, (512, 512, 512)), rng)
+        x = rng.standard_normal((1000, 64))
+        activation = 1000 * 512 * 8
+        tracemalloc.start()
+        try:
+            tower.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * activation + activation // 4
 
 
 def _rows(n: int, audio_dim: int = 6, visual_dim: int = 9) -> PairedBatch:
@@ -243,6 +313,45 @@ class TestFromParameters:
         spec = small_model.audio.spec
         with pytest.raises(ShapeError, match="expected 6 tensors"):
             Tower.from_parameters(spec, small_model.audio.parameters()[:-1])
+
+    @pytest.mark.parametrize("index, shape", [(0, (4, 5)), (1, (7,)), (2, (8, 2)), (3, (3, 1))])
+    def test_wrong_shape_names_the_tensor(self, index, shape):
+        spec = TowerSpec(4, 3, (8,))
+        tensors = [np.zeros((4, 8)), np.zeros(8), np.zeros((8, 3)), np.zeros(3)]
+        message = f"tensor {index} has shape {shape}, expected {tensors[index].shape}"
+        tensors[index] = np.zeros(shape)
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            Tower.from_parameters(spec, tensors)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 5), min_size=3, max_size=5),
+        output_dim=st.integers(2, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_accepted_towers_round_trip(self, dims, output_dim, seed):
+        # Any tower from_parameters accepts saves and loads back bit for bit.
+        rng = np.random.default_rng(seed)
+        specs = [TowerSpec(dims[0], output_dim, tuple(dims[1:-1])),
+                 TowerSpec(dims[-1], output_dim, tuple(dims[1:-1]))]
+        towers = [
+            Tower.from_parameters(spec, [
+                rng.standard_normal(shape)
+                for d_in, d_out in spec.layer_dims
+                for shape in ((d_in, d_out), (d_out,))
+            ])
+            for spec in specs
+        ]
+        model = TwoTowerModel(*towers)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.xmdl"
+            save_checkpoint(model, path)
+            loaded = load_checkpoint(path)
+        assert [t.spec for t in (loaded.audio, loaded.visual)] == specs
+        params = loaded.parameters()
+        assert len(params) == len(model.parameters())
+        for p, q in zip(params, model.parameters()):
+            assert np.array_equal(p, q)
 
     def test_rebuild_preserves_forward(self, small_model, small_batch):
         rebuilt = TwoTowerModel(

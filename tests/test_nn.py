@@ -1,4 +1,4 @@
-"""Numeric core: activations, dense layers, dropout, optimizers, gradient checking."""
+"""Numeric core: activations, a tower's dense layers and dropout, optimizers, gradient checking."""
 
 import math
 import os
@@ -20,10 +20,10 @@ from avdistill import (
     TowerSpec,
     grad_check,
 )
+from avdistill.model import Tower
 from avdistill.nn import (
     _ADAM_CHUNK,
     Adam,
-    DenseLayer,
     Sgd,
     _overlap,
     he_uniform,
@@ -93,61 +93,66 @@ class TestInit:
         assert np.abs(w).max() <= np.sqrt(6.0 / 70)
 
 
+def _tower(*layers: tuple[np.ndarray, np.ndarray], rate: float = 0.0) -> Tower:
+    """A tower of the given (weights, bias) layers: ReLU on each but the last, which is linear."""
+    dims = [w.shape[1] for w, _ in layers]
+    spec = TowerSpec(layers[0][0].shape[0], dims[-1], tuple(dims[:-1]), rate)
+    return Tower.from_parameters(spec, [t for layer in layers for t in layer])
+
+
+def _eye_tower(n: int, rate: float) -> Tower:
+    """Identity weights, zero biases: the output is the hidden layer's, ReLU and dropout only."""
+    return _tower((np.eye(n), np.zeros(n)), (np.eye(n), np.zeros(n)), rate=rate)
+
+
+def _relu_identity_layers(rng) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A 7 -> 30 ReLU layer and a 30 -> 30 linear layer."""
+    return [(rng.standard_normal((7, 30)), rng.standard_normal(30)),
+            (rng.standard_normal((30, 30)), rng.standard_normal(30))]
+
+
 class TestDenseForward:
+    """A tower's layers: ReLU with inverted dropout, then a linear last layer."""
+
     def test_identity_layer_passes_input_through(self, rng):
+        # The ReLU layer splits x into its positive and negative parts; the
+        # linear last layer adds them back, negative values included.
         x = rng.standard_normal((4, 3))
-        layer = DenseLayer(np.eye(3), np.zeros(3), activation="identity")
-        np.testing.assert_array_equal(layer.forward(x), x)
+        eye = np.eye(3)
+        tower = _tower((np.hstack([eye, -eye]), np.zeros(6)), (np.vstack([eye, -eye]), np.zeros(3)))
+        np.testing.assert_array_equal(tower.forward(x), x)
 
     def test_relu_applied_elementwise(self):
-        layer = DenseLayer(np.eye(3), np.zeros(3), activation="relu")
-        out = layer.forward(np.array([[-1.0, 0.0, 2.0]]))
+        out = _eye_tower(3, rate=0.0).forward(np.array([[-1.0, 0.0, 2.0]]))
         np.testing.assert_array_equal(out, [[0.0, 0.0, 2.0]])
 
     def test_input_dim_mismatch(self):
-        layer = DenseLayer(np.eye(3), np.zeros(3), activation="identity")
         with pytest.raises(ShapeError):
-            layer.forward(np.zeros((2, 4)))
-
-    def test_bad_activation_name(self):
-        with pytest.raises(ConfigError):
-            DenseLayer(np.eye(2), np.zeros(2), activation="tanh")
+            _eye_tower(3, rate=0.0).forward(np.zeros((2, 4)))
 
     def test_dropout_zeroes_expected_fraction(self):
         # 100 x 100 = 1e4 units of all-ones pass through a 0.1 dropout mask.
-        layer = DenseLayer(np.eye(100), np.zeros(100), activation="identity")
-        out = layer.forward(
-            np.ones((100, 100)),
-            training=True,
-            dropout_rate=0.1,
-            dropout_seed=4,
-        )
+        out = _eye_tower(100, rate=0.1).forward(np.ones((100, 100)), training=True, seed_base=[4])
         fraction = float((out == 0.0).mean())
         assert abs(fraction - 0.1) < 0.02
 
     def test_inverted_dropout_preserves_expectation(self):
-        layer = DenseLayer(np.eye(100), np.zeros(100), activation="identity")
-        out = layer.forward(
-            np.ones((100, 100)),
-            training=True,
-            dropout_rate=0.1,
-            dropout_seed=9,
-        )
+        out = _eye_tower(100, rate=0.1).forward(np.ones((100, 100)), training=True, seed_base=[9])
         # Surviving units are scaled by 1/0.9, so the mean stays near 1.
         assert abs(float(out.mean()) - 1.0) < 0.02
 
     def test_dropout_inactive_at_inference(self, rng):
         x = rng.standard_normal((5, 4))
-        layer = DenseLayer(rng.standard_normal((4, 4)), np.zeros(4), activation="identity")
-        plain = layer.forward(x)
-        masked = layer.forward(x, training=False, dropout_rate=0.5, dropout_seed=1)
+        layers = [(rng.standard_normal((4, 4)), np.zeros(4)) for _ in range(2)]
+        plain = _tower(*layers).forward(x)
+        masked = _tower(*layers, rate=0.5).forward(x, training=False, seed_base=[1])
         np.testing.assert_array_equal(plain, masked)
 
     def test_dropout_mask_deterministic_per_seed(self):
-        layer = DenseLayer(np.eye(10), np.zeros(10), activation="identity")
-        a = layer.forward(np.ones((10, 10)), training=True, dropout_rate=0.3, dropout_seed=2)
-        b = layer.forward(np.ones((10, 10)), training=True, dropout_rate=0.3, dropout_seed=2)
-        c = layer.forward(np.ones((10, 10)), training=True, dropout_rate=0.3, dropout_seed=3)
+        tower = _eye_tower(10, rate=0.3)
+        a = tower.forward(np.ones((10, 10)), training=True, seed_base=[2])
+        b = tower.forward(np.ones((10, 10)), training=True, seed_base=[2])
+        c = tower.forward(np.ones((10, 10)), training=True, seed_base=[3])
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -158,111 +163,112 @@ class TestDenseForward:
     @pytest.mark.parametrize("activation", ["relu", "identity"])
     @pytest.mark.parametrize("rate", [0.0, 0.1, 0.5])
     def test_training_forward_matches_oracle(self, rng, activation, rate):
-        x = rng.standard_normal((40, 7))
-        w, b = rng.standard_normal((7, 30)), rng.standard_normal(30)
-        layer = DenseLayer(w, b, activation)
-        out = layer.forward(x, training=True, dropout_rate=rate, dropout_seed=[5, 2])
-        want_out, want_pre, want_mask = dense_forward(x, w, b, activation, rate, [5, 2])
-        cache = layer._cache
-        assert np.array_equal(out, want_out)
-        assert np.array_equal(cache["x"], x)
-        assert np.array_equal(cache["pre"], want_pre)
-        if rate == 0.0:
-            assert cache["mask"] is None
-        else:
-            assert np.array_equal(cache["mask"], want_mask)
+        """The tower's ReLU layer, or its identity last layer, against the one-layer oracle.
 
-    def test_identity_dropout_keeps_cached_pre(self, rng):
-        x = rng.standard_normal((20, 6))
-        w, b = rng.standard_normal((6, 6)), rng.standard_normal(6)
-        layer = DenseLayer(w, b, "identity")
-        out = layer.forward(x, training=True, dropout_rate=0.5, dropout_seed=3)
-        pre, mask = layer._cache["pre"], layer._cache["mask"]
-        assert (out == 0.0).any() and (pre != 0.0).all()
-        assert np.array_equal(pre, x @ w + b)
-        assert np.array_equal(out, pre * mask)
+        The last layer takes no dropout, whatever the tower's rate.
+        """
+        x = rng.standard_normal((40, 7))
+        layers = _relu_identity_layers(rng)
+        tower = _tower(*layers, rate=rate)
+        out = tower.forward(x, training=True, seed_base=[5, 2])
+        hidden, pre0, mask0 = dense_forward(x, *layers[0], "relu", rate, [5, 2, 0])
+        want_out, pre1, _ = dense_forward(hidden, *layers[1], "identity", 0.0, None)
+        i = 0 if activation == "relu" else 1
+        want_x, want_pre, want_mask, want_layer_out = [
+            (x, pre0, mask0, hidden), (hidden, pre1, None, want_out)
+        ][i]
+        got_x, got_pre, got_mask = tower._cache[i]
+        assert np.array_equal(got_x, want_x)
+        assert np.array_equal(got_pre, want_pre)
+        if want_mask is None:
+            assert got_mask is None
+        else:
+            assert np.array_equal(got_mask, want_mask)
+        # Layer 0's output is layer 1's cached input.
+        assert np.array_equal(tower._cache[1][0] if i == 0 else out, want_layer_out)
 
 
 class TestDenseBackward:
     def test_zero_upstream_gives_zero_gradients(self, rng):
-        layer = DenseLayer(rng.standard_normal((3, 2)), rng.standard_normal(2), "identity")
-        layer.forward(rng.standard_normal((4, 3)), training=True)
-        dw, db, dx = layer.backward(np.zeros((4, 2)))
-        assert not dw.any() and not db.any() and not dx.any()
+        tower = _tower((rng.standard_normal((3, 2)), rng.standard_normal(2)),
+                       (rng.standard_normal((2, 2)), rng.standard_normal(2)))
+        tower.forward(rng.standard_normal((4, 3)), training=True)
+        assert not any(g.any() for g in tower.backward(np.zeros((4, 2))))
 
     def test_single_linear_unit_chain_rule(self):
-        """w=2, input 3, upstream 1: dW = 3, db = 1, dInput = 2."""
-        layer = DenseLayer(np.array([[2.0]]), np.zeros(1), activation="identity")
-        layer.forward(np.array([[3.0]]), training=True)
-        dw, db, dx = layer.backward(np.array([[1.0]]))
-        assert dw[0, 0] == 3.0
-        assert db[0] == 1.0
-        assert dx[0, 0] == 2.0
+        """w=2, input 3, upstream 1 through a linear last layer: dW = 3, db = 1."""
+        tower = _tower((np.array([[2.0]]), np.zeros(1)), (np.array([[1.0, 0.0]]), np.zeros(2)))
+        tower.forward(np.array([[3.0]]), training=True)
+        dw0, db0, dw1, db1 = tower.backward(np.array([[1.0, 0.0]]))
+        assert dw0[0, 0] == 3.0
+        assert db0[0] == 1.0
+        np.testing.assert_array_equal(dw1, [[6.0, 0.0]])
+        np.testing.assert_array_equal(db1, [1.0, 0.0])
 
     def test_backward_without_forward_is_state_error(self):
-        layer = DenseLayer(np.eye(2), np.zeros(2), activation="relu")
+        tower = _eye_tower(2, rate=0.0)
         with pytest.raises(StateError):
-            layer.backward(np.zeros((1, 2)))
+            tower.backward(np.zeros((1, 2)))
+        tower.forward(np.ones((1, 2)))  # inference caches nothing
+        with pytest.raises(StateError):
+            tower.backward(np.zeros((1, 2)))
 
     def test_backward_shape_mismatch(self, rng):
-        layer = DenseLayer(rng.standard_normal((3, 2)), np.zeros(2), "relu")
-        layer.forward(rng.standard_normal((4, 3)), training=True)
+        tower = _tower((rng.standard_normal((3, 2)), np.zeros(2)), (np.eye(2), np.zeros(2)))
+        tower.forward(rng.standard_normal((4, 3)), training=True)
         with pytest.raises(ShapeError):
-            layer.backward(np.zeros((4, 3)))
+            tower.backward(np.zeros((4, 3)))
 
     def test_gradients_match_finite_differences(self, rng):
         x = rng.standard_normal((5, 4))
         upstream = rng.standard_normal((5, 3))
-        w0 = rng.standard_normal((4, 3))
-        b0 = rng.standard_normal(3)
+        w0, b0 = rng.standard_normal((4, 3)), rng.standard_normal(3)
+        w1, b1 = rng.standard_normal((3, 3)), rng.standard_normal(3)
 
-        def loss_of_weights(w):
-            probe = DenseLayer(w, b0, activation="relu")
-            return float((probe.forward(x) * upstream).sum())
+        def loss_of_w0(w):
+            return float((_tower((w, b0), (w1, b1)).forward(x) * upstream).sum())
 
-        def loss_of_input(xi):
-            probe = DenseLayer(w0, b0, activation="relu")
-            return float((probe.forward(xi) * upstream).sum())
+        def loss_of_w1(w):
+            return float((_tower((w0, b0), (w, b1)).forward(x) * upstream).sum())
 
-        layer = DenseLayer(w0, b0, activation="relu")
-        layer.forward(x, training=True)
-        dw, db, dx = layer.backward(upstream)
+        tower = _tower((w0, b0), (w1, b1))
+        tower.forward(x, training=True)
+        dw0, _, dw1, _ = tower.backward(upstream)
 
-        num_dw = numeric_gradient(loss_of_weights, w0, h=1e-4)
-        num_dx = numeric_gradient(loss_of_input, x, h=1e-4)
-        for analytic, numeric in ((dw, num_dw), (dx, num_dx)):
+        num_dw0 = numeric_gradient(loss_of_w0, w0, h=1e-4)
+        num_dw1 = numeric_gradient(loss_of_w1, w1, h=1e-4)
+        for analytic, numeric in ((dw0, num_dw0), (dw1, num_dw1)):
             denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
             assert (np.abs(analytic - numeric) / denom).max() < 1e-4
 
     @pytest.mark.parametrize("activation", ["relu", "identity"])
     @pytest.mark.parametrize("rate", [0.0, 0.1, 0.5])
     def test_backward_matches_oracle(self, rng, activation, rate):
+        """The gradients of the tower's ReLU layer, or of its identity last layer."""
         x = rng.standard_normal((40, 7))
-        w, b = rng.standard_normal((7, 30)), rng.standard_normal(30)
+        layers = _relu_identity_layers(rng)
         upstream = rng.standard_normal((40, 30))
-        layer = DenseLayer(w, b, activation)
-        layer.forward(x, training=True, dropout_rate=rate, dropout_seed=8)
-        _, pre, mask = dense_forward(x, w, b, activation, rate, 8)
-        want = dense_backward(x, w, pre, mask, activation, upstream)
-        got = layer.backward(upstream)
-        for g, expected in zip(got, want):
-            assert np.array_equal(g, expected)
-        dw, db, dx = layer.backward(upstream, input_grad=False)
-        assert dx is None
-        assert np.array_equal(dw, want[0]) and np.array_equal(db, want[1])
+        tower = _tower(*layers, rate=rate)
+        tower.forward(x, training=True, seed_base=[8])
+        hidden, pre0, mask0 = dense_forward(x, *layers[0], "relu", rate, [8, 0])
+        _, pre1, _ = dense_forward(hidden, *layers[1], "identity", 0.0, None)
+        dw1, db1, d_hidden = dense_backward(hidden, layers[1][0], pre1, None, "identity", upstream)
+        dw0, db0, _ = dense_backward(x, layers[0][0], pre0, mask0, "relu", d_hidden)
+        got, want = tower.backward(upstream), [dw0, db0, dw1, db1]
+        i = 0 if activation == "relu" else 2
+        assert np.array_equal(got[i], want[i]) and np.array_equal(got[i + 1], want[i + 1])
 
     def test_dropout_mask_replayed_in_backward(self, rng):
         x = np.abs(rng.standard_normal((6, 5))) + 0.5
-        layer = DenseLayer(np.eye(5), np.zeros(5), "identity")
-        out = layer.forward(x, training=True, dropout_rate=0.4, dropout_seed=7)
+        tower = _eye_tower(5, rate=0.4)
+        out = tower.forward(x, training=True, seed_base=[7])
         assert (out == 0.0).any(), "seed should drop at least one unit"
-        dw, db, dx = layer.backward(np.ones_like(out))
+        dw0, db0, _, _ = tower.backward(np.ones_like(out))
         # With identity weights the mask can be read off the output, and the
         # backward pass must route gradients through that exact mask.
         mask = out / x
-        np.testing.assert_allclose(db, mask.sum(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(dx, mask, rtol=1e-12)
-        np.testing.assert_allclose(dw, x.T @ mask, rtol=1e-12)
+        np.testing.assert_allclose(db0, mask.sum(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(dw0, x.T @ mask, rtol=1e-12)
 
 
 class TestOptimizers:
