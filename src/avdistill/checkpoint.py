@@ -48,7 +48,7 @@ def save_checkpoint(model: TwoTowerModel, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> TwoTowerModel:
     raw = Path(path).read_bytes()
     reader = _Reader(raw)
-    magic = reader.take(4, "magic")
+    magic = bytes(reader.take(4, "magic"))
     if magic != XMDL_MAGIC:
         raise FormatError(
             f"bad magic {magic!r} at byte 0, expected {XMDL_MAGIC!r}"
@@ -80,10 +80,12 @@ def load_checkpoint(path: str | Path) -> TwoTowerModel:
 
 class _Reader:
     def __init__(self, raw: bytes) -> None:
-        self.raw = raw
+        # Slices of a memoryview copy nothing; a tensor's values are copied
+        # once, by `_read_tensor`'s astype.
+        self.raw = memoryview(raw)
         self.offset = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.offset + n > len(self.raw):
             raise FormatError(
                 f"unexpected end of file at byte {len(self.raw)} while reading {what} "

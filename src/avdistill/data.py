@@ -238,7 +238,7 @@ def _load_binary(path: Path) -> tuple[DatasetMeta, PairedBatch]:
     # Sized with Python ints and checked against the body before numpy sees the
     # dims, so a crafted header is a truncated file, not a dtype too large to build.
     record_size = 4 * (audio_dim + visual_dim) + 4
-    body = raw[header_size:]
+    body = memoryview(raw)[header_size:]  # no copy of the records
     complete = len(body) // record_size
     if complete < n:
         raise DataError(

@@ -37,7 +37,7 @@ from .nn import _overlap
 # temporaries are block x gallery, and with two usable CPUs both directions
 # hold one block each at the same time, so two blocks must fit where one
 # serial block did. On the eval-4k benchmark (2-core host) the overlapped
-# evaluate peaked at 366 MB with 256-row blocks and 315 MB with 64, against
+# evaluate peaked at 366 MB with 256-row blocks and 310-325 MB with 64, against
 # 310 MB for the serial 256-row ranking; 32 rows peaked no lower and ranked no
 # faster than 64.
 _BLOCK = 64

@@ -8,8 +8,8 @@ holds their weights and biases and writes out their forward and backward.
 
 The towers share no state, so `TwoTowerModel.encode` and `backward` run the
 audio tower on a worker thread while the caller runs the visual tower (see
-`nn._overlap`), for batches of at most `_OVERLAP_ROWS` rows. Each tower does
-the same float operations either way, so results are bit-identical.
+`nn._overlap`), at any batch size. Each tower does the same float operations
+either way, so results are bit-identical.
 """
 
 from __future__ import annotations
@@ -24,14 +24,6 @@ from .nn import DTYPE, SeedLike, _overlap, he_uniform, relu, seed_list, xavier_u
 
 _AUDIO_TAG = 0
 _VISUAL_TAG = 1
-
-# Batches of at most this many rows run their two towers at once: the training
-# step (400 rows), the teacher pass and train()'s evaluations (600 rows at the
-# reference scale). Larger batches, such as a 4000-row evaluate, stay on the
-# caller: overlapping one raised peak RSS by 25% (310.6 -> 388.6 MB on the
-# eval-4k benchmark), because the worker's malloc arena keeps its freed 31 MiB
-# activations, for a 5% faster evaluation.
-_OVERLAP_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -67,8 +59,9 @@ class Tower:
 
     The tower holds its flat [w0, b0, w1, b1, ...] parameter list. A
     training-mode forward caches each layer's input, pre-activation and dropout
-    mask for backward; an inference forward leaves that cache alone, so a side
-    evaluation never invalidates a pending backward.
+    mask for backward. An inference forward leaves that cache alone, so a side
+    evaluation never invalidates a pending backward, and writes its hidden
+    layers in place into the two halves of one block it allocates per call.
     """
 
     def __init__(self, spec: TowerSpec, params: list[np.ndarray]) -> None:
@@ -110,20 +103,31 @@ class Tower:
                 f"input shape {h.shape} does not match tower input dim {self.spec.input_dim}"
             )
         base = seed_base or [0]
-        rate = self.spec.dropout_rate if training else 0.0
-        last = len(self.spec.hidden_dims)
+        rate = self.spec.dropout_rate
+        rows, last = h.shape[0], len(self.spec.hidden_dims)
+        if not training:
+            # Hidden layer i writes into half i % 2, so an inference forward
+            # holds two activations. At 4000 x 1024 the block is 65.5 MB, above
+            # glibc's largest mmap threshold, so it goes back to the system on
+            # free from whichever thread ran the forward.
+            block = np.empty((2, rows * max(self.spec.hidden_dims)), dtype=DTYPE)
         for i in range(last):
-            pre = h @ self._params[2 * i] + self._params[2 * i + 1]
-            out, mask = relu(pre), None
-            if rate > 0.0:
-                rng = np.random.default_rng([*base, i])
-                mask = (rng.random(out.shape) >= rate) * (1.0 / (1.0 - rate))
-                out *= mask
+            w, b = self._params[2 * i], self._params[2 * i + 1]
             if training:
+                pre = h @ w + b
+                out, mask = relu(pre), None
+                if rate > 0.0:
+                    rng = np.random.default_rng([*base, i])
+                    mask = (rng.random(out.shape) >= rate) * (1.0 / (1.0 - rate))
+                    out *= mask
                 self._cache[i] = (h, pre, mask)
-            # Free this layer's pre-activation, then its input, before the next
-            # product: holding either raises peak memory by an activation.
-            pre, h = None, out
+            else:
+                out = block[i % 2, : rows * w.shape[1]].reshape(rows, w.shape[1])
+                np.matmul(h, w, out=out)
+                out += b
+                np.maximum(out, 0.0, out=out)
+            h = out
+        # A fresh array: the output must not alias the block.
         out = h @ self._params[2 * last] + self._params[2 * last + 1]
         if training:
             self._cache[last] = (h, out, None)
@@ -176,13 +180,6 @@ class EmbeddingBatch:
         return self.audio.shape[0]
 
 
-def _towers(rows: int, audio, visual):
-    """(audio(), visual()), overlapped when the batch has at most `_OVERLAP_ROWS` rows."""
-    if rows <= _OVERLAP_ROWS:
-        return _overlap(audio, visual)
-    return audio(), visual()
-
-
 class TwoTowerModel:
     """Audio tower + visual tower sharing an output space."""
 
@@ -221,8 +218,7 @@ class TwoTowerModel:
         checker keeps it fixed.
         """
         base = seed_list(step_seed)
-        a, v = _towers(
-            len(batch),
+        a, v = _overlap(
             lambda: self.audio.forward(
                 batch.audio, training=training, seed_base=[*base, _AUDIO_TAG]
             ),
@@ -234,8 +230,7 @@ class TwoTowerModel:
 
     def backward(self, d_audio: np.ndarray, d_visual: np.ndarray) -> list[np.ndarray]:
         """Gradients for every parameter, aligned with parameters()."""
-        d_a, d_v = _towers(
-            np.shape(d_audio)[0] if np.ndim(d_audio) else 0,
+        d_a, d_v = _overlap(
             lambda: self.audio.backward(d_audio),
             lambda: self.visual.backward(d_visual),
         )

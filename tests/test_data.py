@@ -122,6 +122,16 @@ class TestBinaryFormat:
         np.testing.assert_array_equal(data2.visual, data.visual)
         np.testing.assert_array_equal(data2.labels, data.labels)
 
+    def test_loaded_arrays_are_fresh_writeable_arrays(self, tmp_path, file_reads):
+        meta, data = _tiny_dataset()
+        path = tmp_path / "tiny.avfd"
+        save_features(path, meta, data)
+        _, back = load_features(path)
+        assert len(file_reads) == 1
+        for array in (back.audio, back.visual, back.labels):
+            assert array.flags.writeable and array.flags.c_contiguous
+            assert not np.shares_memory(array, file_reads[0])
+
     def test_generated_dataset_roundtrip(self, tmp_path):
         meta, data = generate_synthetic(SyntheticSpec(n_classes=2, pairs_per_class=4,
                                                       audio_dim=6, visual_dim=9, seed=2))

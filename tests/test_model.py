@@ -24,7 +24,7 @@ from avdistill import (
     load_checkpoint,
     save_checkpoint,
 )
-from avdistill.model import _OVERLAP_ROWS, Tower
+from avdistill.model import Tower
 
 from oracles import dense_backward, dense_forward
 
@@ -230,19 +230,51 @@ class TestTower:
             tracemalloc.stop()
         assert peak < x.nbytes // 8
 
-    def test_inference_forward_holds_three_activations(self, rng):
-        # A layer's input, pre-activation and output; the previous layer's
-        # pre-activation must be gone before the next product.
+    @pytest.mark.parametrize("hidden", [(8, 8), (8, 32, 16)], ids=["equal", "unequal"])
+    @pytest.mark.parametrize("rows", [0, 1, 7, 4000])
+    def test_inference_matches_chained_oracle(self, rng, rows, hidden):
+        # Unequal widths make the narrower layers write views of the block's halves.
+        tower = Tower.build(TowerSpec(6, 3, hidden, 0.1), np.random.default_rng(0))
+        x = rng.standard_normal((rows, 6))
+        out = tower.forward(x)
+        assert out.shape == (rows, 3)
+        assert np.array_equal(out, _oracle_forward(tower, x, 0.0, [0])[0])
+
+    def test_inference_outputs_own_their_memory(self, rng):
+        tower = Tower.build(TowerSpec(6, 3, (8, 32, 16)), np.random.default_rng(0))
+        x, y = rng.standard_normal((50, 6)), rng.standard_normal((50, 6))
+        first = tower.forward(x)
+        kept = first.copy()
+        second = tower.forward(y)
+        assert np.array_equal(first, kept)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(second, _oracle_forward(tower, y, 0.0, [0])[0])
+
+    def test_inference_between_forward_and_backward_keeps_gradients(self, rng):
+        tower = Tower.build(TowerSpec(6, 3, (8, 32, 16), 0.1), np.random.default_rng(0))
+        x, upstream = rng.standard_normal((20, 6)), rng.standard_normal((20, 3))
+        tower.forward(x, training=True, seed_base=[3])
+        want = tower.backward(upstream)
+        tower.forward(x, training=True, seed_base=[3])
+        tower.forward(rng.standard_normal((20, 6)))
+        got = tower.backward(upstream)
+        for g, expected in zip(got, want, strict=True):
+            assert np.array_equal(g, expected)
+
+    def test_inference_forward_holds_two_activations(self, rng):
+        # The two halves of the block. The output is a fresh array of 4 columns,
+        # so holding it does not keep the block alive.
         tower = Tower.build(TowerSpec(64, 4, (512, 512, 512)), rng)
         x = rng.standard_normal((1000, 64))
         activation = 1000 * 512 * 8
         tracemalloc.start()
         try:
-            tower.forward(x)
-            peak = tracemalloc.get_traced_memory()[1]
+            out = tower.forward(x)
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * activation + activation // 4
+        assert peak <= 2 * activation + activation // 4
+        assert held <= 2 * out.nbytes
 
 
 def _rows(n: int, audio_dim: int = 6, visual_dim: int = 9) -> PairedBatch:
@@ -254,7 +286,7 @@ def _rows(n: int, audio_dim: int = 6, visual_dim: int = 9) -> PairedBatch:
 class TestTowerOverlap:
     """Both towers at once on two threads, against the same model forced serial."""
 
-    @pytest.mark.parametrize("rows", [6, _OVERLAP_ROWS, _OVERLAP_ROWS + 1])
+    @pytest.mark.parametrize("rows", [6, 400, 1024, 1025, 4000])
     @pytest.mark.parametrize("training", [False, True], ids=["inference", "training"])
     def test_encode_matches_serial(self, small_model, usable_cpus, monkeypatch, rows, training):
         batch = _rows(rows)
@@ -270,8 +302,8 @@ class TestTowerOverlap:
         serial = small_model.encode(batch, training=training, step_seed=4)
         usable_cpus(2)
         overlapped = small_model.encode(batch, training=training, step_seed=4)
-        # The audio tower goes to the worker only for batches of at most _OVERLAP_ROWS.
-        assert on_caller == {True: rows > _OVERLAP_ROWS, False: True}
+        # The audio tower goes to the worker at every batch size.
+        assert on_caller == {True: False, False: True}
         assert np.array_equal(serial.audio, overlapped.audio)
         assert np.array_equal(serial.visual, overlapped.visual)
 
@@ -412,6 +444,16 @@ class TestCheckpoint:
         save_checkpoint(small_model, p1)
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_loaded_tensors_are_fresh_writeable_arrays(self, tmp_path, small_model, file_reads):
+        # Adam updates parameters in place through flat views; no tensor keeps the file alive.
+        path = tmp_path / "m.xmdl"
+        save_checkpoint(small_model, path)
+        loaded = load_checkpoint(path)
+        assert len(file_reads) == 1
+        for tensor in loaded.parameters():
+            assert tensor.flags.writeable and tensor.flags.c_contiguous
+            assert not np.shares_memory(tensor, file_reads[0])
 
     def test_bad_magic(self, tmp_path, small_model):
         path = tmp_path / "m.xmdl"
