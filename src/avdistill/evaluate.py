@@ -8,11 +8,20 @@ is one sharing the query's class, and average precision is taken over the
 full ranked list. Queries whose class has no gallery match are excluded from the
 mean and counted in the report.
 
-Rows are sorted with numpy's default (unstable, vectorized) argsort. A row
-whose sorted values strictly increase has exactly one ascending order, so that
-order is already the lowest-index one; only rows with an equal pair (±0.0
-included) or a NaN are sorted again with the stable argsort. Rankings, and so
-every AP and P@k, are the same as a stable sort of every row.
+Each row is ranked by one sort of unsigned 64-bit keys, `(distance bits << 1)
+| relevant`: the sorted keys give the relevance of every rank, with no argsort
+or gather. The keys are exact on non-negative distances. The bit patterns of
+non-negative doubles order as their values do, and the shift drops only the
+sign bit, which is 0 (-0.0 wraps to +0.0's key). So a row whose values
+strictly increase sorts into its one ascending order, which is the lowest-index
+one. Three kinds of row are re-sorted with the stable argsort instead: a row
+with an equal pair (two sorted keys that differ in at most the relevance bit,
+±0.0 included), a row with a NaN (its last key is above inf's), and a row with
+a negative value. AP and P@k are then read from the relevant items' ranks
+alone. Rankings, and so every AP and P@k, are the same as a stable sort of
+every row. Each AP still sums a full gallery row of hits / rank with zeros at
+the irrelevant ranks, so its float summation order is that of the dense
+`(hits / ranks) * rel` row.
 
 When two or more CPUs are usable, the two directions rank at once through
 `nn._overlap`: a2v on the worker thread, v2a on the caller, both reading the
@@ -33,14 +42,16 @@ from .losses import pairwise_normalized_distances
 from .model import TwoTowerModel
 from .nn import _overlap
 
-# Query rows ranked at once. The order, sorted-value, relevance and cumsum
-# temporaries are block x gallery, and with two usable CPUs both directions
-# hold one block each at the same time, so two blocks must fit where one
-# serial block did. On the eval-4k benchmark (2-core host) the overlapped
-# evaluate peaked at 366 MB with 256-row blocks and 310-325 MB with 64, against
-# 310 MB for the serial 256-row ranking; 32 rows peaked no lower and ranked no
-# faster than 64.
+# Query rows ranked at once. The key buffer and the xor, relevance-bit and
+# precision temporaries are block x gallery (2 MB each at 64 x 4000), and with
+# two usable CPUs both directions hold one block each at the same time. On the
+# eval-4k benchmark (2-core host, 4000 x 4000) the overlapped evaluate peaked at
+# about 307 or 324 MB with 64 rows (the figure flips between runs), and at about
+# 303 or 319 MB with 32 rows, which ranked faster in only 5 of 10 pairs; 128
+# rows raised the peak by 20 MB and ranked slower.
 _BLOCK = 64
+# inf's key with the relevance bit set: only a NaN's key is larger.
+_INF_KEY = np.uint64(0x7FF0000000000000 << 1 | 1)
 
 
 @dataclass
@@ -85,37 +96,53 @@ def _direction_metrics(
 ) -> tuple[float, int, int, dict[int, float]]:
     """Mean AP, query count, excluded count and mean P@k over the query rows of `dist`.
 
-    Rows are ranked `_BLOCK` at a time, stably re-sorting only the tied rows
+    Rows are ranked `_BLOCK` at a time by one sort of their distance-and-
+    relevance keys, stably re-sorting only the rows the keys cannot order
     (see the module docstring). AP of one query is (1/R) times the sum of
     hits@r / r over its R relevant ranks r.
     """
-    n_gallery = dist.shape[1]
+    n_rows, n_gallery = dist.shape
     usable_ks = [k for k in ks if 1 <= k <= n_gallery]
-    ranks = np.arange(1, n_gallery + 1)
+    # One pass for the whole direction; a NaN row reads False here, but its
+    # last sorted key routes it below.
+    negative = dist.min(axis=1) < 0
+    keys = np.empty((min(_BLOCK, n_rows), n_gallery), dtype=np.uint64)
     aps = []
     p_at_k: dict[int, list[np.ndarray]] = {k: [] for k in usable_ks}
-    for start in range(0, dist.shape[0], _BLOCK):
+    for start in range(0, n_rows, _BLOCK):
         rows = slice(start, start + _BLOCK)
-        # A contiguous copy, so the v2a side (rows of dist.T) sorts
-        # contiguous rows; for a2v the slice is contiguous already.
-        block = np.ascontiguousarray(dist[rows])
-        order = np.argsort(block, axis=1)
-        ranked = np.take_along_axis(block, order, axis=1)
-        tied = ~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
-        if tied.any():
-            order[tied] = np.argsort(block[tied], axis=1, kind="stable")
-        rel = labels[order] == labels[rows, None]
-        hits = np.cumsum(rel, axis=1)
-        kept = hits[:, -1] > 0
-        rel, hits = rel[kept], hits[kept]
-        aps.append(((hits / ranks) * rel).sum(axis=1) / hits[:, -1])
+        block = dist[rows]
+        key = keys[: block.shape[0]]
+        # For v2a (rows of dist.T) the shift also gathers the rows contiguously.
+        np.left_shift(block.view(np.uint64), 1, out=key)
+        key |= labels == labels[rows, None]
+        key.sort(axis=1)
+        fallback = ((key[:, 1:] ^ key[:, :-1]) <= 1).any(axis=1)
+        fallback |= (key[:, -1] > _INF_KEY) | negative[rows]
+        if fallback.any():
+            order = np.argsort(block[fallback], axis=1, kind="stable")
+            # Only the relevance bit is read from here on.
+            key[fallback] = labels[order] == labels[rows][fallback, None]
+        # Flat indices of the relevant items: rows ascending, ranks within a row.
+        relevant = np.flatnonzero(key & 1)
+        row, rank = np.divmod(relevant, n_gallery)
+        rank += 1
+        n_relevant = np.bincount(row, minlength=key.shape[0])
+        first = np.cumsum(n_relevant) - n_relevant
+        hits = np.arange(1, relevant.size + 1) - np.repeat(first, n_relevant)
+        # Zeros at the irrelevant ranks keep each row's pairwise summation
+        # order that of the dense (hits / ranks) * rel row.
+        precision = np.zeros(key.shape)
+        precision.flat[relevant] = hits / rank
+        kept = n_relevant > 0
+        aps.append(precision.sum(axis=1)[kept] / n_relevant[kept])
         for k in usable_ks:
-            p_at_k[k].append(hits[:, k - 1] / k)
+            p_at_k[k].append(np.bincount(row[rank <= k], minlength=key.shape[0])[kept] / k)
     ap = np.concatenate(aps)
     n = ap.size
     mean_ap = float(np.mean(ap)) if n else 0.0
     table = {k: float(np.mean(np.concatenate(v))) if n else 0.0 for k, v in p_at_k.items()}
-    return mean_ap, n, dist.shape[0] - n, table
+    return mean_ap, n, n_rows - n, table
 
 
 def evaluate(

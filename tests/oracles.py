@@ -255,9 +255,11 @@ def stable_direction_metrics(
 ) -> tuple[float, int, int, dict[int, float]]:
     """The retrieval kernel with a stable argsort on every row, unblocked.
 
-    Same operations and float summation order as `evaluate._direction_metrics`;
-    each row's AP is summed within its own row, so blocking does not change
-    the bits either. The two must agree exactly.
+    `evaluate._direction_metrics` ranks by sorted keys and reads only the
+    relevant ranks; the two share only the per-row float summation order: each
+    AP sums its full gallery row of (hits / ranks) * rel, zeros included, so
+    neither the ranking method nor blocking changes the bits. The two must
+    agree exactly.
     """
     ranks = np.arange(1, dist.shape[1] + 1)
     order = np.argsort(dist, axis=1, kind="stable")

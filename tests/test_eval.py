@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avdistill import (
     NumericError,
@@ -180,6 +182,44 @@ def _kernel_cases(rng):
     return [gaussian, grid, flat, signed_zeros, nans, mixed]
 
 
+def _keyed_cases(rng, labels):
+    """Non-negative matrices for `labels`, most of whose rows take the keyed sort.
+
+    Row r's own column is relevant and `other[r]` is an irrelevant column, so
+    values planted at the two have opposite relevance; the lower index is the
+    relevant one in about half the rows.
+    """
+    n = labels.size
+    rows = np.arange(n)
+    other = np.array([rng.choice(np.flatnonzero(labels != labels[r])) for r in rows])
+    positive = np.abs(rng.standard_normal((n, n)))
+    # +0.0 and -0.0 share a key apart from the relevance bit: they tie.
+    zeros = np.abs(rng.standard_normal((n, n)))
+    zeros[rows[::4], rows[::4]], zeros[rows[::4], other[::4]] = 0.0, -0.0
+    zeros[rows[1::4], rows[1::4]], zeros[rows[1::4], other[1::4]] = -0.0, 0.0
+    zeros[rows[2::4], rows[2::4]] = -0.0  # a lone -0.0 ranks first, untied
+    zeros[rows[3::4], other[3::4]] = 0.0
+    # One ulp apart, in both orders, and (every third row) exactly equal.
+    ulps = np.abs(rng.standard_normal((n, n)))
+    own = ulps[rows, rows]
+    ulps[rows, other] = np.where(rows % 2 == 0, np.nextafter(own, np.inf), np.nextafter(own, 0.0))
+    ulps[rows[2::3], other[2::3]] = own[2::3]
+    # Subnormals up to 2.0, with the extremes planted.
+    wide = np.exp2(rng.uniform(-1074.0, 1.0, size=(n, n)))
+    wide[rows, rows] = np.where(rows % 2 == 0, 5e-324, 2.0)
+    wide[rows, other] = np.where(rows % 2 == 0, 1e-310, np.nextafter(2.0, 0.0))
+    # Keyed rows beside a tie (every 3rd), a NaN (5th) and a negative (7th).
+    mixed = np.abs(rng.standard_normal((n, n)))
+    mixed[::3, 1] = mixed[::3, n - 2]
+    mixed[::5, 4] = np.nan
+    mixed[::7, 6] = -mixed[::7, 6]
+    return [positive, zeros, ulps, wide, mixed]
+
+
+# Non-negative values for the alphabet test, inf and both zeros included.
+_ALPHABET = np.array([0.0, -0.0, 5e-324, 1e-310, 0.25, 0.5, np.nextafter(0.5, 1.0), 1.0, 2.0, np.inf])
+
+
 class TestRankingKernel:
     """`_direction_metrics` against the all-stable-sort kernel, bit for bit."""
 
@@ -192,6 +232,34 @@ class TestRankingKernel:
             labels = rng.integers(0, 4, size=dist.shape[0])
             for d in (dist, dist.T):
                 assert _direction_metrics(d, labels, ks) == stable_direction_metrics(d, labels, ks)
+
+    @pytest.mark.parametrize("block", [_evaluate_module._BLOCK, 40])
+    def test_keyed_cases_match_stable_kernel(self, rng, monkeypatch, block):
+        monkeypatch.setattr(_evaluate_module, "_BLOCK", block)
+        ks = (1, 5, 10, 96, 97, 1000)
+        labels = rng.integers(0, 4, size=96)
+        for dist in _keyed_cases(rng, labels):
+            # Rows the keys can order: no NaN, no negative, strictly increasing when sorted.
+            keyed = (np.diff(np.sort(dist, axis=1), axis=1) > 0).all(axis=1) & (dist >= 0).all(axis=1)
+            assert keyed.sum() >= dist.shape[0] // 3
+            for d in (dist, dist.T):
+                assert _direction_metrics(d, labels, ks) == stable_direction_metrics(d, labels, ks)
+
+    @given(
+        st.integers(1, 80),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_small_alphabet_matches_stable_kernel(self, n, n_labels, seed):
+        # Few distinct values: rows run from tie-free (small n) to all-tied,
+        # and more than 64 rows end in a second, partial block.
+        rng = np.random.default_rng(seed)
+        dist = rng.choice(_ALPHABET, size=(n, n))
+        labels = rng.integers(0, n_labels, size=n)
+        ks = (1, 5, n, n + 1)
+        for d in (dist, dist.T):
+            assert _direction_metrics(d, labels, ks) == stable_direction_metrics(d, labels, ks)
 
 
 class TestReportSerialization:
