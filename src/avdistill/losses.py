@@ -411,19 +411,14 @@ def _triplet_term(
     )
     dcache = _distances_with_cache(proxied_a, proxied_v)
     dist = dcache["dist"]
-    rule = (cfg.strategy, cfg.anchor_mode, cfg.margin)
-    if len(subset_positives) == 1 and np.array_equal(subset_positives[0][0], np.arange(len(dist))):
-        # One subset, the whole batch in order: its grid is `dist` itself and
-        # its gradient is all of d_dist. The value equals the loop's 0.0 + value,
-        # as a positive margin never reduces to -0.0.
-        value, d_dist = _batch_triplet_reduce(subset_positives[0][1], dist, *rule)
-    else:
-        value, d_dist = 0.0, np.zeros_like(dist)
-        for idx, pos in subset_positives:
-            grid = np.ix_(idx, idx)
-            local_value, d_local = _batch_triplet_reduce(pos, dist[grid], *rule)
-            value += local_value
-            d_dist[grid] = d_local  # subset grids never overlap
+    value, d_dist = 0.0, np.zeros_like(dist)
+    for idx, pos in subset_positives:
+        grid = np.ix_(idx, idx)
+        local_value, d_local = _batch_triplet_reduce(
+            pos, dist[grid], cfg.strategy, cfg.anchor_mode, cfg.margin
+        )
+        value += local_value
+        d_dist[grid] = d_local  # subset grids never overlap
     d_pa, d_pv = _distance_backward(dcache, d_dist)
     return value, _overlap(
         lambda: _proxy_backward(cache_a, d_pa), lambda: _proxy_backward(cache_v, d_pv)

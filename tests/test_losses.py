@@ -13,7 +13,6 @@ from avdistill import (
     LossConfig,
     NormalizationError,
     NumericError,
-    PartitionPlan,
     ShapeError,
     build_triplets,
     composite_loss,
@@ -454,19 +453,6 @@ class TestCompositeLoss:
         b_full, _ = composite_loss(small_model, small_batch, full, cfg, step_seed=5)
         b_mixed, _ = composite_loss(small_model, small_batch, mixed, cfg, step_seed=5)
         assert b_full.total != b_mixed.total
-
-    def test_whole_batch_in_order_matches_a_scattered_grid(self, small_model, small_batch):
-        # In order, the one subset reduces `dist` itself; shuffled, it reduces
-        # a gathered grid and scatters the gradient back. Gradients are integer
-        # counts over the triple count, so they agree exactly.
-        n = len(small_batch)
-        cfg = LossConfig()
-        in_order = partition_batch(n, 1.0, seed=0)
-        shuffled = PartitionPlan(np.random.default_rng(0).permutation(n), np.zeros(0, np.int64))
-        b_order, g_order = composite_loss(small_model, small_batch, in_order, cfg, step_seed=5)
-        b_shuf, g_shuf = composite_loss(small_model, small_batch, shuffled, cfg, step_seed=5)
-        assert abs(b_order.triplet_term - b_shuf.triplet_term) < 1e-12
-        assert all(np.array_equal(a, b) for a, b in zip(g_order, g_shuf))
 
     def test_gradients_survive_grad_check(self):
         _grad_check_composite(LossConfig())
