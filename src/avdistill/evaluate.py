@@ -23,10 +23,15 @@ every row. Each AP still sums a full gallery row of hits / rank with zeros at
 the irrelevant ranks, so its float summation order is that of the dense
 `(hits / ranks) * rel` row.
 
-When two or more CPUs are usable, the two directions rank at once through
-`nn._overlap`: a2v on the worker thread, v2a on the caller, both reading the
-one distance matrix. Each direction does the same float operations on the same
-rows as it would alone, so the report is bit-identical to the serial order.
+Every phase of `evaluate` splits its rows in two halves at h = n // 2, on any
+number of CPUs: the encode (each tower's inference forward), the distance
+passes, and the rankings. Through `nn._overlap` the worker thread ranks query
+rows [0, h) of both a2v and v2a, and the caller ranks the rest, all reading the
+one distance matrix; so the halves stay balanced whatever each direction
+costs. A row takes the same float operations whichever half ranks it, and the
+per-row AP and P@k are joined in row order before their means are taken, so
+the report is bit-identical to one unsplit ranking of each direction. The
+rows of dist.T (v2a) are strided, so their keys are built in column tiles.
 """
 
 from __future__ import annotations
@@ -44,12 +49,18 @@ from .nn import _overlap
 
 # Query rows ranked at once. The key buffer and the xor, relevance-bit and
 # precision temporaries are block x gallery (2 MB each at 64 x 4000), and with
-# two usable CPUs both directions hold one block each at the same time. On the
-# eval-4k benchmark (2-core host, 4000 x 4000) the overlapped evaluate peaked at
-# about 307 or 324 MB with 64 rows (the figure flips between runs), and at about
-# 303 or 319 MB with 32 rows, which ranked faster in only 5 of 10 pairs; 128
-# rows raised the peak by 20 MB and ranked slower.
+# two usable CPUs both row halves hold one block each at the same time. On the
+# eval-4k benchmark (2-core host, 4000 x 4000) evaluate peaked at 291.5-293.0 MB
+# over 10 runs with 64 rows. When each thread ranked one whole direction, 64
+# rows peaked at about 307 or 324 MB (the figure flipped between runs) and 32
+# rows at about 303 or 319 MB, ranking faster in only 5 of 10 pairs; 128 rows
+# raised the peak by 20 MB and ranked slower.
 _BLOCK = 64
+# Columns of a strided block shifted into its keys at once. The rows of dist.T
+# are columns of dist, so shifting a whole block row reads one element per
+# cache line; a 64 x 256 tile reads 64 contiguous elements from each of 256
+# rows of dist and keeps its 128 KB of keys in cache.
+_TILE = 256
 # inf's key with the relevance bit set: only a NaN's key is larger.
 _INF_KEY = np.uint64(0x7FF0000000000000 << 1 | 1)
 
@@ -91,40 +102,43 @@ class RetrievalReport:
         return "\n".join(lines)
 
 
-def _direction_metrics(
-    dist: np.ndarray, labels: np.ndarray, ks: tuple[int, ...]
-) -> tuple[float, int, int, dict[int, float]]:
-    """Mean AP, query count, excluded count and mean P@k over the query rows of `dist`.
+def _ranked_rows(
+    dist: np.ndarray, query_labels: np.ndarray, gallery_labels: np.ndarray, ks: tuple[int, ...]
+) -> np.ndarray:
+    """AP and P@k of each query row of `dist` that has a relevant item, in row order.
 
-    Rows are ranked `_BLOCK` at a time by one sort of their distance-and-
-    relevance keys, stably re-sorting only the rows the keys cannot order
-    (see the module docstring). AP of one query is (1/R) times the sum of
-    hits@r / r over its R relevant ranks r.
+    Returns a (1 + len(ks), kept rows) array: AP in row 0, P@ks[j] in row
+    1 + j. Every k must lie in [1, gallery size]. Rows are ranked `_BLOCK` at a
+    time by one sort of their distance-and-relevance keys, stably re-sorting
+    only the rows the keys cannot order (see the module docstring). AP of one
+    query is (1/R) times the sum of hits@r / r over its R relevant ranks r.
     """
     n_rows, n_gallery = dist.shape
-    usable_ks = [k for k in ks if 1 <= k <= n_gallery]
-    # One pass for the whole direction; a NaN row reads False here, but its
-    # last sorted key routes it below.
+    # Contiguous rows (a2v) are shifted into their keys in one pass; strided
+    # rows (v2a, the rows of dist.T) in column tiles that stay in cache.
+    tile = n_gallery if dist.strides[1] == dist.itemsize else _TILE
+    # One pass for the whole slice; a NaN row reads False here, but its last
+    # sorted key routes it below.
     negative = dist.min(axis=1) < 0
     keys = np.empty((min(_BLOCK, n_rows), n_gallery), dtype=np.uint64)
-    aps = []
-    p_at_k: dict[int, list[np.ndarray]] = {k: [] for k in usable_ks}
+    # The empty piece lets a half with no rows (one pair in all) concatenate.
+    stats = [np.empty((1 + len(ks), 0))]
     for start in range(0, n_rows, _BLOCK):
         rows = slice(start, start + _BLOCK)
-        block = dist[rows]
-        key = keys[: block.shape[0]]
-        # For v2a (rows of dist.T) the shift also gathers the rows contiguously.
-        np.left_shift(block.view(np.uint64), 1, out=key)
-        key |= labels == labels[rows, None]
+        bits = dist[rows].view(np.uint64)
+        key = keys[: bits.shape[0]]
+        for col in range(0, n_gallery, tile):
+            np.left_shift(bits[:, col : col + tile], 1, out=key[:, col : col + tile])
+        key |= gallery_labels == query_labels[rows, None]
         key.sort(axis=1)
         fallback = ((key[:, 1:] ^ key[:, :-1]) <= 1).any(axis=1)
         fallback |= (key[:, -1] > _INF_KEY) | negative[rows]
         if fallback.any():
-            order = np.argsort(block[fallback], axis=1, kind="stable")
+            order = np.argsort(dist[rows][fallback], axis=1, kind="stable")
             # Only the relevance bit is read from here on.
-            key[fallback] = labels[order] == labels[rows][fallback, None]
+            key[fallback] = gallery_labels[order] == query_labels[rows][fallback, None]
         # Flat indices of the relevant items: rows ascending, ranks within a row.
-        relevant = np.flatnonzero(key & 1)
+        relevant = np.flatnonzero((key & 1).astype(bool))
         row, rank = np.divmod(relevant, n_gallery)
         rank += 1
         n_relevant = np.bincount(row, minlength=key.shape[0])
@@ -135,14 +149,22 @@ def _direction_metrics(
         precision = np.zeros(key.shape)
         precision.flat[relevant] = hits / rank
         kept = n_relevant > 0
-        aps.append(precision.sum(axis=1)[kept] / n_relevant[kept])
-        for k in usable_ks:
-            p_at_k[k].append(np.bincount(row[rank <= k], minlength=key.shape[0])[kept] / k)
-    ap = np.concatenate(aps)
-    n = ap.size
-    mean_ap = float(np.mean(ap)) if n else 0.0
-    table = {k: float(np.mean(np.concatenate(v))) if n else 0.0 for k, v in p_at_k.items()}
-    return mean_ap, n, n_rows - n, table
+        block_stats = np.empty((1 + len(ks), int(kept.sum())))
+        block_stats[0] = precision.sum(axis=1)[kept] / n_relevant[kept]
+        for j, k in enumerate(ks, 1):
+            block_stats[j] = np.bincount(row[rank <= k], minlength=key.shape[0])[kept] / k
+        stats.append(block_stats)
+    return np.concatenate(stats, axis=1)
+
+
+def _direction_means(
+    stats: np.ndarray, ks: tuple[int, ...]
+) -> tuple[float, int, dict[int, float]]:
+    """Mean AP, query count and mean P@k of `_ranked_rows` stats, rows in order."""
+    n = stats.shape[1]
+    mean_ap = float(np.mean(stats[0])) if n else 0.0
+    table = {k: float(np.mean(stats[j])) if n else 0.0 for j, k in enumerate(ks, 1)}
+    return mean_ap, n, table
 
 
 def evaluate(
@@ -155,9 +177,17 @@ def evaluate(
     if not (np.isfinite(emb.audio).all() and np.isfinite(emb.visual).all()):
         raise NumericError("non-finite embedding values in evaluation")
     dist = pairwise_normalized_distances(emb.audio, emb.visual)
-    (map_a2v, n_a2v, excl_a2v, table_a2v), (map_v2a, n_v2a, excl_v2a, table_v2a) = _overlap(
-        lambda: _direction_metrics(dist, data.labels, ks),
-        lambda: _direction_metrics(dist.T, data.labels, ks),
+    labels, n = data.labels, len(data)
+    usable_ks = tuple(k for k in ks if 1 <= k <= n)
+
+    def rank(rows: slice) -> list[np.ndarray]:
+        return [_ranked_rows(d[rows], labels[rows], labels, usable_ks) for d in (dist, dist.T)]
+
+    half = n // 2
+    top, bottom = _overlap(lambda: rank(slice(0, half)), lambda: rank(slice(half, n)))
+    (map_a2v, n_a2v, table_a2v), (map_v2a, n_v2a, table_v2a) = (
+        _direction_means(np.concatenate(halves, axis=1), usable_ks)
+        for halves in zip(top, bottom)
     )
     return RetrievalReport(
         map_a2v=map_a2v,
@@ -166,6 +196,6 @@ def evaluate(
         precision_at_k={"a2v": table_a2v, "v2a": table_v2a},
         n_queries_a2v=n_a2v,
         n_queries_v2a=n_v2a,
-        n_excluded_a2v=excl_a2v,
-        n_excluded_v2a=excl_v2a,
+        n_excluded_a2v=n - n_a2v,
+        n_excluded_v2a=n - n_v2a,
     )

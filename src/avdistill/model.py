@@ -6,10 +6,20 @@ layers are ReLU with dropout; the prediction layer is linear without dropout
 and emits raw (unnormalized) projections. Each `Tower` owns its layers: it
 holds their weights and biases and writes out their forward and backward.
 
-The towers share no state, so `TwoTowerModel.encode` and `backward` run the
-audio tower on a worker thread while the caller runs the visual tower (see
-`nn._overlap`), at any batch size. Each tower does the same float operations
-either way, so results are bit-identical.
+The towers share no state, so a training-mode `TwoTowerModel.encode` and
+`backward` run the audio tower on a worker thread while the caller runs the
+visual tower (see `nn._overlap`). An inference encode runs the towers one
+after the other and splits each tower's hidden layers by rows instead: the
+worker runs the first half of the rows and the caller the rest, and the
+narrow last layer runs once over all rows. The split depends on the row count
+alone, so an encode gives the same bits on any number of CPUs. A half takes
+the same BLAS product as the whole wherever both pick the same kernel: halves
+keep two or more rows, because a one-row product goes through numpy's
+matrix-vector path, which rounds differently. OpenBLAS may still give a
+small half its small-matrix kernel, which sums a layer deeper than its block
+depth in another order; on an AVX-512 build that changed bits for 512-deep
+layers at some row counts, never for the 128- and 1024-deep layers of the
+reference model.
 """
 
 from __future__ import annotations
@@ -61,7 +71,8 @@ class Tower:
     training-mode forward caches each layer's input, pre-activation and dropout
     mask for backward. An inference forward leaves that cache alone, so a side
     evaluation never invalidates a pending backward, and writes its hidden
-    layers in place into the two halves of one block it allocates per call.
+    layers in place into the two halves of one block it allocates per call,
+    the first half of the rows on the `_overlap` worker and the rest on the caller.
     """
 
     def __init__(self, spec: TowerSpec, params: list[np.ndarray]) -> None:
@@ -102,18 +113,11 @@ class Tower:
             raise ShapeError(
                 f"input shape {h.shape} does not match tower input dim {self.spec.input_dim}"
             )
-        base = seed_base or [0]
-        rate = self.spec.dropout_rate
         rows, last = h.shape[0], len(self.spec.hidden_dims)
-        if not training:
-            # Hidden layer i writes into half i % 2, so an inference forward
-            # holds two activations. At 4000 x 1024 the block is 65.5 MB, above
-            # glibc's largest mmap threshold, so it goes back to the system on
-            # free from whichever thread ran the forward.
-            block = np.empty((2, rows * max(self.spec.hidden_dims)), dtype=DTYPE)
-        for i in range(last):
-            w, b = self._params[2 * i], self._params[2 * i + 1]
-            if training:
+        if training:
+            base, rate = seed_base or [0], self.spec.dropout_rate
+            for i in range(last):
+                w, b = self._params[2 * i], self._params[2 * i + 1]
                 pre = h @ w + b
                 out, mask = relu(pre), None
                 if rate > 0.0:
@@ -121,17 +125,38 @@ class Tower:
                     mask = (rng.random(out.shape) >= rate) * (1.0 / (1.0 - rate))
                     out *= mask
                 self._cache[i] = (h, pre, mask)
-            else:
-                out = block[i % 2, : rows * w.shape[1]].reshape(rows, w.shape[1])
-                np.matmul(h, w, out=out)
-                out += b
-                np.maximum(out, 0.0, out=out)
-            h = out
+                h = out
+        else:
+            # Hidden layer i writes into half i % 2, so an inference forward
+            # holds two activations. At 4000 x 1024 the block is 65.5 MB, above
+            # glibc's largest mmap threshold, so the caller that allocates it
+            # gives it back to the system on free. A layer narrower than the
+            # widest writes the leading columns of full-width rows, so each
+            # row's slots are the same in every layer and the two row halves
+            # never write memory the other still reads.
+            block = np.empty((2, rows, max(self.spec.hidden_dims)), dtype=DTYPE)
+            outs = [block[i % 2, :, :d] for i, d in enumerate(self.spec.hidden_dims)]
+            # A one-row half would take numpy's matrix-vector product, which
+            # rounds differently; below 4 rows the caller runs them all.
+            split = rows // 2 if rows >= 4 else 0
+            _overlap(
+                lambda: self._hidden_in_place(h[:split], [o[:split] for o in outs]),
+                lambda: self._hidden_in_place(h[split:], [o[split:] for o in outs]),
+            )
+            h = outs[-1]
         # A fresh array: the output must not alias the block.
         out = h @ self._params[2 * last] + self._params[2 * last + 1]
         if training:
             self._cache[last] = (h, out, None)
         return out
+
+    def _hidden_in_place(self, h: np.ndarray, outs: list[np.ndarray]) -> None:
+        """Run rows `h` through the hidden layers without dropout, layer i writing `outs[i]`."""
+        for i, out in enumerate(outs):
+            np.matmul(h, self._params[2 * i], out=out)
+            out += self._params[2 * i + 1]
+            np.maximum(out, 0.0, out=out)
+            h = out
 
     def backward(self, upstream: np.ndarray) -> list[np.ndarray]:
         """Push a gradient through the cached training forward; returns [dw0, db0, ...]."""
@@ -217,13 +242,18 @@ class TwoTowerModel:
         `step_seed`, so a trainer varies the seed per step and a gradient
         checker keeps it fixed.
         """
+        if not training:
+            # Each forward splits its rows over both cores; in sequence, only
+            # one tower's activation block is alive at a time.
+            audio = self.audio.forward(batch.audio)
+            return EmbeddingBatch(audio, self.visual.forward(batch.visual))
         base = seed_list(step_seed)
         a, v = _overlap(
             lambda: self.audio.forward(
-                batch.audio, training=training, seed_base=[*base, _AUDIO_TAG]
+                batch.audio, training=True, seed_base=[*base, _AUDIO_TAG]
             ),
             lambda: self.visual.forward(
-                batch.visual, training=training, seed_base=[*base, _VISUAL_TAG]
+                batch.visual, training=True, seed_base=[*base, _VISUAL_TAG]
             ),
         )
         return EmbeddingBatch(a, v)

@@ -10,19 +10,23 @@ checked once, by their owner: `make_optimizer` checks the learning rate and
 `model.TowerSpec` the dropout rate.
 
 When two or more CPUs are usable, `_overlap` runs two independent pieces of
-work at once: one on a persistent worker thread, one on the caller. Five
+work at once: one on a persistent worker thread, one on the caller. These
 pairs go through it, and none nests another:
 
-- the two towers' forward and backward (model.py);
+- the two towers' training forward and backward (model.py);
+- the two row halves of a tower's inference hidden layers (model.py);
 - the two halves of Adam's chunk walk (below);
 - the audio-anchor and visual-anchor sides of the triplet reducer (losses.py);
 - the audio and visual proxies' forward and backward (losses.py);
-- evaluate's a2v and v2a rankings (evaluate.py).
+- the two row halves of the distance passes after the Gram product (losses.py);
+- evaluate's two row halves, each ranking both directions (evaluate.py).
 
-Each piece does exactly the float operations it would do alone, and the
-pieces share no output or scratch, so results are bit-identical to the serial
-order; numpy's BLAS and ufunc loops release the GIL, so the pieces really do
-run on two cores.
+A row split depends on the row count alone, never on the CPU count.
+
+Each piece does exactly the float operations it would do alone, and neither
+piece writes memory the other reads or writes (row halves write disjoint rows
+of one output), so results are bit-identical to the serial order; numpy's
+BLAS and ufunc loops release the GIL, so the pieces really do run on two cores.
 """
 
 from __future__ import annotations

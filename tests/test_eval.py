@@ -18,13 +18,20 @@ from avdistill import (
     one_hot,
     pairwise_normalized_distances,
 )
-from avdistill.evaluate import _direction_metrics
+from avdistill.evaluate import _direction_means, _ranked_rows
 from avdistill.model import Tower
 
 from oracles import slow_map, slow_precision_at_k, stable_direction_metrics
 
 # The package's `evaluate` attribute is the function; fetch the module.
 _evaluate_module = importlib.import_module("avdistill.evaluate")
+
+
+def _direction_metrics(dist, labels, ks):
+    """One whole direction through evaluate's kernel, in `stable_direction_metrics`' form."""
+    usable = tuple(k for k in ks if 1 <= k <= dist.shape[1])
+    mean_ap, n, table = _direction_means(_ranked_rows(dist, labels, labels, usable), usable)
+    return mean_ap, n, dist.shape[0] - n, table
 
 
 def _identity_model(n_classes):
@@ -105,23 +112,49 @@ class TestEvaluate:
             usable_cpus(2)
             assert evaluate(model, data).as_dict() == serial
 
-    def test_a_direction_runs_on_the_worker_only_with_two_cpus(
+    def test_half_of_each_direction_runs_on_the_worker_with_two_cpus(
         self, rng, usable_cpus, monkeypatch
     ):
-        model, data = _random_instance(rng, 8)
-        threads = []
+        model, data = _random_instance(rng, 9)
+        calls = []
 
-        def spy(*args):
-            threads.append(threading.current_thread())
-            return _direction_metrics(*args)
+        def spy(dist, query_labels, *args):
+            on_worker = threading.current_thread() is not threading.main_thread()
+            calls.append((on_worker, dist.shape[0], dist.strides[1] == dist.itemsize))
+            return _ranked_rows(dist, query_labels, *args)
 
-        monkeypatch.setattr(_evaluate_module, "_direction_metrics", spy)
-        for cpus, on_worker in ((1, 0), (2, 1)):
+        monkeypatch.setattr(_evaluate_module, "_ranked_rows", spy)
+        for cpus, worker_rows in ((1, []), (2, [4, 4])):
             usable_cpus(cpus)
-            threads.clear()
+            calls.clear()
             evaluate(model, data)
-            assert len(threads) == 2
-            assert sum(t is not threading.current_thread() for t in threads) == on_worker
+            # The first 4 rows of a2v (contiguous rows) and of v2a (strided), then the other 5.
+            assert sorted(rows for _, rows, _ in calls) == [4, 4, 5, 5]
+            assert sorted(contiguous for *_, contiguous in calls) == [False, False, True, True]
+            assert [rows for on_worker, rows, _ in calls if on_worker] == worker_rows
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 65, 129])
+    def test_row_halves_match_whole_directions(self, rng, usable_cpus, n):
+        # Tie-free random towers, and one-hot cluster codes whose rows all tie
+        # (every one falls back to the stable sort).
+        clusters = one_hot(rng.integers(0, 3, size=n), 3).astype(float)
+        cases = [
+            _random_instance(rng, n, n_classes=3),
+            (_identity_model(3), PairedBatch(clusters, clusters.copy(), rng.integers(0, 4, size=n))),
+        ]
+        ks = (1, 5, 64, 200)
+        for model, data in cases:
+            emb = model.encode(data)
+            dist = pairwise_normalized_distances(emb.audio, emb.visual)
+            for cpus in (1, 2):
+                usable_cpus(cpus)
+                report = evaluate(model, data, ks=ks)
+                for direction, d in (("a2v", dist), ("v2a", dist.T)):
+                    mean_ap, n_queries, n_excluded, table = stable_direction_metrics(d, data.labels, ks)
+                    assert getattr(report, f"map_{direction}") == mean_ap
+                    assert getattr(report, f"n_queries_{direction}") == n_queries
+                    assert getattr(report, f"n_excluded_{direction}") == n_excluded
+                    assert report.precision_at_k[direction] == table
 
     def test_map_avg_is_the_mean(self, rng):
         model, data = _random_instance(rng, 8)
@@ -260,6 +293,27 @@ class TestRankingKernel:
         ks = (1, 5, n, n + 1)
         for d in (dist, dist.T):
             assert _direction_metrics(d, labels, ks) == stable_direction_metrics(d, labels, ks)
+
+
+    @pytest.mark.parametrize("n", [2, 63, 65, 129])
+    def test_row_halves_join_into_the_whole_direction(self, rng, n):
+        # Queries of class 9, absent from the gallery, sit in the first half only.
+        dist = np.abs(rng.standard_normal((n, n)))
+        dist[::3, 1] = dist[::3, n - 1]  # tied rows beside keyed ones
+        gallery = rng.integers(0, 3, size=n)
+        queries = gallery.copy()
+        queries[: max(1, n // 4)] = 9
+        ks = tuple(k for k in (1, 5, 64) if k <= n)
+        half = n // 2
+        for d in (dist, dist.T):
+            whole = _ranked_rows(d, queries, gallery, ks)
+            halves = [_ranked_rows(d[rows], queries[rows], gallery, ks)
+                      for rows in (slice(0, half), slice(half, n))]
+            assert np.concatenate(halves, axis=1).tobytes() == whole.tobytes()
+            assert whole.shape == (1 + len(ks), n - max(1, n // 4))
+            mean_ap, n_queries, _ = _direction_means(whole, ks)
+            assert n_queries == n - max(1, n // 4)
+            assert abs(mean_ap - slow_map(d, queries, gallery)) < 1e-12
 
 
 class TestReportSerialization:

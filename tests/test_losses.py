@@ -144,6 +144,18 @@ class TestNormalizedDistance:
             expected = np.sqrt(np.clip(2.0 - 2.0 * (ux @ uy.T), 0.0, None))
             assert pairwise_normalized_distances(x, y).tobytes() == expected.tobytes()
 
+    def test_blocked_passes_match_formula_at_odd_rows(self, rng, monkeypatch):
+        # 100-element blocks hold a few rows each: the two row halves are
+        # unequal and each ends in a partial block.
+        monkeypatch.setattr("avdistill.losses._DISTANCE_BLOCK", 100)
+        a = rng.standard_normal((29, 7))
+        b = np.concatenate([rng.standard_normal((21, 7)), a[:10], 3.0 * a[10:20]])
+        for x, y in ((a, b), (b, a), (a[:1], b)):
+            ux, _ = normalize_rows(x)
+            uy, _ = normalize_rows(y)
+            expected = np.sqrt(np.clip(2.0 - 2.0 * (ux @ uy.T), 0.0, None))
+            assert pairwise_normalized_distances(x, y).tobytes() == expected.tobytes()
+
     def test_pairwise_holds_one_matrix(self, rng):
         n = 2000
         a = rng.standard_normal((n, 10))

@@ -231,14 +231,32 @@ class TestTower:
         assert peak < x.nbytes // 8
 
     @pytest.mark.parametrize("hidden", [(8, 8), (8, 32, 16)], ids=["equal", "unequal"])
-    @pytest.mark.parametrize("rows", [0, 1, 7, 4000])
+    @pytest.mark.parametrize("rows", [0, 1, 2, 3, 7, 401, 4000])
     def test_inference_matches_chained_oracle(self, rng, rows, hidden):
         # Unequal widths make the narrower layers write views of the block's halves.
+        # Odd row counts split into unequal halves; below 4 rows nothing is split.
         tower = Tower.build(TowerSpec(6, 3, hidden, 0.1), np.random.default_rng(0))
         x = rng.standard_normal((rows, 6))
         out = tower.forward(x)
         assert out.shape == (rows, 3)
         assert np.array_equal(out, _oracle_forward(tower, x, 0.0, [0])[0])
+
+    def test_wide_inference_matches_chained_oracle(self, rng):
+        # The reference audio tower at an odd row count: its 1024-wide products
+        # over 200 and 201 rows round as the one over 401 does.
+        tower = Tower.build(TowerSpec(128, 10, (1024, 1024, 1024)), np.random.default_rng(0))
+        x = rng.standard_normal((401, 128))
+        assert np.array_equal(tower.forward(x), _oracle_forward(tower, x, 0.0, [0])[0])
+
+    def test_row_halves_of_unequal_layers_never_collide(self, rng, usable_cpus):
+        # A wide layer between narrow ones: were the halves' slots to move with
+        # the layer width, the worker's third layer would overwrite first-layer
+        # rows the caller has yet to read.
+        usable_cpus(2)
+        tower = Tower.build(TowerSpec(6, 3, (8, 256, 16)), np.random.default_rng(0))
+        for _ in range(20):
+            x = rng.standard_normal((2001, 6))
+            assert np.array_equal(tower.forward(x), _oracle_forward(tower, x, 0.0, [0])[0])
 
     def test_inference_outputs_own_their_memory(self, rng):
         tower = Tower.build(TowerSpec(6, 3, (8, 32, 16)), np.random.default_rng(0))
@@ -290,22 +308,48 @@ class TestTowerOverlap:
     @pytest.mark.parametrize("training", [False, True], ids=["inference", "training"])
     def test_encode_matches_serial(self, small_model, usable_cpus, monkeypatch, rows, training):
         batch = _rows(rows)
-        on_caller = {}
-        forward = Tower.forward
+        calls = []
+        # Training overlaps whole towers; inference splits each tower's hidden rows.
+        name = "forward" if training else "_hidden_in_place"
+        method = getattr(Tower, name)
 
         def spy(tower, *args, **kwargs):
-            on_caller[tower is small_model.audio] = threading.current_thread() is threading.main_thread()
-            return forward(tower, *args, **kwargs)
+            on_caller = threading.current_thread() is threading.main_thread()
+            calls.append((tower is small_model.audio, on_caller))
+            return method(tower, *args, **kwargs)
 
-        monkeypatch.setattr(Tower, "forward", spy)
+        monkeypatch.setattr(Tower, name, spy)
         usable_cpus(1)
         serial = small_model.encode(batch, training=training, step_seed=4)
         usable_cpus(2)
+        calls.clear()
         overlapped = small_model.encode(batch, training=training, step_seed=4)
-        # The audio tower goes to the worker at every batch size.
-        assert on_caller == {True: False, False: True}
+        if training:
+            # The audio tower goes to the worker at every batch size.
+            assert sorted(calls) == [(False, True), (True, False)]
+        else:
+            # Audio, then visual: each runs its first rows on the worker, the rest on the caller.
+            assert calls[:2] in ([(True, False), (True, True)], [(True, True), (True, False)])
+            assert sorted(calls[2:]) == [(False, False), (False, True)]
         assert np.array_equal(serial.audio, overlapped.audio)
         assert np.array_equal(serial.visual, overlapped.visual)
+
+    def test_inference_encode_holds_one_towers_block(self, rng, usable_cpus):
+        # The towers run one after the other, each over both cores, so one
+        # tower's two-activation block is alive at a time, not two.
+        usable_cpus(2)
+        spec = TowerSpec(64, 4, (512, 512, 512))
+        model = TwoTowerModel.create(spec, spec, seed=0)
+        batch = PairedBatch(rng.standard_normal((1000, 64)), rng.standard_normal((1000, 64)),
+                            rng.integers(0, 4, size=1000))
+        activation = 1000 * 512 * 8
+        tracemalloc.start()
+        try:
+            model.encode(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * activation + activation // 4
 
     def test_backward_matches_serial(self, small_model, usable_cpus):
         batch = _rows(6)
