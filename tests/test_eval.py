@@ -294,7 +294,6 @@ class TestRankingKernel:
         for d in (dist, dist.T):
             assert _direction_metrics(d, labels, ks) == stable_direction_metrics(d, labels, ks)
 
-
     @pytest.mark.parametrize("n", [2, 63, 65, 129])
     def test_row_halves_join_into_the_whole_direction(self, rng, n):
         # Queries of class 9, absent from the gallery, sit in the first half only.
