@@ -23,15 +23,26 @@ every row. Each AP still sums a full gallery row of hits / rank with zeros at
 the irrelevant ranks, so its float summation order is that of the dense
 `(hits / ranks) * rel` row.
 
-Every phase of `evaluate` splits its rows in two halves at h = n // 2, on any
-number of CPUs: the encode (each tower's inference forward), the distance
-passes, and the rankings. Through `nn._overlap` the worker thread ranks query
-rows [0, h) of both a2v and v2a, and the caller ranks the rest, all reading the
-one distance matrix; so the halves stay balanced whatever each direction
-costs. A row takes the same float operations whichever half ranks it, and the
-per-row AP and P@k are joined in row order before their means are taken, so
-the report is bit-identical to one unsplit ranking of each direction. The
-rows of dist.T (v2a) are strided, so their keys are built in column tiles.
+No n x n array is built. `evaluate` normalizes both embedding sets once, and
+each block of query rows gets its distances to the whole gallery in one
+buffer, reused block after block: the rows of `ua @ ub.T` for a2v and of
+`ub @ ua.T` for v2a, finished in place as the training distances are. A
+product's rounding can depend on its shape, but every block starts on a
+multiple of `_BLOCK` and ends on one or at the last row, and then (see
+`_BLOCK`) its product equals those rows of the whole product bit for bit. The
+two orientations are not always bit-equal to each other: `ub @ ua.T` equals
+the transpose of `ua @ ub.T` at the reference sizes, 600 and 4000 pairs of
+10-d embeddings, but at 599 pairs some distances differ by one ulp.
+
+Every phase of `evaluate` splits its rows in two halves, on any number of
+CPUs: the encode (each tower's inference forward, at n // 2) and the rankings,
+at n // 2 rounded down to a block boundary. Through `nn._overlap` the worker
+thread ranks query rows [0, h) of both a2v and v2a, and the caller ranks the
+rest, each through its own buffers; so the halves stay balanced whatever each
+direction costs. A row takes the same float operations whichever half ranks
+it, and the per-row AP and P@k are joined in row order before their means are
+taken, so the report is bit-identical to one unsplit ranking of each
+direction.
 """
 
 from __future__ import annotations
@@ -43,24 +54,22 @@ import numpy as np
 
 from .data import PairedBatch
 from .errors import NumericError, ShapeError
-from .losses import pairwise_normalized_distances
+from .losses import _gram_to_distances, normalize_rows
 from .model import TwoTowerModel
 from .nn import _overlap
 
-# Query rows ranked at once. The key buffer and the xor, relevance-bit and
-# precision temporaries are block x gallery (2 MB each at 64 x 4000), and with
-# two usable CPUs both row halves hold one block each at the same time. On the
-# eval-4k benchmark (2-core host, 4000 x 4000) evaluate peaked at 291.5-293.0 MB
-# over 10 runs with 64 rows. When each thread ranked one whole direction, 64
-# rows peaked at about 307 or 324 MB (the figure flipped between runs) and 32
-# rows at about 303 or 319 MB, ranking faster in only 5 of 10 pairs; 128 rows
-# raised the peak by 20 MB and ranked slower.
-_BLOCK = 64
-# Columns of a strided block shifted into its keys at once. The rows of dist.T
-# are columns of dist, so shifting a whole block row reads one element per
-# cache line; a 64 x 256 tile reads 64 contiguous elements from each of 256
-# rows of dist and keeps its 128 KB of keys in cache.
-_TILE = 256
+# Query rows ranked at once, and the granule of every row split. With OpenBLAS
+# 0.3.31 and one BLAS thread on an AVX-512 Xeon, a block of rows of `ua @ ub.T`
+# whose bounds are multiples of 12 (or the last row) equals those rows of the
+# whole product bit for bit, at 1 to 4001 rows of 2- to 32-d embeddings;
+# blocks at multiples of 64 differed in the last bit at 299, 599 and 1599
+# rows. The distance and key buffers and the xor, relevance-bit and precision
+# temporaries are block x gallery (1.9 MB each at 60 x 4000), and with two
+# usable CPUs both row halves hold one set each at the same time. On the
+# eval-4k benchmark (2-core host) the process peaked at 187.5-187.8 MB over 14
+# runs, against 291.5-292.8 MB when it built the 4000 x 4000 matrix; 36 to 72
+# rows ranked 4000 pairs equally fast in-process, 96 and 120 rows slower.
+_BLOCK = 60
 # inf's key with the relevance bit set: only a NaN's key is larger.
 _INF_KEY = np.uint64(0x7FF0000000000000 << 1 | 1)
 
@@ -102,59 +111,90 @@ class RetrievalReport:
         return "\n".join(lines)
 
 
+def _row_blocks(n_rows: int) -> list[slice]:
+    """`_BLOCK`-row slices over n_rows rows, a one-row tail folded into the block before it.
+
+    A one-row product would take numpy's matrix-vector path, which rounds
+    differently, so only a single query ranks alone.
+    """
+    starts = list(range(0, n_rows, _BLOCK))
+    if len(starts) > 1 and n_rows - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, [*starts[1:], n_rows])]
+
+
 def _ranked_rows(
-    dist: np.ndarray, query_labels: np.ndarray, gallery_labels: np.ndarray, ks: tuple[int, ...]
+    queries: np.ndarray,
+    gallery: np.ndarray,
+    query_labels: np.ndarray,
+    gallery_labels: np.ndarray,
+    ks: tuple[int, ...],
 ) -> np.ndarray:
-    """AP and P@k of each query row of `dist` that has a relevant item, in row order.
+    """AP and P@k of each unit-length query row that has a relevant gallery row, in row order.
+
+    Each `_row_blocks` block of queries gets its normalized distances to every
+    gallery row in one reused buffer, `queries[rows] @ gallery.T` finished by
+    `losses._gram_to_distances`, and is ranked by `_ranked_block`.
+    """
+    blocks = _row_blocks(queries.shape[0])
+    height = max((rows.stop - rows.start for rows in blocks), default=0)
+    dist = np.empty((height, gallery.shape[0]))
+    keys = np.empty(dist.shape, dtype=np.uint64)
+    # The empty piece lets an empty half (below two blocks) concatenate.
+    stats = [np.empty((1 + len(ks), 0))]
+    for rows in blocks:
+        block = dist[: rows.stop - rows.start]
+        np.matmul(queries[rows], gallery.T, out=block)
+        _gram_to_distances(block)
+        key = keys[: len(block)]
+        stats.append(_ranked_block(block, query_labels[rows], gallery_labels, ks, key))
+    return np.concatenate(stats, axis=1)
+
+
+def _ranked_block(
+    dist: np.ndarray,
+    query_labels: np.ndarray,
+    gallery_labels: np.ndarray,
+    ks: tuple[int, ...],
+    keys: np.ndarray,
+) -> np.ndarray:
+    """AP and P@k of each query row of a distance block that has a relevant item, in row order.
 
     Returns a (1 + len(ks), kept rows) array: AP in row 0, P@ks[j] in row
-    1 + j. Every k must lie in [1, gallery size]. Rows are ranked `_BLOCK` at a
-    time by one sort of their distance-and-relevance keys, stably re-sorting
-    only the rows the keys cannot order (see the module docstring). AP of one
-    query is (1/R) times the sum of hits@r / r over its R relevant ranks r.
+    1 + j. Every k must lie in [1, gallery size]. `keys` is a uint64 buffer of
+    the block's shape. The rows are ranked by one sort of their
+    distance-and-relevance keys, stably re-sorting only the rows the keys
+    cannot order (see the module docstring). AP of one query is (1/R) times
+    the sum of hits@r / r over its R relevant ranks r.
     """
-    n_rows, n_gallery = dist.shape
-    # Contiguous rows (a2v) are shifted into their keys in one pass; strided
-    # rows (v2a, the rows of dist.T) in column tiles that stay in cache.
-    tile = n_gallery if dist.strides[1] == dist.itemsize else _TILE
-    # One pass for the whole slice; a NaN row reads False here, but its last
-    # sorted key routes it below.
-    negative = dist.min(axis=1) < 0
-    keys = np.empty((min(_BLOCK, n_rows), n_gallery), dtype=np.uint64)
-    # The empty piece lets a half with no rows (one pair in all) concatenate.
-    stats = [np.empty((1 + len(ks), 0))]
-    for start in range(0, n_rows, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        bits = dist[rows].view(np.uint64)
-        key = keys[: bits.shape[0]]
-        for col in range(0, n_gallery, tile):
-            np.left_shift(bits[:, col : col + tile], 1, out=key[:, col : col + tile])
-        key |= gallery_labels == query_labels[rows, None]
-        key.sort(axis=1)
-        fallback = ((key[:, 1:] ^ key[:, :-1]) <= 1).any(axis=1)
-        fallback |= (key[:, -1] > _INF_KEY) | negative[rows]
-        if fallback.any():
-            order = np.argsort(dist[rows][fallback], axis=1, kind="stable")
-            # Only the relevance bit is read from here on.
-            key[fallback] = gallery_labels[order] == query_labels[rows][fallback, None]
-        # Flat indices of the relevant items: rows ascending, ranks within a row.
-        relevant = np.flatnonzero((key & 1).astype(bool))
-        row, rank = np.divmod(relevant, n_gallery)
-        rank += 1
-        n_relevant = np.bincount(row, minlength=key.shape[0])
-        first = np.cumsum(n_relevant) - n_relevant
-        hits = np.arange(1, relevant.size + 1) - np.repeat(first, n_relevant)
-        # Zeros at the irrelevant ranks keep each row's pairwise summation
-        # order that of the dense (hits / ranks) * rel row.
-        precision = np.zeros(key.shape)
-        precision.flat[relevant] = hits / rank
-        kept = n_relevant > 0
-        block_stats = np.empty((1 + len(ks), int(kept.sum())))
-        block_stats[0] = precision.sum(axis=1)[kept] / n_relevant[kept]
-        for j, k in enumerate(ks, 1):
-            block_stats[j] = np.bincount(row[rank <= k], minlength=key.shape[0])[kept] / k
-        stats.append(block_stats)
-    return np.concatenate(stats, axis=1)
+    n_gallery = dist.shape[1]
+    np.left_shift(dist.view(np.uint64), 1, out=keys)
+    keys |= gallery_labels == query_labels[:, None]
+    keys.sort(axis=1)
+    fallback = ((keys[:, 1:] ^ keys[:, :-1]) <= 1).any(axis=1)
+    # A NaN row reads False in the minimum, but its last sorted key routes it.
+    fallback |= (keys[:, -1] > _INF_KEY) | (dist.min(axis=1) < 0)
+    if fallback.any():
+        order = np.argsort(dist[fallback], axis=1, kind="stable")
+        # Only the relevance bit is read from here on.
+        keys[fallback] = gallery_labels[order] == query_labels[fallback, None]
+    # Flat indices of the relevant items: rows ascending, ranks within a row.
+    relevant = np.flatnonzero((keys & 1).astype(bool))
+    row, rank = np.divmod(relevant, n_gallery)
+    rank += 1
+    n_relevant = np.bincount(row, minlength=keys.shape[0])
+    first = np.cumsum(n_relevant) - n_relevant
+    hits = np.arange(1, relevant.size + 1) - np.repeat(first, n_relevant)
+    # Zeros at the irrelevant ranks keep each row's pairwise summation
+    # order that of the dense (hits / ranks) * rel row.
+    precision = np.zeros(keys.shape)
+    precision.flat[relevant] = hits / rank
+    kept = n_relevant > 0
+    stats = np.empty((1 + len(ks), int(kept.sum())))
+    stats[0] = precision.sum(axis=1)[kept] / n_relevant[kept]
+    for j, k in enumerate(ks, 1):
+        stats[j] = np.bincount(row[rank <= k], minlength=keys.shape[0])[kept] / k
+    return stats
 
 
 def _direction_means(
@@ -176,14 +216,19 @@ def evaluate(
     emb = model.encode(data, training=False)
     if not (np.isfinite(emb.audio).all() and np.isfinite(emb.visual).all()):
         raise NumericError("non-finite embedding values in evaluation")
-    dist = pairwise_normalized_distances(emb.audio, emb.visual)
+    ua, _ = normalize_rows(emb.audio, "audio embeddings")
+    ub, _ = normalize_rows(emb.visual, "visual embeddings")
     labels, n = data.labels, len(data)
     usable_ks = tuple(k for k in ks if 1 <= k <= n)
 
     def rank(rows: slice) -> list[np.ndarray]:
-        return [_ranked_rows(d[rows], labels[rows], labels, usable_ks) for d in (dist, dist.T)]
+        return [
+            _ranked_rows(queries[rows], gallery, labels[rows], labels, usable_ks)
+            for queries, gallery in ((ua, ub), (ub, ua))
+        ]
 
-    half = n // 2
+    # The halves meet on a block boundary; below two blocks the caller ranks every row.
+    half = n // 2 // _BLOCK * _BLOCK
     top, bottom = _overlap(lambda: rank(slice(0, half)), lambda: rank(slice(half, n)))
     (map_a2v, n_a2v, table_a2v), (map_v2a, n_v2a, table_v2a) = (
         _direction_means(np.concatenate(halves, axis=1), usable_ks)

@@ -387,7 +387,8 @@ def _gram_to_distances(gram: np.ndarray) -> None:
     """sqrt(max(2 - 2g, 0)) in place, over `_DISTANCE_BLOCK` elements' worth of rows at a time.
 
     2 + (-2g) rounds exactly as 2 - 2g. Each element takes the same four
-    operations whatever the blocking, so the bits do not depend on it.
+    operations whatever the blocking, so the bits do not depend on it, and
+    `evaluate` finishes its row blocks of distances with it too.
     """
     step = max(1, _DISTANCE_BLOCK // max(1, gram.shape[1]))
     for lo in range(0, gram.shape[0], step):

@@ -10,16 +10,22 @@ The towers share no state, so a training-mode `TwoTowerModel.encode` and
 `backward` run the audio tower on a worker thread while the caller runs the
 visual tower (see `nn._overlap`). An inference encode runs the towers one
 after the other and splits each tower's hidden layers by rows instead: the
-worker runs the first half of the rows and the caller the rest, and the
-narrow last layer runs once over all rows. The split depends on the row count
-alone, so an encode gives the same bits on any number of CPUs. A half takes
-the same BLAS product as the whole wherever both pick the same kernel: halves
-keep two or more rows, because a one-row product goes through numpy's
-matrix-vector path, which rounds differently. OpenBLAS may still give a
-small half its small-matrix kernel, which sums a layer deeper than its block
-depth in another order; on an AVX-512 build that changed bits for 512-deep
-layers at some row counts, never for the 128- and 1024-deep layers of the
-reference model.
+worker runs the first half of the rows and the caller the rest, each half in
+equal chunks of at most `_CHUNK` rows through a chunk-sized buffer, and the
+narrow last layer runs once over all rows. So only one full-height activation
+is held: a 4000-row reference forward peaks at 39 MiB under tracemalloc,
+where two full-height activations took 63 MiB. The split depends on the row
+count alone, so an encode gives the same bits on any number of CPUs. A half
+or chunk takes the same BLAS product as the whole wherever both pick the
+same kernel: halves keep two or more rows, because a one-row product goes
+through numpy's matrix-vector path, which rounds differently. OpenBLAS may
+still give a small chunk its small-matrix kernel, which sums a layer deeper
+than its block depth in another order; on an AVX-512 build that changed bits
+for 512-deep layers at some row counts, never for the 128- and 1024-deep
+layers of the reference model. The last layer stays whole for the same
+reason: with OpenBLAS 0.3.31, row chunks of a 1024 -> 10 product (128-row
+chunks of 4000 rows; 128-, 256- and 512-row chunks of 600) differed from the
+whole product.
 """
 
 from __future__ import annotations
@@ -34,6 +40,11 @@ from .nn import DTYPE, SeedLike, _overlap, he_uniform, relu, seed_list, xavier_u
 
 _AUDIO_TAG = 0
 _VISUAL_TAG = 1
+# An inference forward runs each row half's hidden layers over equal chunks of
+# at most this many rows, so no chunk is a short tail: the 400-row teacher pass
+# and the 600-pair evaluations in training run one chunk per half, and a
+# 4000-row encode four 500-row chunks per half.
+_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -70,9 +81,9 @@ class Tower:
     The tower holds its flat [w0, b0, w1, b1, ...] parameter list. A
     training-mode forward caches each layer's input, pre-activation and dropout
     mask for backward. An inference forward leaves that cache alone, so a side
-    evaluation never invalidates a pending backward, and writes its hidden
-    layers in place into the two halves of one block it allocates per call,
-    the first half of the rows on the `_overlap` worker and the rest on the caller.
+    evaluation never invalidates a pending backward, and runs its hidden layers
+    in row chunks (see `_hidden_in_place`), the first half of the rows on the
+    `_overlap` worker and the rest on the caller.
     """
 
     def __init__(self, spec: TowerSpec, params: list[np.ndarray]) -> None:
@@ -127,36 +138,46 @@ class Tower:
                 self._cache[i] = (h, pre, mask)
                 h = out
         else:
-            # Hidden layer i writes into half i % 2, so an inference forward
-            # holds two activations. At 4000 x 1024 the block is 65.5 MB, above
-            # glibc's largest mmap threshold, so the caller that allocates it
-            # gives it back to the system on free. A layer narrower than the
-            # widest writes the leading columns of full-width rows, so each
-            # row's slots are the same in every layer and the two row halves
-            # never write memory the other still reads.
-            block = np.empty((2, rows, max(self.spec.hidden_dims)), dtype=DTYPE)
-            outs = [block[i % 2, :, :d] for i, d in enumerate(self.spec.hidden_dims)]
+            # Layers L-1, L-3, ... write full-height rows of `hidden`, the rest
+            # one chunk-sized slot per thread (see `_hidden_in_place`). A layer
+            # narrower than `hidden` writes the leading columns of its rows.
+            widths = self.spec.hidden_dims
+            hidden = np.empty((rows, max(widths[::-2])), dtype=DTYPE)
             # A one-row half would take numpy's matrix-vector product, which
             # rounds differently; below 4 rows the caller runs them all.
             split = rows // 2 if rows >= 4 else 0
             _overlap(
-                lambda: self._hidden_in_place(h[:split], [o[:split] for o in outs]),
-                lambda: self._hidden_in_place(h[split:], [o[split:] for o in outs]),
+                lambda: self._hidden_in_place(h[:split], hidden[:split]),
+                lambda: self._hidden_in_place(h[split:], hidden[split:]),
             )
-            h = outs[-1]
-        # A fresh array: the output must not alias the block.
+            h = hidden[:, : widths[-1]]
+        # A fresh array: the output must not alias `hidden`.
         out = h @ self._params[2 * last] + self._params[2 * last + 1]
         if training:
             self._cache[last] = (h, out, None)
         return out
 
-    def _hidden_in_place(self, h: np.ndarray, outs: list[np.ndarray]) -> None:
-        """Run rows `h` through the hidden layers without dropout, layer i writing `outs[i]`."""
-        for i, out in enumerate(outs):
-            np.matmul(h, self._params[2 * i], out=out)
-            out += self._params[2 * i + 1]
-            np.maximum(out, 0.0, out=out)
-            h = out
+    def _hidden_in_place(self, x: np.ndarray, hidden: np.ndarray) -> None:
+        """Run rows `x` through the hidden layers without dropout, the last one writing `hidden`.
+
+        The rows run in equal chunks of at most `_CHUNK`, each through every
+        layer before the next chunk starts. Layer i of a chunk writes the
+        chunk's rows of `hidden` when an even number of layers follow it, and
+        otherwise one slot that the chunks reuse, so the two alternate and
+        the last hidden layer lands in `hidden`.
+        """
+        widths, rows = self.spec.hidden_dims, x.shape[0]
+        n_chunks = max(1, -(-rows // _CHUNK))
+        bounds = [rows * c // n_chunks for c in range(n_chunks + 1)]
+        slot = np.empty((-(-rows // n_chunks), max(widths[-2::-2], default=0)), dtype=DTYPE)
+        for lo, hi in zip(bounds, bounds[1:]):
+            h = x[lo:hi]
+            for i, d in enumerate(widths):
+                out = hidden[lo:hi, :d] if (len(widths) - i) % 2 else slot[: hi - lo, :d]
+                np.matmul(h, self._params[2 * i], out=out)
+                out += self._params[2 * i + 1]
+                np.maximum(out, 0.0, out=out)
+                h = out
 
     def backward(self, upstream: np.ndarray) -> list[np.ndarray]:
         """Push a gradient through the cached training forward; returns [dw0, db0, ...]."""

@@ -14,12 +14,15 @@ work at once: one on a persistent worker thread, one on the caller. These
 pairs go through it, and none nests another:
 
 - the two towers' training forward and backward (model.py);
-- the two row halves of a tower's inference hidden layers (model.py);
+- the two row halves of a tower's inference hidden layers, each run in row
+  chunks (model.py);
 - the two halves of Adam's chunk walk (below);
 - the audio-anchor and visual-anchor sides of the triplet reducer (losses.py);
 - the audio and visual proxies' forward and backward (losses.py);
-- the two row halves of the distance passes after the Gram product (losses.py);
-- evaluate's two row halves, each ranking both directions (evaluate.py).
+- the two row halves of the training distance passes after the Gram product
+  (losses.py);
+- evaluate's two row halves, each building the distance blocks of both
+  directions and ranking them (evaluate.py).
 
 A row split depends on the row count alone, never on the CPU count.
 

@@ -2,6 +2,7 @@
 
 import importlib
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from avdistill import (
     one_hot,
     pairwise_normalized_distances,
 )
-from avdistill.evaluate import _direction_means, _ranked_rows
+from avdistill.evaluate import _direction_means, _ranked_block, _ranked_rows, _row_blocks
+from avdistill.losses import normalize_rows
 from avdistill.model import Tower
 
 from oracles import slow_map, slow_precision_at_k, stable_direction_metrics
@@ -27,11 +29,28 @@ from oracles import slow_map, slow_precision_at_k, stable_direction_metrics
 _evaluate_module = importlib.import_module("avdistill.evaluate")
 
 
+def _ranked_blocks(dist, query_labels, gallery_labels, ks):
+    """Each `_row_blocks` block of `dist` through `_ranked_block`, joined in row order."""
+    stats = [np.empty((1 + len(ks), 0))]
+    for rows in _row_blocks(dist.shape[0]):
+        keys = np.empty(dist[rows].shape, dtype=np.uint64)
+        stats.append(_ranked_block(dist[rows], query_labels[rows], gallery_labels, ks, keys))
+    return np.concatenate(stats, axis=1)
+
+
 def _direction_metrics(dist, labels, ks):
     """One whole direction through evaluate's kernel, in `stable_direction_metrics`' form."""
     usable = tuple(k for k in ks if 1 <= k <= dist.shape[1])
-    mean_ap, n, table = _direction_means(_ranked_rows(dist, labels, labels, usable), usable)
+    mean_ap, n, table = _direction_means(_ranked_blocks(dist, labels, labels, usable), usable)
     return mean_ap, n, dist.shape[0] - n, table
+
+
+def _directions(emb):
+    """(name, distance matrix) of each direction as evaluate ranks it: a2v and v2a products."""
+    return (
+        ("a2v", pairwise_normalized_distances(emb.audio, emb.visual)),
+        ("v2a", pairwise_normalized_distances(emb.visual, emb.audio)),
+    )
 
 
 def _identity_model(n_classes):
@@ -95,12 +114,9 @@ class TestEvaluate:
     def test_matches_brute_force_map(self, rng):
         for model, data in _brute_force_cases(rng):
             report = evaluate(model, data)
-            emb = model.encode(data)
-            dist = pairwise_normalized_distances(emb.audio, emb.visual)
             labels = data.labels
-            for direction, d, mean_ap in (
-                ("a2v", dist, report.map_a2v), ("v2a", dist.T, report.map_v2a)
-            ):
+            for direction, d in _directions(model.encode(data)):
+                mean_ap = getattr(report, f"map_{direction}")
                 assert abs(mean_ap - slow_map(d, labels, labels)) < 1e-12
                 for k, value in report.precision_at_k[direction].items():
                     assert abs(value - slow_precision_at_k(d, labels, labels, k)) < 1e-12
@@ -115,28 +131,32 @@ class TestEvaluate:
     def test_half_of_each_direction_runs_on_the_worker_with_two_cpus(
         self, rng, usable_cpus, monkeypatch
     ):
-        model, data = _random_instance(rng, 9)
+        block = _evaluate_module._BLOCK
+        model, data = _random_instance(rng, 2 * block + 9)
         calls = []
 
-        def spy(dist, query_labels, *args):
+        def spy(queries, gallery, *args):
             on_worker = threading.current_thread() is not threading.main_thread()
-            calls.append((on_worker, dist.shape[0], dist.strides[1] == dist.itemsize))
-            return _ranked_rows(dist, query_labels, *args)
+            calls.append((on_worker, queries.shape[0], id(gallery)))
+            return _ranked_rows(queries, gallery, *args)
 
         monkeypatch.setattr(_evaluate_module, "_ranked_rows", spy)
-        for cpus, worker_rows in ((1, []), (2, [4, 4])):
+        for cpus, worker_rows in ((1, []), (2, [block, block])):
             usable_cpus(cpus)
             calls.clear()
             evaluate(model, data)
-            # The first 4 rows of a2v (contiguous rows) and of v2a (strided), then the other 5.
-            assert sorted(rows for _, rows, _ in calls) == [4, 4, 5, 5]
-            assert sorted(contiguous for *_, contiguous in calls) == [False, False, True, True]
+            # The first block of a2v and of v2a, then the other block + 9 rows of each.
+            assert sorted(rows for _, rows, _ in calls) == [block, block, block + 9, block + 9]
             assert [rows for on_worker, rows, _ in calls if on_worker] == worker_rows
+            # Each half ranks against both galleries, visual (a2v) and audio (v2a).
+            for rows in (block, block + 9):
+                assert len({gallery for _, r, gallery in calls if r == rows}) == 2
 
-    @pytest.mark.parametrize("n", [1, 2, 63, 65, 129])
+    @pytest.mark.parametrize("n", [1, 2, 61, 63, 65, 121, 129])
     def test_row_halves_match_whole_directions(self, rng, usable_cpus, n):
         # Tie-free random towers, and one-hot cluster codes whose rows all tie
-        # (every one falls back to the stable sort).
+        # (every one falls back to the stable sort). At 61 and 121 pairs the
+        # last block takes a one-row tail.
         clusters = one_hot(rng.integers(0, 3, size=n), 3).astype(float)
         cases = [
             _random_instance(rng, n, n_classes=3),
@@ -144,12 +164,11 @@ class TestEvaluate:
         ]
         ks = (1, 5, 64, 200)
         for model, data in cases:
-            emb = model.encode(data)
-            dist = pairwise_normalized_distances(emb.audio, emb.visual)
+            directions = _directions(model.encode(data))
             for cpus in (1, 2):
                 usable_cpus(cpus)
                 report = evaluate(model, data, ks=ks)
-                for direction, d in (("a2v", dist), ("v2a", dist.T)):
+                for direction, d in directions:
                     mean_ap, n_queries, n_excluded, table = stable_direction_metrics(d, data.labels, ks)
                     assert getattr(report, f"map_{direction}") == mean_ap
                     assert getattr(report, f"n_queries_{direction}") == n_queries
@@ -187,6 +206,46 @@ class TestEvaluate:
         empty = PairedBatch(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
         with pytest.raises(ShapeError):
             evaluate(model, empty)
+
+    def test_peak_memory_stays_far_below_one_distance_matrix(self, rng, usable_cpus):
+        # Both halves rank at once, each through its own block buffers; no
+        # n x n array is built.
+        usable_cpus(2)
+        n, dim = 3000, 10
+        spec = TowerSpec(input_dim=dim, output_dim=dim, hidden_dims=(32,))
+        model = TwoTowerModel.create(spec, spec, seed=3)
+        data = PairedBatch(rng.standard_normal((n, dim)), rng.standard_normal((n, dim)),
+                           rng.integers(0, 10, size=n))
+        tracemalloc.start()
+        try:
+            evaluate(model, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 // 4
+
+    @pytest.mark.parametrize("n", [600, 4000])
+    def test_distance_blocks_match_the_whole_products(self, rng, monkeypatch, n):
+        # The halves meet on a block boundary, so ranking a whole direction
+        # builds the same blocks as evaluate does.
+        audio, visual = rng.standard_normal((n, 10)), rng.standard_normal((n, 10))
+        a2v = pairwise_normalized_distances(audio, visual)
+        v2a = pairwise_normalized_distances(visual, audio)
+        ua, _ = normalize_rows(audio)
+        ub, _ = normalize_rows(visual)
+        labels = rng.integers(0, 10, size=n)
+        blocks = []
+
+        def spy(dist, *args):
+            blocks.append(dist.copy())
+            return _ranked_block(dist, *args)
+
+        monkeypatch.setattr(_evaluate_module, "_ranked_block", spy)
+        for queries, gallery, whole in ((ua, ub, a2v), (ub, ua, v2a), (ub, ua, a2v.T)):
+            blocks.clear()
+            _ranked_rows(queries, gallery, labels, labels, (1,))
+            assert [len(b) for b in blocks] == [r.stop - r.start for r in _row_blocks(n)]
+            assert np.concatenate(blocks).tobytes() == np.ascontiguousarray(whole).tobytes()
 
     def test_non_finite_embeddings_rejected(self):
         model = _identity_model(2)
@@ -256,8 +315,8 @@ _ALPHABET = np.array([0.0, -0.0, 5e-324, 1e-310, 0.25, 0.5, np.nextafter(0.5, 1.
 class TestRankingKernel:
     """`_direction_metrics` against the all-stable-sort kernel, bit for bit."""
 
-    # The module's block and a smaller one; both end the 96 rows in a partial block.
-    @pytest.mark.parametrize("block", [_evaluate_module._BLOCK, 40])
+    # The module's block, a smaller and a larger one; each ends the 96 rows in a partial block.
+    @pytest.mark.parametrize("block", [_evaluate_module._BLOCK, 40, 64])
     def test_matches_stable_kernel(self, rng, monkeypatch, block):
         monkeypatch.setattr(_evaluate_module, "_BLOCK", block)
         ks = (1, 5, 10, 96, 97, 1000)  # the last two exceed the 96-item gallery
@@ -266,7 +325,7 @@ class TestRankingKernel:
             for d in (dist, dist.T):
                 assert _direction_metrics(d, labels, ks) == stable_direction_metrics(d, labels, ks)
 
-    @pytest.mark.parametrize("block", [_evaluate_module._BLOCK, 40])
+    @pytest.mark.parametrize("block", [_evaluate_module._BLOCK, 40, 64])
     def test_keyed_cases_match_stable_kernel(self, rng, monkeypatch, block):
         monkeypatch.setattr(_evaluate_module, "_BLOCK", block)
         ks = (1, 5, 10, 96, 97, 1000)
@@ -286,7 +345,7 @@ class TestRankingKernel:
     @settings(max_examples=60, deadline=None)
     def test_small_alphabet_matches_stable_kernel(self, n, n_labels, seed):
         # Few distinct values: rows run from tie-free (small n) to all-tied,
-        # and more than 64 rows end in a second, partial block.
+        # and more than 61 rows end in a second, partial block (61 fold into one).
         rng = np.random.default_rng(seed)
         dist = rng.choice(_ALPHABET, size=(n, n))
         labels = rng.integers(0, n_labels, size=n)
@@ -305,8 +364,8 @@ class TestRankingKernel:
         ks = tuple(k for k in (1, 5, 64) if k <= n)
         half = n // 2
         for d in (dist, dist.T):
-            whole = _ranked_rows(d, queries, gallery, ks)
-            halves = [_ranked_rows(d[rows], queries[rows], gallery, ks)
+            whole = _ranked_blocks(d, queries, gallery, ks)
+            halves = [_ranked_blocks(d[rows], queries[rows], gallery, ks)
                       for rows in (slice(0, half), slice(half, n))]
             assert np.concatenate(halves, axis=1).tobytes() == whole.tobytes()
             assert whole.shape == (1 + len(ks), n - max(1, n // 4))

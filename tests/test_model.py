@@ -230,11 +230,15 @@ class TestTower:
             tracemalloc.stop()
         assert peak < x.nbytes // 8
 
-    @pytest.mark.parametrize("hidden", [(8, 8), (8, 32, 16)], ids=["equal", "unequal"])
-    @pytest.mark.parametrize("rows", [0, 1, 2, 3, 7, 401, 4000])
+    @pytest.mark.parametrize(
+        "hidden", [(8, 8), (8, 32, 16), (1024, 1024, 1024)], ids=["equal", "unequal", "wide"]
+    )
+    @pytest.mark.parametrize("rows", [0, 1, 2, 3, 7, 401, 511, 512, 513, 1025, 2049, 4000])
     def test_inference_matches_chained_oracle(self, rng, rows, hidden):
-        # Unequal widths make the narrower layers write views of the block's halves.
-        # Odd row counts split into unequal halves; below 4 rows nothing is split.
+        # Unequal widths make the narrower layers write views of wider rows.
+        # Odd row counts split into unequal halves; below 4 rows nothing is
+        # split. A half of up to 512 rows runs as one chunk; 513 and 1025 rows
+        # per half run as two and three equal chunks.
         tower = Tower.build(TowerSpec(6, 3, hidden, 0.1), np.random.default_rng(0))
         x = rng.standard_normal((rows, 6))
         out = tower.forward(x)
@@ -280,19 +284,23 @@ class TestTower:
             assert np.array_equal(g, expected)
 
     def test_inference_forward_holds_two_activations(self, rng):
-        # The two halves of the block. The output is a fresh array of 4 columns,
-        # so holding it does not keep the block alive.
+        # At most: the full-height `hidden` activation, and one chunk-sized
+        # slot per row half. At 1000 rows each half is one 500-row chunk, two
+        # activations in all; at 4000 rows each half runs four 500-row chunks,
+        # 1.25 activations. The output is a fresh array of 4 columns, so
+        # holding it keeps nothing else alive.
         tower = Tower.build(TowerSpec(64, 4, (512, 512, 512)), rng)
-        x = rng.standard_normal((1000, 64))
-        activation = 1000 * 512 * 8
-        tracemalloc.start()
-        try:
-            out = tower.forward(x)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * activation + activation // 4
-        assert held <= 2 * out.nbytes
+        for rows, activations in ((1000, 2.0), (4000, 1.25)):
+            x = rng.standard_normal((rows, 64))
+            activation = rows * 512 * 8
+            tracemalloc.start()
+            try:
+                out = tower.forward(x)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= activations * activation + activation // 16
+            assert held <= 2 * out.nbytes
 
 
 def _rows(n: int, audio_dim: int = 6, visual_dim: int = 9) -> PairedBatch:
