@@ -3,6 +3,8 @@
 The closure contract: closure(params) -> (loss_value, grads), where grads is a
 list aligned with params. The closure must be deterministic; any internal
 randomness has to be seed-pinned so two calls at the same point agree exactly.
+The returned gradients may be buffers that the next call overwrites, as the
+towers' are: the checker copies them before it calls the closure again.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ def grad_check(
         raise ConfigError(f"tolerance must be non-negative and finite, got {tolerance}")
     work = [np.array(p, dtype=DTYPE, copy=True) for p in params]
     value, grads = model_closure(work)
+    grads = [np.array(g, dtype=DTYPE, copy=True) for g in grads]
     value2, _ = model_closure(work)
     if value != value2:
         raise DeterminismError(
@@ -49,8 +52,8 @@ def grad_check(
     if len(grads) != len(work):
         raise ShapeError(f"closure returned {len(grads)} gradients for {len(work)} parameters")
     for g, p in zip(grads, work):
-        if np.shape(g) != p.shape:
-            raise ShapeError(f"gradient shape {np.shape(g)} does not match parameter {p.shape}")
+        if g.shape != p.shape:
+            raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.shape}")
 
     rng = np.random.default_rng(seed)
     max_rel = 0.0
@@ -63,7 +66,7 @@ def grad_check(
         else:
             coords = rng.choice(size, size=max_coords_per_tensor, replace=False)
         flat = p.reshape(-1)
-        analytic_flat = np.asarray(grads[t], dtype=DTYPE).reshape(-1)
+        analytic_flat = grads[t].reshape(-1)
         for idx in coords:
             original = flat[idx]
             flat[idx] = original + step

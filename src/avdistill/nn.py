@@ -1,7 +1,7 @@
 """Dense-network numeric core.
 
-Everything here runs on 64-bit numpy arrays: the ReLU, weight initializers
-and numerically stable row softmax that the towers and losses use, and the
+Everything here runs on 64-bit numpy arrays: the weight initializers and
+numerically stable row softmax that the towers and losses use, and the
 two optimizers (SGD, Adam). No autodiff graph is involved; `model.Tower`
 writes out its own layers' forward and backward. Adam walks each parameter in
 cache-sized chunks through preallocated scratch, with the same float
@@ -127,10 +127,6 @@ def seed_list(seed: SeedLike) -> list[int]:
     if isinstance(seed, (int, np.integer)):
         return [int(seed)]
     return [int(s) for s in seed]
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

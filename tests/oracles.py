@@ -4,8 +4,9 @@ Everything here trades speed for obviousness: plain Python loops, one triple
 at a time, one query at a time. None of it imports the vectorized code paths
 it is checking, beyond the shared dataclasses used to pass inputs around.
 `stable_direction_metrics` and the dense-step formulas (`whole_tensor_adam_step`,
-`dense_forward`, `dense_backward`) are the vectorized exceptions: they pin the
-engine's fast paths to the plain whole-tensor forms they must match bit for bit.
+`dense_forward`, `dense_backward`, `pre_activation_grad`) are the vectorized
+exceptions: they pin the engine's fast paths to the plain whole-tensor forms
+they must match bit for bit.
 
 The explicit-triples loss (`proxy_transform`, `triplet_terms`,
 `cross_modal_triplet_loss`) is the reference for the training path's
@@ -326,11 +327,19 @@ def dense_backward(
     upstream: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(d_weights, d_bias, d_input) of one dense layer, the input gradient always formed."""
+    grad = pre_activation_grad(pre, mask, activation, upstream)
+    return x.T @ grad, grad.sum(axis=0), grad @ weights.T
+
+
+def pre_activation_grad(
+    pre: np.ndarray, mask: np.ndarray | None, activation: str, upstream: np.ndarray
+) -> np.ndarray:
+    """The gradient at one dense layer's pre-activation: through the float mask, then `pre > 0`."""
     if mask is not None:
         upstream = upstream * mask
     if activation == "relu":
         upstream = upstream * (pre > 0.0)
-    return x.T @ upstream, upstream.sum(axis=0), upstream @ weights.T
+    return upstream
 
 
 def nearest_centroid_accuracy(features: np.ndarray, labels: np.ndarray) -> float:

@@ -25,6 +25,7 @@ from avdistill import (
     save_checkpoint,
 )
 from avdistill.model import Tower
+from avdistill.nn import Adam
 
 from oracles import dense_backward, dense_forward
 
@@ -207,10 +208,6 @@ class TestTower:
         out = tower.forward(x, training=True, seed_base=[4, 1])
         want, cache = _oracle_forward(tower, x, rate, [4, 1])
         assert np.array_equal(out, want)
-        for got_layer, want_layer in zip(tower._cache, cache, strict=True):
-            for got, expected in zip(got_layer, want_layer):
-                assert (got is None) == (expected is None)
-                assert expected is None or np.array_equal(got, expected)
         got, want_grads = tower.backward(upstream), _oracle_backward(tower, cache, upstream)
         assert len(got) == len(want_grads) == 6
         for g, expected in zip(got, want_grads):
@@ -276,12 +273,55 @@ class TestTower:
         tower = Tower.build(TowerSpec(6, 3, (8, 32, 16), 0.1), np.random.default_rng(0))
         x, upstream = rng.standard_normal((20, 6)), rng.standard_normal((20, 3))
         tower.forward(x, training=True, seed_base=[3])
-        want = tower.backward(upstream)
+        want = [g.copy() for g in tower.backward(upstream)]  # the next backward overwrites them
         tower.forward(x, training=True, seed_base=[3])
         tower.forward(rng.standard_normal((20, 6)))
         got = tower.backward(upstream)
         for g, expected in zip(got, want, strict=True):
             assert np.array_equal(g, expected)
+
+    @pytest.mark.parametrize("row_counts", [(400, 150, 400), (150, 400, 7)])
+    def test_batch_size_changes_match_a_fresh_tower(self, rng, row_counts):
+        # A shorter batch runs in the leading rows of the buffers a taller one
+        # left, a taller one grows them; unequal widths make every scratch view
+        # narrower than its block.
+        spec = TowerSpec(6, 3, (16, 8, 12), 0.1)
+        tower = Tower.build(spec, np.random.default_rng(0))
+        for step, rows in enumerate(row_counts):
+            fresh = Tower.build(spec, np.random.default_rng(0))
+            x, upstream = rng.standard_normal((rows, 6)), rng.standard_normal((rows, 3))
+            out = tower.forward(x, training=True, seed_base=[step])
+            assert np.array_equal(out, fresh.forward(x, training=True, seed_base=[step]))
+            got, want = tower.backward(upstream), fresh.backward(upstream)
+            for g, expected in zip(got, want, strict=True):
+                assert np.array_equal(g, expected)
+
+    def test_training_step_allocates_no_large_block(self, rng):
+        # After a warm-up step, a 400-row step of 512-wide towers writes its
+        # activations, masks, scratch and gradients into buffers it holds. One
+        # activation is 1.6 MB and one hidden weight gradient 2 MB; the largest
+        # new blocks are the two towers' 200 KiB boolean ReLU masks. The peak
+        # bounds the blocks alive at once, so it bounds each block.
+        model = TwoTowerModel.create(
+            TowerSpec(64, 10, (512, 512, 512)), TowerSpec(96, 10, (512, 512, 512)), seed=0
+        )
+        batch = PairedBatch(rng.standard_normal((400, 64)), rng.standard_normal((400, 96)),
+                            np.zeros(400, dtype=np.int64))
+        d_audio, d_visual = rng.standard_normal((400, 10)), rng.standard_normal((400, 10))
+        optimizer = Adam(1e-3)
+
+        def step(seed: int) -> None:
+            model.encode(batch, training=True, step_seed=seed)
+            optimizer.apply(model.parameters(), model.backward(d_audio, d_visual))
+
+        step(0)
+        tracemalloc.start()
+        try:
+            step(1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_inference_forward_holds_two_activations(self, rng):
         # At most: the full-height `hidden` activation, and one chunk-sized
@@ -367,7 +407,7 @@ class TestTowerOverlap:
         for cpus in (1, 2):
             usable_cpus(cpus)
             small_model.encode(batch, training=True, step_seed=2)
-            runs.append(small_model.backward(d_audio, d_visual))
+            runs.append([g.copy() for g in small_model.backward(d_audio, d_visual)])
         serial, overlapped = runs
         assert len(serial) == len(overlapped) == len(small_model.parameters())
         for g, h in zip(serial, overlapped):

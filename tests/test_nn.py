@@ -1,4 +1,4 @@
-"""Numeric core: activations, a tower's dense layers and dropout, optimizers, gradient checking."""
+"""Numeric core: softmax, a tower's dense layers and dropout, optimizers, gradient checking."""
 
 import math
 import os
@@ -14,13 +14,19 @@ from hypothesis import strategies as st
 from avdistill import (
     ConfigError,
     DeterminismError,
+    LossConfig,
     NumericError,
     ShapeError,
     StateError,
+    SyntheticSpec,
     TowerSpec,
+    TwoTowerModel,
+    composite_loss,
+    generate_synthetic,
     grad_check,
+    partition_batch,
 )
-from avdistill.model import Tower
+from avdistill.model import Tower, _relu_dropout, _relu_dropout_grad
 from avdistill.nn import (
     _ADAM_CHUNK,
     Adam,
@@ -28,7 +34,6 @@ from avdistill.nn import (
     _overlap,
     he_uniform,
     make_optimizer,
-    relu,
     softmax_rows,
     xavier_uniform,
 )
@@ -37,20 +42,12 @@ from oracles import (
     dense_backward,
     dense_forward,
     numeric_gradient,
+    pre_activation_grad,
     whole_tensor_adam_step,
 )
 
 
 class TestActivations:
-    def test_relu_values(self):
-        np.testing.assert_array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
-
-    def test_relu_nonnegative_and_identity_on_positive(self, rng):
-        x = rng.standard_normal((50, 7))
-        y = relu(x)
-        assert (y >= 0.0).all()
-        np.testing.assert_array_equal(y[x > 0], x[x > 0])
-
     def test_softmax_symmetric_row(self):
         out = softmax_rows(np.array([[0.0, 0.0, 0.0]]))
         np.testing.assert_allclose(out, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
@@ -165,27 +162,21 @@ class TestDenseForward:
     def test_training_forward_matches_oracle(self, rng, activation, rate):
         """The tower's ReLU layer, or its identity last layer, against the one-layer oracle.
 
-        The last layer takes no dropout, whatever the tower's rate.
+        The last layer takes no dropout, whatever the tower's rate. The ReLU
+        layer's output is the last layer's input, which the backward reads to
+        form the last layer's weight gradient.
         """
         x = rng.standard_normal((40, 7))
+        upstream = rng.standard_normal((40, 30))
         layers = _relu_identity_layers(rng)
         tower = _tower(*layers, rate=rate)
         out = tower.forward(x, training=True, seed_base=[5, 2])
-        hidden, pre0, mask0 = dense_forward(x, *layers[0], "relu", rate, [5, 2, 0])
-        want_out, pre1, _ = dense_forward(hidden, *layers[1], "identity", 0.0, None)
-        i = 0 if activation == "relu" else 1
-        want_x, want_pre, want_mask, want_layer_out = [
-            (x, pre0, mask0, hidden), (hidden, pre1, None, want_out)
-        ][i]
-        got_x, got_pre, got_mask = tower._cache[i]
-        assert np.array_equal(got_x, want_x)
-        assert np.array_equal(got_pre, want_pre)
-        if want_mask is None:
-            assert got_mask is None
+        hidden, _, _ = dense_forward(x, *layers[0], "relu", rate, [5, 2, 0])
+        want_out, _, _ = dense_forward(hidden, *layers[1], "identity", 0.0, None)
+        if activation == "relu":
+            assert np.array_equal(tower.backward(upstream)[2], hidden.T @ upstream)
         else:
-            assert np.array_equal(got_mask, want_mask)
-        # Layer 0's output is layer 1's cached input.
-        assert np.array_equal(tower._cache[1][0] if i == 0 else out, want_layer_out)
+            assert np.array_equal(out, want_out)
 
 
 class TestDenseBackward:
@@ -257,6 +248,37 @@ class TestDenseBackward:
         got, want = tower.backward(upstream), [dw0, db0, dw1, db1]
         i = 0 if activation == "relu" else 2
         assert np.array_equal(got[i], want[i]) and np.array_equal(got[i + 1], want[i + 1])
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    def test_mask_and_relu_rewrite_matches_oracle_on_edge_values(self, rate):
+        """The in-place activation and its gradient against the oracle's, bit for bit.
+
+        `pre_activation_grad` is the elementwise part of `dense_backward`.
+
+        Every pairing of an upstream value (±0, ±1, ±inf, NaN) with a
+        pre-activation (±0, the smallest subnormal, ±1, ±inf, NaN), each kept
+        and, under dropout, dropped. NaN positions must agree; the NaN's sign
+        may not.
+        """
+        ups = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]
+        pres = [0.0, -0.0, 5e-324, 1.0, -1.0, math.inf, -math.inf, math.nan]
+        upstream, pre, kept = (
+            a.reshape(1, -1) for a in np.meshgrid(ups, pres, [True, False], indexing="ij")
+        )
+        keep = kept if rate > 0.0 else None
+        scale = 1.0 / (1.0 - rate)
+        mask = None if keep is None else keep.astype(np.float64) / (1.0 - rate)
+        with np.errstate(invalid="ignore"):
+            out = pre.copy()
+            _relu_dropout(out, keep, scale)
+            got = upstream.copy()
+            _relu_dropout_grad(got, keep, out, scale)
+            want_out = np.maximum(pre, 0.0) if mask is None else np.maximum(pre, 0.0) * mask
+            want = pre_activation_grad(pre, mask, "relu", upstream)
+        for a, b in ((out, want_out), (got, want)):
+            nan = np.isnan(b)
+            assert np.array_equal(np.isnan(a), nan)
+            assert np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
 
     def test_dropout_mask_replayed_in_backward(self, rng):
         x = np.abs(rng.standard_normal((6, 5))) + 0.5
@@ -466,7 +488,55 @@ class TestOverlap:
         assert os.waitstatus_to_exitcode(status) == 0
 
 
+def _composite_closure():
+    """(model, closure) as `avdistill grad-check` builds them: one model for every call.
+
+    Each call returns the towers' gradient buffers, which the next call overwrites.
+    Clustered inputs keep the teacher's alignment argmaxes decisive, so the
+    finite-difference probe never crosses a mask boundary.
+    """
+    _, batch = generate_synthetic(
+        SyntheticSpec(n_classes=3, pairs_per_class=2, audio_dim=6, visual_dim=9,
+                      noise_scale=0.3, seed=1)
+    )
+    model = TwoTowerModel.create(TowerSpec(6, 3, (8, 8)), TowerSpec(9, 3, (8, 8)), seed=2)
+    plan = partition_batch(len(batch), 0.5, seed=4)
+
+    def closure(params):
+        for target, source in zip(model.parameters(), params):
+            target[...] = source
+        breakdown, grads = composite_loss(model, batch, plan, LossConfig(), step_seed=11)
+        return breakdown.total, grads
+
+    return model, closure
+
+
 class TestGradCheck:
+    def test_composite_loss_closure_passes_at_its_start_point(self):
+        model, closure = _composite_closure()
+        start = [p.copy() for p in model.parameters()]  # the closure writes the model's
+        err = grad_check(closure, start, tolerance=1e-3, max_coords_per_tensor=12)
+        assert err < 1e-3
+
+        def copying(params):
+            value, grads = closure(params)
+            return value, [g.copy() for g in grads]
+
+        # Every perturbed call overwrites the first call's gradients; the
+        # check still compares against the ones at the unperturbed point.
+        assert grad_check(copying, start, tolerance=1e-3, max_coords_per_tensor=12) == err
+
+    def test_composite_loss_closure_with_a_wrong_entry_fails(self):
+        model, closure = _composite_closure()
+
+        def planted(params):
+            value, grads = closure(params)
+            grads[5][1] += 0.5  # the audio tower's last bias: every entry is checked
+            return value, grads
+
+        with pytest.raises(NumericError, match="exceeds"):
+            grad_check(planted, model.parameters(), tolerance=1e-3, max_coords_per_tensor=12)
+
     def test_quadratic_loss_is_exact(self):
         def closure(params):
             (p,) = params
