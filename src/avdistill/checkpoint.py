@@ -17,6 +17,8 @@ reproduces the file byte for byte.
 from __future__ import annotations
 
 import math
+import os
+import secrets
 import struct
 from pathlib import Path
 
@@ -33,16 +35,27 @@ _PRECISION_F64 = 1
 
 
 def save_checkpoint(model: TwoTowerModel, path: str | Path) -> None:
-    """Write the model to `path`, streaming each tensor's values from its own buffer."""
-    with open(path, "wb") as f:
-        f.write(XMDL_MAGIC)
-        f.write(struct.pack("<HB", XMDL_VERSION, _PRECISION_F64))
-        for spec in (model.audio.spec, model.visual.spec):
-            f.write(_pack_tower_spec(spec))
-        for tensor in model.parameters():
-            f.write(struct.pack(f"<{1 + tensor.ndim}I", tensor.ndim, *tensor.shape))
-            # No copy for a C-contiguous float64 tensor on a little-endian host.
-            f.write(memoryview(np.ascontiguousarray(tensor, dtype="<f8")))
+    """Write the model to `path`, streaming each tensor's values from its own buffer.
+
+    The bytes go to a temporary file in the same directory, which then replaces
+    `path` in one rename: a save that fails part-way leaves the previous file
+    whole and removes its temporary file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(XMDL_MAGIC)
+            f.write(struct.pack("<HB", XMDL_VERSION, _PRECISION_F64))
+            for spec in (model.audio.spec, model.visual.spec):
+                f.write(_pack_tower_spec(spec))
+            for tensor in model.parameters():
+                f.write(struct.pack(f"<{1 + tensor.ndim}I", tensor.ndim, *tensor.shape))
+                # No copy for a C-contiguous float64 tensor on a little-endian host.
+                f.write(memoryview(np.ascontiguousarray(tensor, dtype="<f8")))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already once the rename succeeded
 
 
 def load_checkpoint(path: str | Path) -> TwoTowerModel:

@@ -9,9 +9,11 @@ triplet_term : cross-modal margin triplets under the normalized distance.
                subset, teacher alignment on the soft one) and takes every
                other cell as a negative; each is reduced as the mean hinge
                over its triples and the two added. Training reduces batch-all
-               with per-anchor sorts and batch-hard with masked argmax /
-               argmin, never building the triples; the explicit-triples
-               reference it must match lives in tests/oracles.py.
+               with per-anchor sorts, in blocks of `_ANCHOR_BLOCK` anchor rows,
+               and batch-hard with masked argmax / argmin, never building the
+               triples; a batch-all side holds one n x n count array plus one
+               block's temporaries. The explicit-triples reference it must
+               match lives in tests/oracles.py.
 pair_term    : mean Euclidean distance between the two projections of each pair.
 
 pair_weight is the only weight: the paper's ablation drops the pair term.
@@ -37,12 +39,9 @@ from .softalign import PartitionPlan, label_masks, soft_alignment
 _STRATEGIES = ("all", "hard")
 _ANCHOR_MODES = ("audio", "visual", "symmetric")
 _PROXIES = ("identity", "attention")
-# The distance passes walk whole rows this many elements at a time, so a block
-# (1 MiB of float64) stays in a 2 MiB per-core L2 across its four passes. On a
-# 2-core Xeon VM the overlapped passes over 4000 x 4000 took 28-31 ms with
-# 64K to 256K elements, 52-57 ms with 16K (loop overhead) and 36-39 ms
-# unblocked; the serial unblocked passes took 68-70 ms.
-_DISTANCE_BLOCK = 128 * 1024
+# The batch-all reducer sorts and counts this many anchor rows at a time, so a
+# side's temporaries are a few block x n arrays rather than about eight n x n.
+_ANCHOR_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -148,12 +147,15 @@ def _proxy_backward(cache: dict | None, upstream: np.ndarray) -> np.ndarray:
     if cache is None:  # identity proxy
         return upstream
     emb, weights = cache["emb"], cache["weights"]
-    # out = S @ E with S = softmax(E E^T): three gradient paths.
+    # out = S @ E with S = softmax(E E^T): three gradient paths. The softmax
+    # backward S * (dS - rowsum(dS * S)) runs in place on dS = upstream @ E^T.
     d_emb = weights.T @ upstream
-    d_weights = upstream @ emb.T
-    inner = (d_weights * weights).sum(axis=1, keepdims=True)
-    d_scores = weights * (d_weights - inner)
-    d_emb += (d_scores + d_scores.T) @ emb
+    d_scores = upstream @ emb.T
+    inner = (d_scores * weights).sum(axis=1, keepdims=True)
+    d_scores -= inner
+    d_scores *= weights
+    d_scores += d_scores.T.copy()
+    d_emb += d_scores @ emb
     return d_emb
 
 
@@ -310,7 +312,7 @@ def _batch_triplet_reduce(
 def _batch_all_side(
     pos: np.ndarray, dist: np.ndarray, margin: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Batch-all for anchors on rows: one sort and prefix sum per anchor.
+    """Batch-all for anchors on rows, `_ANCHOR_BLOCK` anchors at a time.
 
     Every non-positive cell of a row is a negative of its anchor. Positive p
     of anchor a is violated by the k negatives q with d_aq < d_ap + margin,
@@ -318,39 +320,67 @@ def _batch_all_side(
     Returns one hinge sum per positive cell in row-major order, the gradient
     counts and the number of triples.
 
+    Each anchor's sort, prefix sum and search read only its own row, so a
+    block of rows gives the bits the whole array would; the blocks' hinges
+    are concatenated in row order. The memory is one block's temporaries
+    (about eight block x n arrays) plus the one n x n count array the blocks
+    write their rows of.
+    """
+    n = dist.shape[0]
+    grad_counts = np.empty((n, n), dtype=np.int64)
+    hinges, n_triples = [], 0
+    for lo in range(0, n, _ANCHOR_BLOCK):
+        block = slice(lo, lo + _ANCHOR_BLOCK)
+        hinge, block_triples = _batch_all_block(pos[block], dist[block], margin, grad_counts[block])
+        hinges.append(hinge)
+        n_triples += block_triples
+    return np.concatenate(hinges), grad_counts, n_triples
+
+
+def _batch_all_block(
+    pos: np.ndarray, dist: np.ndarray, margin: float, grad_counts: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Batch-all for one block of anchor rows; writes their rows of `grad_counts`.
+
     The sort need not be stable: the order of tied values changes no output.
     Sorted values, and so `prefix` and every k, are the same in any tie order.
     When tied finite negatives sit in slots j and j + 1, no positive has
     k = j + 1, because k counts values strictly smaller than its threshold;
-    so `at_least`, the only thing written through `order`, is equal at the two
-    slots. Positives sort last as +inf, past every k, and receive 0 there.
+    so `k_at_most`, the only thing written through `order`, is equal at the
+    two slots. Positives sort last as +inf, past every k, and receive 0 there.
     """
-    n = dist.shape[0]
+    rows_in_block, n = dist.shape
     neg_dist = np.where(pos, np.inf, dist)  # positives sort last and are never counted
     order = np.argsort(neg_dist, axis=1)
     sorted_neg = np.take_along_axis(neg_dist, order, axis=1)
-    prefix = np.zeros((n, n + 1), dtype=dist.dtype)
+    del neg_dist
+    prefix = np.zeros((rows_in_block, n + 1), dtype=dist.dtype)
     np.cumsum(sorted_neg, axis=1, out=prefix[:, 1:])
     # The tie rule: negative q is active for positive p iff d_aq < d_ap + margin.
     # Only positive cells are ranked; a boolean index lists them row by row.
     pos_count = pos.sum(axis=1)
     bounds = np.concatenate(([0], np.cumsum(pos_count)))
-    rows = np.repeat(np.arange(n), pos_count)
+    rows = np.repeat(np.arange(rows_in_block), pos_count)
     pos_threshold = dist[pos] + margin
     pos_k = np.empty(rows.size, dtype=np.int64)
     for a in np.flatnonzero(pos_count):
         lo, hi = bounds[a], bounds[a + 1]
         pos_k[lo:hi] = np.searchsorted(sorted_neg[a], pos_threshold[lo:hi], side="left")
+    del sorted_neg
     hinge = pos_k * pos_threshold - prefix[rows, pos_k]
+    del prefix, pos_threshold
 
-    # The negative in sorted slot j is active for every positive with k > j.
-    k_hist = np.bincount(rows * (n + 1) + pos_k, minlength=n * (n + 1)).reshape(n, n + 1)
-    at_least = pos_count[:, None] - np.cumsum(k_hist[:, :-1], axis=1)  # [a, j]: k > j
-    grad_counts = np.empty((n, n), dtype=np.int64)
-    np.put_along_axis(grad_counts, order, -at_least, axis=1)
+    # The negative in sorted slot j is active for every positive with k > j,
+    # so its count is minus pos_count less the positives with k <= j.
+    k_hist = np.bincount(rows * (n + 1) + pos_k, minlength=rows_in_block * (n + 1))
+    del rows
+    k_at_most = np.cumsum(k_hist.reshape(rows_in_block, n + 1)[:, :-1], axis=1)
+    del k_hist
+    k_at_most -= pos_count[:, None]
+    np.put_along_axis(grad_counts, order, k_at_most, axis=1)
+    del order, k_at_most
     grad_counts[pos] += pos_k
-    n_triples = int(pos_count @ (n - pos_count))
-    return hinge, grad_counts, n_triples
+    return hinge, int(pos_count @ (n - pos_count))
 
 
 def _batch_hard_side(
@@ -384,19 +414,17 @@ def _distances_with_cache(a: np.ndarray, b: np.ndarray) -> dict:
 
 
 def _gram_to_distances(gram: np.ndarray) -> None:
-    """sqrt(max(2 - 2g, 0)) in place, over `_DISTANCE_BLOCK` elements' worth of rows at a time.
+    """sqrt(max(2 - 2g, 0)) in place.
 
     2 + (-2g) rounds exactly as 2 - 2g. Each element takes the same four
-    operations whatever the blocking, so the bits do not depend on it, and
-    `evaluate` finishes its row blocks of distances with it too.
+    operations whatever rows it is given, so the bits do not depend on how a
+    caller splits them: training passes each row half, `evaluate` each
+    ranking block.
     """
-    step = max(1, _DISTANCE_BLOCK // max(1, gram.shape[1]))
-    for lo in range(0, gram.shape[0], step):
-        block = gram[lo : lo + step]
-        block *= -2.0
-        block += 2.0
-        np.clip(block, 0.0, None, out=block)
-        np.sqrt(block, out=block)
+    gram *= -2.0
+    gram += 2.0
+    np.clip(gram, 0.0, None, out=gram)
+    np.sqrt(gram, out=gram)
 
 
 def _distance_backward(cache: dict, d_dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

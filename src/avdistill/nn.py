@@ -130,13 +130,18 @@ def seed_list(seed: SeedLike) -> list[int]:
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction so large logits cannot overflow."""
+    """Row-wise softmax with max subtraction so large logits cannot overflow.
+
+    Allocates one array the size of `logits`: `exp` and the divide run in
+    place on the shifted logits.
+    """
     m = np.asarray(logits, dtype=DTYPE)
     if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
         raise ShapeError(f"softmax_rows needs a non-empty 2-d matrix, got shape {m.shape}")
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = m - m.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def he_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

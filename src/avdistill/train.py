@@ -101,6 +101,7 @@ def train(config: RunConfig) -> TrainResult:
     """Run a full training job; returns the model, metrics, and final evaluation."""
     meta, full = resolve_dataset(config)
     train_data, test_data = split(full, config.train_fraction, config.seed)
+    del full  # split copied both parts; the whole set is not kept through training
     model = build_model(config, meta)
     optimizer = make_optimizer(config.optimizer, config.learning_rate)
     schedule = config.schedule

@@ -10,7 +10,10 @@ they must match bit for bit.
 
 The explicit-triples loss (`proxy_transform`, `triplet_terms`,
 `cross_modal_triplet_loss`) is the reference for the training path's
-batch-all / batch-hard reducer. It gathers one hinge per materialized triple,
+batch-all / batch-hard reducer. `explicit_batch_all_side` walks the batch-all
+triples one positive at a time and sums their hinges in the reducer's order,
+so the reducer's hinges, counts and mean match it bit for bit. The
+explicit-triples loss gathers one hinge per materialized triple,
 and reuses the engine's private proxy and distance code around it:
 `losses._proxy_forward`, `losses._distances_with_cache`,
 `losses._distance_backward` and `losses._proxy_backward`. The slow triple loop
@@ -100,10 +103,14 @@ def proxy_transform(emb: np.ndarray, cfg: LossConfig) -> np.ndarray:
 def triplet_terms(
     distances: np.ndarray, triplets: TripletSet, margin: float
 ) -> tuple[float, np.ndarray]:
-    """Mean hinge over the triples plus its gradient w.r.t. the distance matrix."""
-    d_dist = np.zeros_like(distances)
+    """Mean hinge over the triples plus its gradient w.r.t. the distance matrix.
+
+    Each active triple adds 1 at its positive cell and -1 at its negative
+    cell; the integer counts are scaled by 1 / len(triplets) once, so the
+    gradient carries one rounding however many triples share a cell.
+    """
     if len(triplets) == 0:
-        return 0.0, d_dist
+        return 0.0, np.zeros_like(distances)
     # Audio anchors index (anchor, candidate) cells, visual anchors (candidate, anchor).
     a, p, q = triplets.anchor, triplets.positive, triplets.negative
     is_a = triplets.anchor_is_audio
@@ -112,10 +119,62 @@ def triplet_terms(
     hinge = distances[rows_pos, cols_pos] - distances[rows_neg, cols_neg] + margin
     active = hinge > 0.0
     value = float(np.maximum(hinge, 0.0).mean())
-    coef = 1.0 / len(triplets)
-    np.add.at(d_dist, (rows_pos[active], cols_pos[active]), coef)
-    np.add.at(d_dist, (rows_neg[active], cols_neg[active]), -coef)
-    return value, d_dist
+    counts = np.zeros(distances.shape, dtype=np.int64)
+    np.add.at(counts, (rows_pos[active], cols_pos[active]), 1)
+    np.add.at(counts, (rows_neg[active], cols_neg[active]), -1)
+    return value, counts * (1.0 / len(triplets))
+
+
+def explicit_batch_all_side(
+    pos: np.ndarray, dist: np.ndarray, margin: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Batch-all for anchors on rows, one positive at a time: (hinges, counts, n_triples).
+
+    Each positive cell, in row-major order, gets the hinge sum of its active
+    triples: its negatives q with d_aq < d_ap + margin, whose distances are
+    added one by one in ascending order and taken from k * (d_ap + margin).
+    Each active triple adds 1 to its positive's count and -1 to its
+    negative's. Every non-positive cell of a row is a negative of its anchor.
+    """
+    n_rows, n = dist.shape
+    hinges = []
+    counts = np.zeros((n_rows, n), dtype=np.int64)
+    n_triples = 0
+    for a in range(n_rows):
+        negatives = np.flatnonzero(~pos[a])
+        for p in np.flatnonzero(pos[a]):
+            n_triples += negatives.size
+            threshold = dist[a, p] + margin
+            active = negatives[dist[a, negatives] < threshold]
+            total = 0.0
+            for d in sorted(dist[a, active]):
+                total += d
+            hinges.append(active.size * threshold - total)
+            counts[a, p] += active.size
+            counts[a, active] -= 1
+    return np.array(hinges, dtype=np.float64), counts, n_triples
+
+
+def explicit_batch_all(
+    pos: np.ndarray, dist: np.ndarray, anchor_mode: str, margin: float
+) -> tuple[float, np.ndarray]:
+    """Mean batch-all hinge and d/d(dist) from `explicit_batch_all_side`.
+
+    The sides' hinge sums are summed as one array, audio anchors first; the
+    counts of visual anchors (columns) are added back transposed.
+    """
+    sides = []
+    if anchor_mode in ("audio", "symmetric"):
+        sides.append(explicit_batch_all_side(pos, dist, margin))
+    if anchor_mode in ("visual", "symmetric"):
+        hinges, counts, n_triples = explicit_batch_all_side(pos.T, dist.T, margin)
+        sides.append((hinges, counts.T, n_triples))
+    n_triples = sum(side[2] for side in sides)
+    if n_triples == 0:
+        return 0.0, np.zeros_like(dist)
+    value = float(np.concatenate([side[0] for side in sides]).sum() / n_triples)
+    counts = sum(side[1] for side in sides)
+    return value, counts * (1.0 / n_triples)
 
 
 def cross_modal_triplet_loss(

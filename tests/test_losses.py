@@ -22,7 +22,9 @@ from avdistill import (
     partition_batch,
 )
 from avdistill.losses import (
+    _ANCHOR_BLOCK,
     TripletSet,
+    _batch_all_side,
     _batch_triplet_reduce,
     label_loss,
     normalize_rows,
@@ -31,6 +33,8 @@ from avdistill.losses import (
 
 from oracles import (
     cross_modal_triplet_loss,
+    explicit_batch_all,
+    explicit_batch_all_side,
     normalized_distance,
     numeric_gradient,
     proxy_transform,
@@ -144,10 +148,9 @@ class TestNormalizedDistance:
             expected = np.sqrt(np.clip(2.0 - 2.0 * (ux @ uy.T), 0.0, None))
             assert pairwise_normalized_distances(x, y).tobytes() == expected.tobytes()
 
-    def test_blocked_passes_match_formula_at_odd_rows(self, rng, monkeypatch):
-        # 100-element blocks hold a few rows each: the two row halves are
-        # unequal and each ends in a partial block.
-        monkeypatch.setattr("avdistill.losses._DISTANCE_BLOCK", 100)
+    def test_row_halves_match_formula_at_odd_rows(self, rng):
+        # 29 rows split into unequal halves of 14 and 15; one row leaves the
+        # first half empty.
         a = rng.standard_normal((29, 7))
         b = np.concatenate([rng.standard_normal((21, 7)), a[:10], 3.0 * a[10:20]])
         for x, y in ((a, b), (b, a), (a[:1], b)):
@@ -498,6 +501,32 @@ class TestCompositeLoss:
         assert math.isfinite(breakdown.triplet_term)
         assert peak < 128 * 2**20
 
+    @pytest.mark.parametrize("n, bound_mb", [(400, 16), (800, 60)])
+    def test_fully_labeled_batch_all_step_stays_within_its_memory_bound(self, n, bound_mb):
+        # Reference dims. The warm-up call sizes the towers' training buffers,
+        # so the traced call allocates only the loss path's temporaries. Two
+        # batch-all sides reducing whole n x n arrays at once take about 27 MB
+        # at 400 rows and 99 MB at 800, past these bounds.
+        from avdistill import PairedBatch, TowerSpec, TwoTowerModel
+
+        rng = np.random.default_rng(8)
+        batch = PairedBatch(
+            rng.standard_normal((n, 128)), rng.standard_normal((n, 1024)), np.arange(n) % 10
+        )
+        model = TwoTowerModel.create(
+            TowerSpec(128, 10, (1024,) * 3), TowerSpec(1024, 10, (1024,) * 3), seed=0
+        )
+        plan = partition_batch(n, 1.0, seed=0)
+        composite_loss(model, batch, plan, LossConfig(), step_seed=0)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            composite_loss(model, batch, plan, LossConfig(), step_seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= bound_mb * 1e6
+
 
 def _grad_check_composite(cfg):
     from avdistill import SyntheticSpec, TowerSpec, TwoTowerModel, generate_synthetic, grad_check
@@ -528,10 +557,29 @@ def _grad_check_composite(cfg):
     assert err < 1e-3
 
 
+def _mutual_pointing_mask(rng, n):
+    points_a = rng.random((n, n)).argmax(axis=1)
+    points_v = rng.random((n, n)).argmax(axis=1)
+    return points_a[:, None] == points_v[None, :]
+
+
+# Row counts on each side of the batch-all reducer's anchor-block edges, with
+# the classes of their label masks: few enough triples to materialize.
+_BLOCK_EDGE_ROWS = (
+    (1, 1),
+    (_ANCHOR_BLOCK - 1, 4),
+    (_ANCHOR_BLOCK, 4),
+    (_ANCHOR_BLOCK + 1, 4),
+    (2 * _ANCHOR_BLOCK + 1, 8),
+    (400, 200),
+)
+
+
 def _reducer_cases(rng):
     """Positive masks and distances covering the reducer's edge cases, several of each kind.
 
-    Every non-positive cell is a negative, as in training.
+    Every non-positive cell is a negative, as in training. The last cases
+    cross the batch-all reducer's anchor blocks.
     """
     for i in range(40):
         n = int(rng.integers(1, 12))
@@ -539,9 +587,7 @@ def _reducer_cases(rng):
         if kind == 0:  # label masks, some classes singletons
             pos, _ = label_masks(rng.integers(0, 4, size=n))
         elif kind == 1:  # mutual-pointing masks of two random score matrices
-            points_a = rng.random((n, n)).argmax(axis=1)
-            points_v = rng.random((n, n)).argmax(axis=1)
-            pos = points_a[:, None] == points_v[None, :]
+            pos = _mutual_pointing_mask(rng, n)
         elif kind == 2:  # sparse masks: anchors with no positive or no negative
             pos = rng.random((n, n)) < 0.3
             if i % 8 == 2:
@@ -551,10 +597,34 @@ def _reducer_cases(rng):
         else:  # all-positive rows next to ordinary ones
             pos, _ = label_masks(rng.integers(0, 3, size=n))
             pos[rng.random(n) < 0.3] = True
-        dist = rng.uniform(0.0, 2.0, size=(n, n))
-        yield pos, dist, 1.2
-        # Quantized distances with margin 0.5 produce exact d_aq == d_ap + margin ties.
-        yield pos, np.round(dist * 4.0) / 4.0, 0.5
+        yield from _with_distances(rng, pos)
+    for n, classes in _BLOCK_EDGE_ROWS:
+        for pos in (label_masks(rng.integers(0, classes, size=n))[0],
+                    _mutual_pointing_mask(rng, n)):
+            yield from _with_distances(rng, pos)
+
+
+def _with_distances(rng, pos):
+    n = pos.shape[0]
+    dist = rng.uniform(0.0, 2.0, size=(n, n))
+    yield pos, dist, 1.2
+    # Quantized distances with margin 0.5 produce exact d_aq == d_ap + margin ties.
+    yield pos, np.round(dist * 4.0) / 4.0, 0.5
+
+
+def _assert_batch_all_matches_explicit_triples(pos, dist, anchor_mode, margin, value, d_dist):
+    """Bit for bit: each side's hinges, counts and triple count, then the reduced mean and gradient."""
+    sides = {"audio": [(pos, dist)], "visual": [(pos.T, dist.T)]}
+    sides["symmetric"] = sides["audio"] + sides["visual"]
+    for side_pos, side_dist in sides[anchor_mode]:
+        hinge, counts, n_triples = _batch_all_side(side_pos, side_dist, margin)
+        ref_hinge, ref_counts, ref_n_triples = explicit_batch_all_side(side_pos, side_dist, margin)
+        assert hinge.tobytes() == ref_hinge.tobytes()
+        np.testing.assert_array_equal(counts, ref_counts)
+        assert n_triples == ref_n_triples
+    ref_value, ref_d_dist = explicit_batch_all(pos, dist, anchor_mode, margin)
+    assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+    assert d_dist.tobytes() == ref_d_dist.tobytes()
 
 
 class TestBatchTripletReducer:
@@ -564,6 +634,7 @@ class TestBatchTripletReducer:
     def test_all_matches_materialized_triples(self, rng, anchor_mode):
         for pos, dist, margin in _reducer_cases(rng):
             value, d_dist = _batch_triplet_reduce(pos, dist, "all", anchor_mode, margin)
+            _assert_batch_all_matches_explicit_triples(pos, dist, anchor_mode, margin, value, d_dist)
             trip = build_triplets(pos, ~pos, "all", anchor_mode, dist)
             ref_value, ref_d_dist = triplet_terms(dist, trip, margin)
             assert abs(value - ref_value) <= 1e-12
@@ -594,22 +665,29 @@ def _tie_heavy_cases(rng):
     Each positive mask is edited so that audio anchor 0 has no positive or,
     in alternate cases, visual anchor n - 1 has no negative. Every
     non-positive cell is a negative, so one cell cannot serve both edits.
+    The last cases sit on each side of the batch-all reducer's first anchor
+    block edge, with more classes so their triples stay few.
     """
     for i in range(40):
-        n = int(rng.integers(2, 10))
-        audio, visual = (np.round(rng.standard_normal((n, 3)), 1) for _ in range(2))
-        for m in (audio, visual):
-            m[~m.any(axis=1), 0] = 0.1  # no zero rows: their distance is undefined
-        audio[-1] = audio[0]
-        visual[n // 2] = visual[0]
-        labeled, _ = label_masks(rng.integers(0, 3, size=n))
-        soft, _ = softmax_pointing_masks(audio, visual)
-        for j, pos in enumerate((labeled, soft)):
-            if (i + j) % 2 == 0:
-                pos[0] = False
-            else:
-                pos[:, -1] = True
-            yield audio, visual, pos
+        yield from _tie_heavy_case(rng, i, int(rng.integers(2, 10)), classes=3)
+    for i, n in enumerate((_ANCHOR_BLOCK - 1, _ANCHOR_BLOCK, _ANCHOR_BLOCK + 1)):
+        yield from _tie_heavy_case(rng, i, n, classes=n // 4)
+
+
+def _tie_heavy_case(rng, i, n, classes):
+    audio, visual = (np.round(rng.standard_normal((n, 3)), 1) for _ in range(2))
+    for m in (audio, visual):
+        m[~m.any(axis=1), 0] = 0.1  # no zero rows: their distance is undefined
+    audio[-1] = audio[0]
+    visual[n // 2] = visual[0]
+    labeled, _ = label_masks(rng.integers(0, classes, size=n))
+    soft, _ = softmax_pointing_masks(audio, visual)
+    for j, pos in enumerate((labeled, soft)):
+        if (i + j) % 2 == 0:
+            pos[0] = False
+        else:
+            pos[:, -1] = True
+        yield audio, visual, pos
 
 
 def _triplet_set(triples):
@@ -626,6 +704,12 @@ class TestTieHeavyReducer:
     ):
         for audio, visual, pos in _tie_heavy_cases(rng):
             dist = pairwise_normalized_distances(audio, visual)
+            if strategy == "all":
+                trip = _triplet_set(slow_build_all_triplets(pos, ~pos, anchor_mode))
+            else:
+                trip = _triplet_set(
+                    slow_build_hard_triplets(pos, ~pos, audio, visual, anchor_mode)
+                )
             for margin in (0.5, 1.2):
                 runs = []
                 for cpus in (1, 2):
@@ -635,10 +719,9 @@ class TestTieHeavyReducer:
                 assert np.float64(value).tobytes() == np.float64(value_2).tobytes()
                 assert d_dist.tobytes() == d_dist_2.tobytes()
                 if strategy == "all":
-                    triples = slow_build_all_triplets(pos, ~pos, anchor_mode)
-                else:
-                    triples = slow_build_hard_triplets(pos, ~pos, audio, visual, anchor_mode)
-                trip = _triplet_set(triples)
+                    _assert_batch_all_matches_explicit_triples(
+                        pos, dist, anchor_mode, margin, value, d_dist
+                    )
                 cfg = LossConfig(proxy="identity", margin=margin)
                 assert abs(value - slow_triplet_loss(audio, visual, trip, cfg)) <= 1e-9
                 _, ref_d_dist = triplet_terms(dist, trip, margin)

@@ -1,5 +1,6 @@
 """Two-tower encoder wiring and checkpoint serialization."""
 
+import errno
 import re
 import struct
 import tempfile
@@ -536,6 +537,23 @@ class TestCheckpoint:
         save_checkpoint(small_model, p1)
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_save_that_fails_part_way_keeps_the_previous_file(self, tmp_path, small_model):
+        path = tmp_path / "model.xmdl"
+        save_checkpoint(small_model, path)
+        before = path.read_bytes()
+
+        class DiskFills:  # writes the header and one tensor, then fails
+            audio, visual = small_model.audio, small_model.visual
+
+            def parameters(self):
+                yield small_model.parameters()[0] * 2.0
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(DiskFills(), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_loaded_tensors_are_fresh_writeable_arrays(self, tmp_path, small_model, file_reads):
         # Adam updates parameters in place through flat views; no tensor keeps the file alive.
