@@ -12,6 +12,12 @@ Tensors follow in parameters() order (audio w0, b0, ... then visual), each as
 u32 rank | rank x u32 dims | values as IEEE-754 float64. Tag 1 is the only
 precision written or accepted, so a save -> load -> save roundtrip
 reproduces the file byte for byte.
+
+A load streams the file: it reads the header fields, then each tensor's
+values straight into that tensor's own array, so the values are copied once
+and the file is never held whole. Every field's byte count is checked
+against what the file has left before it is read or anything is allocated
+for it, so a declared shape larger than the file fails as a truncated file.
 """
 
 from __future__ import annotations
@@ -59,9 +65,12 @@ def save_checkpoint(model: TwoTowerModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> TwoTowerModel:
-    raw = Path(path).read_bytes()
-    reader = _Reader(raw)
-    magic = bytes(reader.take(4, "magic"))
+    with open(path, "rb") as f:
+        return _read_model(_Reader(f))
+
+
+def _read_model(reader: _Reader) -> TwoTowerModel:
+    magic = reader.take(4, "magic")
     if magic != XMDL_MAGIC:
         raise FormatError(
             f"bad magic {magic!r} at byte 0, expected {XMDL_MAGIC!r}"
@@ -92,24 +101,42 @@ def load_checkpoint(path: str | Path) -> TwoTowerModel:
 
 
 class _Reader:
-    def __init__(self, raw: bytes) -> None:
-        # Slices of a memoryview copy nothing; a tensor's values are copied
-        # once, by `_read_tensor`'s astype.
-        self.raw = memoryview(raw)
+    """Reads an open file front to back, checking every read against the bytes left."""
+
+    def __init__(self, f) -> None:
+        self.f = f
+        self.size = os.fstat(f.fileno()).st_size
         self.offset = 0
 
-    def take(self, n: int, what: str) -> memoryview:
-        if self.offset + n > len(self.raw):
+    def need(self, n: int, what: str) -> None:
+        """Fail, naming `what`, unless the file has n more bytes."""
+        if self.offset + n > self.size:
             raise FormatError(
-                f"unexpected end of file at byte {len(self.raw)} while reading {what} "
+                f"unexpected end of file at byte {self.size} while reading {what} "
                 f"(needed {self.offset + n} bytes)"
             )
-        chunk = self.raw[self.offset : self.offset + n]
-        self.offset += n
+
+    def take(self, n: int, what: str) -> bytes:
+        self.need(n, what)
+        chunk = self.f.read(n)
+        self._advance(len(chunk), n, what)
         return chunk
 
+    def take_into(self, out: np.ndarray, what: str) -> None:
+        """Fill C-contiguous `out` with the next `out.nbytes` bytes."""
+        self.need(out.nbytes, what)
+        self._advance(self.f.readinto(out), out.nbytes, what)
+
+    def _advance(self, got: int, n: int, what: str) -> None:
+        if got != n:  # the file shrank after its size was read
+            raise FormatError(
+                f"unexpected end of file at byte {self.offset + got} while reading {what} "
+                f"(needed {self.offset + n} bytes)"
+            )
+        self.offset += n
+
     def remaining(self) -> int:
-        return len(self.raw) - self.offset
+        return self.size - self.offset
 
 
 def _pack_tower_spec(spec: TowerSpec) -> bytes:
@@ -150,6 +177,10 @@ def _read_tensor(reader: _Reader, name: str, expected_shape: tuple[int, ...]) ->
     if dims != expected_shape:
         raise FormatError(f"tensor {name} has dims {dims}, expected {expected_shape}")
     # Python ints: a crafted shape must not wrap around int64 to a small count.
-    count = math.prod(dims)
-    values = reader.take(8 * count, f"values of {name}")
-    return np.frombuffer(values, dtype="<f8", count=count).astype(DTYPE).reshape(dims)
+    # The check comes first, so such a shape allocates nothing.
+    what = f"values of {name}"
+    reader.need(8 * math.prod(dims), what)
+    values = np.empty(dims, dtype="<f8")
+    reader.take_into(values, what)
+    # No copy on a little-endian host, where "<f8" is DTYPE.
+    return values.astype(DTYPE, copy=False)

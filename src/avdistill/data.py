@@ -14,6 +14,14 @@ Binary layout (all little-endian):
 CSV layout: header ``pair_id,label,a_0..a_{A-1},v_0..v_{V-1}``, one pair per row.
 Features are stored as f32 in the binary format; the generator quantizes
 through f32 so write -> read roundtrips reproduce the arrays bit-exactly.
+
+A `PairedBatch` keeps float32 features as float32 and turns features of any
+other dtype into float64. So the generator and the binary loader hand over
+float32 arrays, half the bytes of float64 ones with every bit kept, and the
+CSV loader float64 ones. The towers compute in float64 whatever they are
+given: a training forward widens its batch on entry and an inference
+forward one row chunk at a time (see `model.Tower`). float32 widens to
+float64 exactly, so both kinds of input give the same bits.
 """
 
 from __future__ import annotations
@@ -56,9 +64,20 @@ class DatasetMeta:
             raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
 
 
+def _as_features(x) -> np.ndarray:
+    """`x` as a feature matrix: float32 stays float32, any other dtype becomes float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(DTYPE, copy=False)
+
+
 @dataclass
 class PairedBatch:
-    """Aligned audio/visual feature rows with labels and original pair indices."""
+    """Aligned audio/visual feature rows with labels and original pair indices.
+
+    float32 features are kept as they are, and features of any other dtype
+    become float64 (`_as_features`); `take`, and so `split` and `batches`,
+    keep the dtype they are given.
+    """
 
     audio: np.ndarray
     visual: np.ndarray
@@ -66,8 +85,8 @@ class PairedBatch:
     indices: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        self.audio = np.asarray(self.audio, dtype=DTYPE)
-        self.visual = np.asarray(self.visual, dtype=DTYPE)
+        self.audio = _as_features(self.audio)
+        self.visual = _as_features(self.visual)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.indices is None:
             self.indices = np.arange(len(self.labels), dtype=np.int64)
@@ -154,9 +173,9 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[DatasetMeta, PairedBatch]:
         labels = labels.copy()
         labels[flip] = rng.integers(0, c, size=k)
 
-    # Quantize through f32 so the binary format roundtrips losslessly.
-    audio = audio.astype(np.float32).astype(DTYPE)
-    visual = visual.astype(np.float32).astype(DTYPE)
+    # Quantize to f32, the binary format's precision, so it roundtrips losslessly.
+    audio = audio.astype(np.float32)
+    visual = visual.astype(np.float32)
     meta = DatasetMeta(
         n_pairs=n, audio_dim=spec.audio_dim, visual_dim=spec.visual_dim, n_classes=c
     )
@@ -211,8 +230,8 @@ def _save_binary(path: Path, meta: DatasetMeta, data: PairedBatch) -> None:
         "<HIIII", AVFD_VERSION, meta.n_pairs, meta.audio_dim, meta.visual_dim, meta.n_classes
     )
     records = np.empty(len(data), dtype=_record_dtype(meta.audio_dim, meta.visual_dim))
-    records["audio"] = data.audio.astype(np.float32)
-    records["visual"] = data.visual.astype(np.float32)
+    records["audio"] = data.audio
+    records["visual"] = data.visual
     records["label"] = data.labels.astype(np.uint32)
     with open(path, "wb") as f:
         f.write(header)
@@ -248,8 +267,9 @@ def _load_binary(path: Path) -> tuple[DatasetMeta, PairedBatch]:
     if len(body) != n * record_size:
         raise DataError(f"{len(body) - n * record_size} trailing bytes after record {n - 1}")
     records = np.frombuffer(body, dtype=_record_dtype(audio_dim, visual_dim), count=n)
-    audio = records["audio"].astype(DTYPE).reshape(n, audio_dim)
-    visual = records["visual"].astype(DTYPE).reshape(n, visual_dim)
+    # Contiguous float32 copies of the columns: nothing keeps `raw` alive.
+    audio = records["audio"].astype(np.float32)
+    visual = records["visual"].astype(np.float32)
     labels = records["label"].astype(np.int64)
     _validate_records(audio, visual, labels, n_classes)
     meta = DatasetMeta(n_pairs=n, audio_dim=audio_dim, visual_dim=visual_dim, n_classes=n_classes)

@@ -66,9 +66,11 @@ from .nn import _overlap
 # rows. The distance and key buffers and the xor, relevance-bit and precision
 # temporaries are block x gallery (1.9 MB each at 60 x 4000), and with two
 # usable CPUs both row halves hold one set each at the same time. On the
-# eval-4k benchmark (2-core host) the process peaked at 187.5-187.8 MB over 14
-# runs, against 291.5-292.8 MB when it built the 4000 x 4000 matrix; 36 to 72
-# rows ranked 4000 pairs equally fast in-process, 96 and 120 rows slower.
+# eval-4k benchmark (2-core host) the process peaked at 169.9-170.3 MB over 12
+# runs, with the features held as float32; with them held as float64 it
+# peaked at 187.5-187.9 MB, and at 291.5-292.8 MB when it also built the
+# 4000 x 4000 matrix. 36 to 72 rows ranked 4000 pairs equally fast
+# in-process, 96 and 120 rows slower.
 _BLOCK = 60
 # inf's key with the relevance bit set: only a NaN's key is larger.
 _INF_KEY = np.uint64(0x7FF0000000000000 << 1 | 1)

@@ -506,6 +506,13 @@ def pair_distance_loss(emb: EmbeddingBatch) -> tuple[float, tuple[np.ndarray, np
 # composite
 
 
+def _finite(emb: EmbeddingBatch, phase: str) -> EmbeddingBatch:
+    """`emb` unchanged, or a `NumericError` naming the pass that produced it."""
+    if not (np.isfinite(emb.audio).all() and np.isfinite(emb.visual).all()):
+        raise NumericError(f"non-finite embedding values in the {phase} pass")
+    return emb
+
+
 def composite_loss(
     model: TwoTowerModel,
     batch: PairedBatch,
@@ -530,12 +537,11 @@ def composite_loss(
         positive, _ = label_masks(batch.labels[plan.labeled_idx])
         subset_positives.append((plan.labeled_idx, positive))
     if plan.soft_idx.size > 0:
-        align = soft_alignment(model.encode(batch.take(plan.soft_idx), training=False))
-        subset_positives.append((plan.soft_idx, align.positive_mask))
+        # An all-NaN logit row's argmax is 0: unchecked, NaN would pass as positives.
+        teacher = _finite(model.encode(batch.take(plan.soft_idx), training=False), "teacher")
+        subset_positives.append((plan.soft_idx, soft_alignment(teacher).positive_mask))
 
-    emb = model.encode(batch, training=True, step_seed=step_seed)
-    if not (np.isfinite(emb.audio).all() and np.isfinite(emb.visual).all()):
-        raise NumericError("non-finite embedding values in the student pass")
+    emb = _finite(model.encode(batch, training=True, step_seed=step_seed), "student")
 
     triplet_value, (d_audio_trip, d_visual_trip) = _triplet_term(emb, subset_positives, cfg)
 

@@ -14,18 +14,22 @@ worker runs the first half of the rows and the caller the rest, each half in
 equal chunks of at most `_CHUNK` rows through a chunk-sized buffer, and the
 narrow last layer runs once over all rows. So only one full-height activation
 is held: a 4000-row reference forward peaks at 39 MiB under tracemalloc,
-where two full-height activations took 63 MiB. The split depends on the row
-count alone, so an encode gives the same bits on any number of CPUs. A half
-or chunk takes the same BLAS product as the whole wherever both pick the
-same kernel: halves keep two or more rows, because a one-row product goes
-through numpy's matrix-vector path, which rounds differently. OpenBLAS may
-still give a small chunk its small-matrix kernel, which sums a layer deeper
-than its block depth in another order; on an AVX-512 build that changed bits
-for 512-deep layers at some row counts, never for the 128- and 1024-deep
-layers of the reference model. The last layer stays whole for the same
-reason: with OpenBLAS 0.3.31, row chunks of a 1024 -> 10 product (128-row
-chunks of 4000 rows; 128-, 256- and 512-row chunks of 600) differed from the
-whole product.
+where two full-height activations took 63 MiB. Nor is the input widened at
+full height: layer 0 reads each chunk from the buffer it does not write,
+into which the chunk's feature rows are first copied as float64. So a
+float32 input (see `data.PairedBatch`) is never held as float64 beyond one
+chunk, and gives the same bits as its float64 copy, since widening is exact.
+The split depends on the row count alone, so an encode gives the same bits
+on any number of CPUs. A half or chunk takes the same BLAS product as the
+whole wherever both pick the same kernel: halves keep two or more rows,
+because a one-row product goes through numpy's matrix-vector path, which
+rounds differently. OpenBLAS may still give a small chunk its small-matrix
+kernel, which sums a layer deeper than its block depth in another order; on
+an AVX-512 build that changed bits for 512-deep layers at some row counts,
+never for the 128- and 1024-deep layers of the reference model. The last
+layer stays whole for the same reason: with OpenBLAS 0.3.31, row chunks of a
+1024 -> 10 product (128-row chunks of 4000 rows; 128-, 256- and 512-row
+chunks of 600) differed from the whole product.
 
 Training runs in buffers each tower keeps between steps; a model that only
 runs inference allocates none of them. The first training forward allocates,
@@ -49,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PairedBatch
+from .data import PairedBatch, _as_features
 from .errors import ConfigError, ShapeError, StateError
 from .nn import DTYPE, SeedLike, _overlap, he_uniform, seed_list, xavier_uniform
 
@@ -172,8 +176,11 @@ class Tower:
         Dropout zeroes each hidden unit with probability `spec.dropout_rate` and
         scales the rest by 1/(1-rate). Layer i's mask comes from a generator
         seeded with [*seed_base, i], so a seed and shape always give the same mask.
+        A training forward computes on, and caches, a float64 copy of `x`; an
+        inference forward takes float32 or float64 rows as they are and widens
+        each chunk itself.
         """
-        h = np.asarray(x, dtype=DTYPE)
+        h = np.asarray(x, dtype=DTYPE) if training else _as_features(x)
         if h.ndim != 2 or h.shape[1] != self.spec.input_dim:
             raise ShapeError(
                 f"input shape {h.shape} does not match tower input dim {self.spec.input_dim}"
@@ -195,9 +202,11 @@ class Tower:
                 h = out
         else:
             # Layers L-1, L-3, ... write full-height rows of `hidden`, the rest
-            # one chunk-sized slot per thread (see `_hidden_in_place`). A layer
-            # narrower than `hidden` writes the leading columns of its rows.
-            widths = self.spec.hidden_dims
+            # one chunk-sized slot per thread, and the input chunk goes where
+            # layer 0 does not write (see `_hidden_in_place`). A layer narrower
+            # than its buffer writes the leading columns of its rows.
+            # The widths a chunk holds: its input, then each hidden layer's output.
+            widths = (self.spec.input_dim, *self.spec.hidden_dims)
             hidden = np.empty((rows, max(widths[::-2])), dtype=DTYPE)
             # A one-row half would take numpy's matrix-vector product, which
             # rounds differently; below 4 rows the caller runs them all.
@@ -232,20 +241,31 @@ class Tower:
         layer before the next chunk starts. Layer i of a chunk writes the
         chunk's rows of `hidden` when an even number of layers follow it, and
         otherwise one slot that the chunks reuse, so the two alternate and
-        the last hidden layer lands in `hidden`.
+        the last hidden layer lands in `hidden`. Layer 0 reads the chunk from
+        the buffer it does not write: the slot when the hidden-layer count is
+        odd, the chunk's rows of `hidden` when it is even. `np.copyto` widens
+        the chunk's rows of `x` into it, so a float32 `x` is widened one chunk
+        at a time, with no temporary. Both buffers are sized over every width
+        they hold, the input's included; at the reference shapes (128 or
+        1024 inputs, three 1024-wide layers) the input adds no width.
         """
-        widths, rows = self.spec.hidden_dims, x.shape[0]
+        # The widths a chunk holds: its input, then each hidden layer's output.
+        widths, rows = (self.spec.input_dim, *self.spec.hidden_dims), x.shape[0]
         n_chunks = max(1, -(-rows // _CHUNK))
         bounds = [rows * c // n_chunks for c in range(n_chunks + 1)]
-        slot = np.empty((-(-rows // n_chunks), max(widths[-2::-2], default=0)), dtype=DTYPE)
+        slot = np.empty((-(-rows // n_chunks), max(widths[-2::-2])), dtype=DTYPE)
         for lo, hi in zip(bounds, bounds[1:]):
-            h = x[lo:hi]
-            for i, d in enumerate(widths):
-                out = hidden[lo:hi, :d] if (len(widths) - i) % 2 else slot[: hi - lo, :d]
+            # Entry k (the input, then each layer's output) is held in `hidden`
+            # when an even number of entries follow it, otherwise in the slot.
+            held = [
+                hidden[lo:hi, :d] if (len(widths) - k) % 2 else slot[: hi - lo, :d]
+                for k, d in enumerate(widths)
+            ]
+            np.copyto(held[0], x[lo:hi])
+            for i, (h, out) in enumerate(zip(held, held[1:])):
                 np.matmul(h, self._params[2 * i], out=out)
                 out += self._params[2 * i + 1]
                 np.maximum(out, 0.0, out=out)
-                h = out
 
     def backward(self, upstream: np.ndarray) -> list[np.ndarray]:
         """Push a gradient through the cached training forward; returns [dw0, db0, ...].

@@ -30,6 +30,29 @@ def small_batch(rng):
 
 
 @pytest.fixture
+def float32_twins():
+    """A batch's features rounded to float32, and the exact float64 copy of that rounding."""
+
+    def twins(batch: PairedBatch) -> tuple[PairedBatch, PairedBatch]:
+        narrow = PairedBatch(batch.audio.astype(np.float32), batch.visual.astype(np.float32),
+                             batch.labels, batch.indices)
+        wide = PairedBatch(narrow.audio.astype(np.float64), narrow.visual.astype(np.float64),
+                           batch.labels, batch.indices)
+        assert narrow.audio.dtype == np.float32 and wide.audio.dtype == np.float64
+        return narrow, wide
+
+    return twins
+
+
+@pytest.fixture
+def reference_model():
+    """The paper's towers: 128-d audio and 1024-d visual inputs, 3 x 1024 hidden, 10 outputs."""
+    return TwoTowerModel.create(
+        TowerSpec(128, 10, (1024, 1024, 1024)), TowerSpec(1024, 10, (1024, 1024, 1024)), seed=0
+    )
+
+
+@pytest.fixture
 def usable_cpus(monkeypatch):
     """Set the CPU count the tower overlap sees: 2 or more runs its worker, 1 runs serially."""
 

@@ -1,6 +1,7 @@
 """Synthetic generation, on-disk formats, stratified splits, and batching."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,22 @@ class TestBinaryFormat:
         for array in (back.audio, back.visual, back.labels):
             assert array.flags.writeable and array.flags.c_contiguous
             assert not np.shares_memory(array, file_reads[0])
+
+    def test_binary_features_load_as_float32_once(self, tmp_path):
+        meta, data = generate_synthetic(SyntheticSpec(n_classes=10, pairs_per_class=400))
+        path = tmp_path / "ref.avfd"
+        save_features(path, meta, data)
+        tracemalloc.start()
+        try:
+            _, back = load_features(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert back.audio.dtype == back.visual.dtype == np.float32
+        # 4000 x (128 + 1024) float32 values, then int64 labels and indices.
+        assert held <= 4000 * (128 + 1024) * 4 + 2 * 4000 * 8 + 2**16
+        np.testing.assert_array_equal(back.audio, data.audio)
+        np.testing.assert_array_equal(back.visual, data.visual)
 
     def test_generated_dataset_roundtrip(self, tmp_path):
         meta, data = generate_synthetic(SyntheticSpec(n_classes=2, pairs_per_class=4,
@@ -391,6 +408,29 @@ class TestPairedBatch:
         sub = data.take(np.array([4, 1]))
         np.testing.assert_array_equal(sub.indices, [4, 1])
         np.testing.assert_array_equal(sub.audio, data.audio[[4, 1]])
+
+    @pytest.mark.parametrize(
+        "given, kept", [(np.float32, np.float32), (np.float64, np.float64),
+                        (np.float16, np.float64), (np.int64, np.float64)],
+    )
+    def test_float32_features_stay_float32_and_others_become_float64(self, given, kept):
+        x = np.arange(12).reshape(6, 2).astype(given)
+        data = PairedBatch(x, x[:, :1], np.arange(6) % 2)
+        assert data.audio.dtype == data.visual.dtype == kept
+        for part in (data.take(np.array([4, 1])), *split(data, 0.5, seed=0),
+                     *batches(data, 2, epoch=0, seed=0)):
+            assert part.audio.dtype == part.visual.dtype == kept
+
+    def test_generated_and_binary_features_are_float32_and_csv_float64(self, tmp_path):
+        meta, data = generate_synthetic(SyntheticSpec(n_classes=2, pairs_per_class=3,
+                                                      audio_dim=4, visual_dim=5))
+        assert data.audio.dtype == data.visual.dtype == np.float32
+        for name, dtype in (("d.avfd", np.float32), ("d.csv", np.float64)):
+            save_features(tmp_path / name, meta, data)
+            _, back = load_features(tmp_path / name)
+            assert back.audio.dtype == back.visual.dtype == dtype
+            np.testing.assert_array_equal(back.audio, data.audio)
+            np.testing.assert_array_equal(back.visual, data.visual)
 
 
 class TestDatasetMeta:

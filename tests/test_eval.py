@@ -175,6 +175,25 @@ class TestEvaluate:
                     assert getattr(report, f"n_excluded_{direction}") == n_excluded
                     assert report.precision_at_k[direction] == table
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 511, 512, 513, 1024, 1025, 1599])
+    def test_float32_features_give_the_float64_report(self, rng, float32_twins, n):
+        # An even and an odd hidden-layer count; the visual input is wider than every layer.
+        model = TwoTowerModel.create(TowerSpec(6, 10, (16, 16)), TowerSpec(40, 10, (16, 32, 16)))
+        batch = PairedBatch(rng.standard_normal((n, 6)), rng.standard_normal((n, 40)),
+                            rng.integers(0, 3, size=n))
+        narrow, wide = float32_twins(batch)
+        assert evaluate(model, narrow).as_dict() == evaluate(model, wide).as_dict()
+
+    def test_float32_features_give_the_float64_report_at_reference_scale(
+        self, rng, reference_model, float32_twins, usable_cpus
+    ):
+        usable_cpus(2)
+        batch = PairedBatch(rng.standard_normal((4000, 128)), rng.standard_normal((4000, 1024)),
+                            rng.integers(0, 10, size=4000))
+        narrow, wide = float32_twins(batch)
+        got = evaluate(reference_model, narrow).as_dict()
+        assert got == evaluate(reference_model, wide).as_dict()
+
     def test_map_avg_is_the_mean(self, rng):
         model, data = _random_instance(rng, 8)
         report = evaluate(model, data)

@@ -456,10 +456,35 @@ class TestCompositeLoss:
 
     def test_non_finite_weights_detected(self, small_model, small_batch):
         small_model.parameters()[0][:] = np.inf
-        plan = partition_batch(len(small_batch), 0.5, seed=0)
+        # Fully labeled: no teacher pass runs, so the student pass sees them first.
+        plan = partition_batch(len(small_batch), 1.0, seed=0)
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match="student pass"):
                 composite_loss(small_model, small_batch, plan, LossConfig(), step_seed=0)
+
+    def test_non_finite_teacher_pass_is_named(self, small_model, small_batch):
+        # Unchecked, an all-NaN logit row's argmax (0) would pass as soft positives.
+        small_model.parameters()[0][0, 0] = np.nan
+        plan = partition_batch(len(small_batch), 0.5, seed=0)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericError, match="non-finite embedding values in the teacher pass"):
+                composite_loss(small_model, small_batch, plan, LossConfig(), step_seed=0)
+
+    @pytest.mark.parametrize("strategy", ["all", "hard"])
+    @pytest.mark.parametrize("fraction", [1.0, 0.5, 0.0], ids=["labeled", "mixed", "soft"])
+    def test_float32_batch_matches_its_float64_copy(
+        self, small_model, small_batch, float32_twins, strategy, fraction
+    ):
+        cfg = LossConfig(strategy=strategy)
+        plan = partition_batch(len(small_batch), fraction, seed=2)
+        runs = []
+        for batch in float32_twins(small_batch):
+            breakdown, grads = composite_loss(small_model, batch, plan, cfg, step_seed=3)
+            runs.append((breakdown, [g.copy() for g in grads]))  # the next backward overwrites them
+        (got, got_grads), (want, want_grads) = runs
+        assert got == want
+        for g, expected in zip(got_grads, want_grads, strict=True):
+            assert np.array_equal(g, expected)
 
     def test_mixed_plan_uses_both_sources(self, small_model, small_batch):
         cfg = LossConfig()

@@ -229,19 +229,30 @@ class TestTower:
         assert peak < x.nbytes // 8
 
     @pytest.mark.parametrize(
-        "hidden", [(8, 8), (8, 32, 16), (1024, 1024, 1024)], ids=["equal", "unequal", "wide"]
+        "hidden",
+        [(8, 8), (8, 32, 16), (1024, 1024, 1024), (4, 4), (5, 2, 4)],
+        ids=["equal", "unequal", "wide", "narrow-even", "narrow-odd"],
     )
-    @pytest.mark.parametrize("rows", [0, 1, 2, 3, 7, 401, 511, 512, 513, 1025, 2049, 4000])
+    @pytest.mark.parametrize(
+        "rows", [0, 1, 2, 3, 4, 5, 7, 401, 511, 512, 513, 1024, 1025, 1599, 2049, 4000]
+    )
     def test_inference_matches_chained_oracle(self, rng, rows, hidden):
         # Unequal widths make the narrower layers write views of wider rows.
         # Odd row counts split into unequal halves; below 4 rows nothing is
         # split. A half of up to 512 rows runs as one chunk; 513 and 1025 rows
-        # per half run as two and three equal chunks.
+        # per half run as two and three equal chunks. Layer 0 reads each chunk
+        # from the buffer it does not write, `hidden` for an even layer count
+        # and the slot for an odd one; the narrow towers' 6-d input is wider
+        # than every layer, so it sets that buffer's width.
         tower = Tower.build(TowerSpec(6, 3, hidden, 0.1), np.random.default_rng(0))
         x = rng.standard_normal((rows, 6))
         out = tower.forward(x)
         assert out.shape == (rows, 3)
         assert np.array_equal(out, _oracle_forward(tower, x, 0.0, [0])[0])
+        # float32 rows give the bits of their exact float64 copy.
+        narrow = x.astype(np.float32)
+        wide = narrow.astype(np.float64)
+        assert np.array_equal(tower.forward(narrow), _oracle_forward(tower, wide, 0.0, [0])[0])
 
     def test_wide_inference_matches_chained_oracle(self, rng):
         # The reference audio tower at an odd row count: its 1024-wide products
@@ -400,6 +411,43 @@ class TestTowerOverlap:
             tracemalloc.stop()
         assert peak <= 2 * activation + activation // 4
 
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 511, 512, 513, 1024, 1025, 1599])
+    def test_float32_encode_matches_its_float64_copy(
+        self, small_model, usable_cpus, float32_twins, rows
+    ):
+        # The visual tower's 9-d input is wider than its two 8-wide layers.
+        narrow, wide = float32_twins(_rows(rows))
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            got, want = small_model.encode(narrow), small_model.encode(wide)
+            assert np.array_equal(got.audio, want.audio)
+            assert np.array_equal(got.visual, want.visual)
+
+    def test_reference_float32_encode_widens_one_chunk_at_a_time(
+        self, rng, usable_cpus, float32_twins, reference_model
+    ):
+        # No float64 copy of the features at full height: the float32 encode
+        # peaks no higher than the one given float64 features to begin with.
+        usable_cpus(2)
+        narrow, wide = float32_twins(
+            PairedBatch(rng.standard_normal((4000, 128)), rng.standard_normal((4000, 1024)),
+                        rng.integers(0, 10, size=4000))
+        )
+        reference_model.encode(_rows(4, 128, 1024))  # the worker thread's first-use allocations
+        runs = []
+        for batch in (narrow, wide):
+            tracemalloc.start()
+            try:
+                emb = reference_model.encode(batch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            runs.append((emb, peak))
+        (got, narrow_peak), (want, wide_peak) = runs
+        assert np.array_equal(got.audio, want.audio)
+        assert np.array_equal(got.visual, want.visual)
+        assert narrow_peak <= wide_peak
+
     def test_backward_matches_serial(self, small_model, usable_cpus):
         batch = _rows(6)
         rng = np.random.default_rng(1)
@@ -555,15 +603,34 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
-    def test_loaded_tensors_are_fresh_writeable_arrays(self, tmp_path, small_model, file_reads):
+    def test_loaded_tensors_are_fresh_writeable_arrays(self, tmp_path, small_model):
         # Adam updates parameters in place through flat views; no tensor keeps the file alive.
         path = tmp_path / "m.xmdl"
         save_checkpoint(small_model, path)
-        loaded = load_checkpoint(path)
-        assert len(file_reads) == 1
-        for tensor in loaded.parameters():
+        tensors = load_checkpoint(path).parameters()
+        for i, tensor in enumerate(tensors):
             assert tensor.flags.writeable and tensor.flags.c_contiguous
-            assert not np.shares_memory(tensor, file_reads[0])
+            # Its memory is numpy's own, not a view of a buffer the file's bytes were read into.
+            owner = tensor
+            while isinstance(owner.base, np.ndarray):
+                owner = owner.base
+            assert owner.base is None
+            assert not any(np.shares_memory(tensor, other) for other in tensors[i + 1 :])
+
+    def test_load_holds_each_tensor_once(self, tmp_path, reference_model):
+        # The values are read straight into their tensors; the file is never held whole.
+        path = tmp_path / "m.xmdl"
+        save_checkpoint(reference_model, path)
+        tensor_bytes = sum(p.nbytes for p in reference_model.parameters())
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * tensor_bytes
+        for p, q in zip(reference_model.parameters(), loaded.parameters(), strict=True):
+            assert np.array_equal(p, q)
 
     def test_bad_magic(self, tmp_path, small_model):
         path = tmp_path / "m.xmdl"
