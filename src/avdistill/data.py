@@ -19,15 +19,20 @@ A `PairedBatch` keeps float32 features as float32 and turns features of any
 other dtype into float64. So the generator and the binary loader hand over
 float32 arrays, half the bytes of float64 ones with every bit kept, and the
 CSV loader float64 ones. The towers compute in float64 whatever they are
-given: a training forward widens its batch on entry and an inference
-forward one row chunk at a time (see `model.Tower`). float32 widens to
-float64 exactly, so both kinds of input give the same bits.
+given: a training forward widens its batch into an input block the tower
+keeps, and an inference forward one row chunk at a time (see `model.Tower`).
+float32 widens to float64 exactly, so both kinds of input give the same bits.
+
+A binary load reads its records in blocks of about `_READ_BYTES` and copies
+each block's columns into the arrays it returns, checking each block as it
+goes, so the file is never held whole.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,6 +47,8 @@ AVFD_VERSION = 1
 
 _SPLIT_TAG = 101
 _BATCH_TAG = 102
+# A binary load reads its records in blocks of about this many bytes.
+_READ_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -239,54 +246,90 @@ def _save_binary(path: Path, meta: DatasetMeta, data: PairedBatch) -> None:
 
 
 def _load_binary(path: Path) -> tuple[DatasetMeta, PairedBatch]:
-    raw = Path(path).read_bytes()
     header_size = 4 + struct.calcsize("<HIIII")
-    if len(raw) < header_size:
-        raise DataError(f"file too short for a dataset header ({len(raw)} bytes)")
-    if raw[:4] != AVFD_MAGIC:
-        raise DataError(f"bad magic {raw[:4]!r}, expected {AVFD_MAGIC!r}")
-    version, n, audio_dim, visual_dim, n_classes = struct.unpack("<HIIII", raw[4:header_size])
-    if version != AVFD_VERSION:
-        raise DataError(f"unsupported dataset version {version}, expected {AVFD_VERSION}")
-    if audio_dim < 1 or visual_dim < 1:
-        raise DataError(f"invalid feature dims in header: audio {audio_dim}, visual {visual_dim}")
-    if n_classes < 2:
-        raise DataError(f"invalid class count in header: {n_classes}")
-    if n == 0:
-        raise DataError("dataset header claims no records")
-    # Sized with Python ints and checked against the body before numpy sees the
-    # dims, so a crafted header is a truncated file, not a dtype too large to build.
-    record_size = 4 * (audio_dim + visual_dim) + 4
-    body = memoryview(raw)[header_size:]  # no copy of the records
-    complete = len(body) // record_size
-    if complete < n:
-        raise DataError(
-            f"truncated file: header claims {n} records, found {complete} complete "
-            f"(failed at record {complete})"
-        )
-    if len(body) != n * record_size:
-        raise DataError(f"{len(body) - n * record_size} trailing bytes after record {n - 1}")
-    records = np.frombuffer(body, dtype=_record_dtype(audio_dim, visual_dim), count=n)
-    # Contiguous float32 copies of the columns: nothing keeps `raw` alive.
-    audio = records["audio"].astype(np.float32)
-    visual = records["visual"].astype(np.float32)
-    labels = records["label"].astype(np.int64)
-    _validate_records(audio, visual, labels, n_classes)
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        header = f.read(header_size)
+        if len(header) < header_size:
+            raise DataError(f"file too short for a dataset header ({len(header)} bytes)")
+        if header[:4] != AVFD_MAGIC:
+            raise DataError(f"bad magic {header[:4]!r}, expected {AVFD_MAGIC!r}")
+        version, n, audio_dim, visual_dim, n_classes = struct.unpack("<HIIII", header[4:])
+        if version != AVFD_VERSION:
+            raise DataError(f"unsupported dataset version {version}, expected {AVFD_VERSION}")
+        if audio_dim < 1 or visual_dim < 1:
+            raise DataError(
+                f"invalid feature dims in header: audio {audio_dim}, visual {visual_dim}"
+            )
+        if n_classes < 2:
+            raise DataError(f"invalid class count in header: {n_classes}")
+        if n == 0:
+            raise DataError("dataset header claims no records")
+        # Sized with Python ints and checked against the body before numpy sees
+        # the dims, so a crafted header is a truncated file, not a dtype too
+        # large to build.
+        record_size = 4 * (audio_dim + visual_dim) + 4
+        body = size - header_size
+        if body // record_size < n:
+            raise _truncated(n, body // record_size)
+        if body != n * record_size:
+            raise DataError(f"{body - n * record_size} trailing bytes after record {n - 1}")
+        audio = np.empty((n, audio_dim), dtype=np.float32)
+        visual = np.empty((n, visual_dim), dtype=np.float32)
+        labels = np.empty(n, dtype=np.int64)
+        # Label errors take precedence over non-finite values, as in
+        # `_validate_records`, so the first non-finite record waits for them.
+        per_block = max(1, min(n, _READ_BYTES // record_size))
+        raw = np.empty(per_block * record_size, dtype=np.uint8)
+        record = _record_dtype(audio_dim, visual_dim)
+        non_finite = None
+        for lo in range(0, n, per_block):
+            hi = min(n, lo + per_block)
+            part = raw[: (hi - lo) * record_size]
+            got = f.readinto(part)
+            if got != part.nbytes:  # the file shrank after its size was read
+                raise _truncated(n, lo + got // record_size)
+            records = part.view(record)
+            audio[lo:hi] = records["audio"]
+            visual[lo:hi] = records["visual"]
+            labels[lo:hi] = records["label"]
+            bad = _first_non_finite(audio[lo:hi], visual[lo:hi])
+            if non_finite is None and bad is not None:
+                non_finite = lo + bad
+    _check_labels(labels, n_classes)
+    if non_finite is not None:
+        raise DataError(f"non-finite feature value at record {non_finite}")
     meta = DatasetMeta(n_pairs=n, audio_dim=audio_dim, visual_dim=visual_dim, n_classes=n_classes)
     return meta, PairedBatch(audio, visual, labels)
+
+
+def _truncated(n: int, complete: int) -> DataError:
+    return DataError(
+        f"truncated file: header claims {n} records, found {complete} complete "
+        f"(failed at record {complete})"
+    )
 
 
 def _validate_records(
     audio: np.ndarray, visual: np.ndarray, labels: np.ndarray, n_classes: int
 ) -> None:
+    _check_labels(labels, n_classes)
+    bad = _first_non_finite(audio, visual)
+    if bad is not None:
+        raise DataError(f"non-finite feature value at record {bad}")
+
+
+def _check_labels(labels: np.ndarray, n_classes: int) -> None:
     bad_label = (labels < 0) | (labels >= n_classes)
     if bad_label.any():
         i = int(np.argmax(bad_label))
         raise DataError(f"label {labels[i]} out of range [0, {n_classes}) at record {i}")
+
+
+def _first_non_finite(audio: np.ndarray, visual: np.ndarray) -> int | None:
+    """The first row with a non-finite feature value, or None."""
     finite = np.isfinite(audio).all(axis=1) & np.isfinite(visual).all(axis=1)
-    if not finite.all():
-        i = int(np.argmax(~finite))
-        raise DataError(f"non-finite feature value at record {i}")
+    return None if finite.all() else int(np.argmax(~finite))
 
 
 def _csv_header(audio_dim: int, visual_dim: int) -> list[str]:

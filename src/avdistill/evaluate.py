@@ -8,31 +8,52 @@ is one sharing the query's class, and average precision is taken over the
 full ranked list. Queries whose class has no gallery match are excluded from the
 mean and counted in the report.
 
-Each row is ranked by one sort of unsigned 64-bit keys, `(distance bits << 1)
-| relevant`: the sorted keys give the relevance of every rank, with no argsort
-or gather. The keys are exact on non-negative distances. The bit patterns of
-non-negative doubles order as their values do, and the shift drops only the
-sign bit, which is 0 (-0.0 wraps to +0.0's key). So a row whose values
-strictly increase sorts into its one ascending order, which is the lowest-index
-one. Three kinds of row are re-sorted with the stable argsort instead: a row
-with an equal pair (two sorted keys that differ in at most the relevance bit,
-±0.0 included), a row with a NaN (its last key is above inf's), and a row with
-a negative value. AP and P@k are then read from the relevant items' ranks
-alone. Rankings, and so every AP and P@k, are the same as a stable sort of
-every row. Each AP still sums a full gallery row of hits / rank with zeros at
-the irrelevant ranks, so its float summation order is that of the dense
-`(hits / ranks) * rel` row.
+A query row is *clear* when every relevant gallery item lies strictly nearer
+than every irrelevant one. Its AP is then exactly 1 and its P@k exactly
+min(k, R) / k, where R is its number of relevant items: the dense AP row
+sums R ones, which is exact, and P@k divides the same integer count by k. So
+a clear row skips its distance finish, its sort and its AP tail, and takes
+those values, bit for bit what the ranking gives. The test reads the row's
+Gram values g = q . x before any distance exists: its least g over the
+relevant items and its greatest g over the irrelevant ones are finished by
+the same four operations as every distance, sqrt(max(2 + (-2g), 0)), and the
+row is clear iff the first distance is strictly below the second. Each of
+the four operations is correctly rounded and monotone, so the finish is
+monotone non-increasing in g: the least relevant g finishes to the row's
+largest relevant distance and the greatest irrelevant g to its smallest
+irrelevant distance, and the test is exact. A tie at the boundary, a ±0
+pair (both finish to sqrt(2)) and a NaN all fail the strict test, and the
+row is ranked as before. Only the rows that pass a cheap sampled check are
+tested (see `_ranked_rows`); a clear row that the check skips is ranked,
+and gets the same values.
+
+Every other row with a relevant item is ranked by one sort of unsigned
+64-bit keys, `(distance bits << 1) | relevant`: the sorted keys give the
+relevance of every rank, with no argsort or gather. The keys are exact on
+non-negative distances. The bit patterns of non-negative doubles order as
+their values do, and the shift drops only the sign bit, which is 0 (-0.0
+wraps to +0.0's key). So a row whose values strictly increase sorts into its
+one ascending order, which is the lowest-index one. Three kinds of row are
+re-sorted with the stable argsort instead: a row with an equal pair (two
+sorted keys that differ in at most the relevance bit, ±0.0 included), a row
+with a NaN (its last key is above inf's), and a row with a negative value.
+AP and P@k are then read from the relevant items' ranks alone. Rankings, and
+so every AP and P@k, are the same as a stable sort of every row. Each AP
+still sums a full gallery row of hits / rank with zeros at the irrelevant
+ranks, so its float summation order is that of the dense `(hits / ranks) *
+rel` row.
 
 No n x n array is built. `evaluate` normalizes both embedding sets once, and
-each block of query rows gets its distances to the whole gallery in one
+each block of query rows gets its Gram rows against the whole gallery in one
 buffer, reused block after block: the rows of `ua @ ub.T` for a2v and of
-`ub @ ua.T` for v2a, finished in place as the training distances are. A
-product's rounding can depend on its shape, but every block starts on a
-multiple of `_BLOCK` and ends on one or at the last row, and then (see
-`_BLOCK`) its product equals those rows of the whole product bit for bit. The
-two orientations are not always bit-equal to each other: `ub @ ua.T` equals
-the transpose of `ua @ ub.T` at the reference sizes, 600 and 4000 pairs of
-10-d embeddings, but at 599 pairs some distances differ by one ulp.
+`ub @ ua.T` for v2a. The rows that are ranked are finished into distances in
+place, as the training distances are. A product's rounding can depend on its
+shape, but every block starts on a multiple of `_BLOCK` and ends on one or at
+the last row, and then (see `_BLOCK`) its product equals those rows of the
+whole product bit for bit. The two orientations are not always bit-equal to
+each other: `ub @ ua.T` equals the transpose of `ua @ ub.T` at the reference
+sizes, 600 and 4000 pairs of 10-d embeddings, but at 599 pairs some
+distances differ by one ulp.
 
 Every phase of `evaluate` splits its rows in two halves, on any number of
 CPUs: the encode (each tower's inference forward, at n // 2) and the rankings,
@@ -63,15 +84,21 @@ from .nn import _overlap
 # whose bounds are multiples of 12 (or the last row) equals those rows of the
 # whole product bit for bit, at 1 to 4001 rows of 2- to 32-d embeddings;
 # blocks at multiples of 64 differed in the last bit at 299, 599 and 1599
-# rows. The distance and key buffers and the xor, relevance-bit and precision
-# temporaries are block x gallery (1.9 MB each at 60 x 4000), and with two
-# usable CPUs both row halves hold one set each at the same time. On the
-# eval-4k benchmark (2-core host) the process peaked at 169.9-170.3 MB over 12
-# runs, with the features held as float32; with them held as float64 it
-# peaked at 187.5-187.9 MB, and at 291.5-292.8 MB when it also built the
-# 4000 x 4000 matrix. 36 to 72 rows ranked 4000 pairs equally fast
-# in-process, 96 and 120 rows slower.
+# rows. The Gram and key buffers and the xor and where temporaries are block
+# x gallery (1.9 MB each at 60 x 4000), the relevance mask an eighth of that,
+# and with two usable CPUs both row halves hold one set each at the same
+# time. On the eval-4k benchmark (2-core host) the process peaked at
+# 169.9-170.3 MB over 12 runs, with the features held as float32; with them
+# held as float64 it peaked at 187.5-187.9 MB, and at 291.5-292.8 MB when it
+# also built the 4000 x 4000 matrix. 36 to 72 rows ranked 4000 pairs equally
+# fast in-process, 96 and 120 rows slower.
 _BLOCK = 60
+# About this many gallery rows pick the query rows worth testing for
+# clearness (see `_ranked_rows`). On an untrained reference model's 4000-pair
+# rankings, 130 sampled rows let 5-9% of the query rows through to the exact
+# test, and 64 rows let more through at 600 pairs, where each test of a
+# block costs as much as ranking several of its rows.
+_SAMPLE = 128
 # inf's key with the relevance bit set: only a NaN's key is larger.
 _INF_KEY = np.uint64(0x7FF0000000000000 << 1 | 1)
 
@@ -125,53 +152,125 @@ def _row_blocks(n_rows: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(starts, [*starts[1:], n_rows])]
 
 
+def _classes(
+    query_labels: np.ndarray, gallery_labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Query and gallery labels as class indices, and each query's relevant count R.
+
+    The indices take the smallest unsigned dtype that holds them, which
+    compares fastest. A query whose class has no gallery item takes the index
+    past the last class, and R = 0.
+    """
+    classes, gallery_class, counts = np.unique(
+        gallery_labels, return_inverse=True, return_counts=True
+    )
+    at = np.searchsorted(classes, query_labels).clip(max=classes.size - 1)
+    known = classes[at] == query_labels
+    index = np.min_scalar_type(classes.size)
+    query_class = np.where(known, at, classes.size).astype(index)
+    return query_class, gallery_class.astype(index), np.where(known, counts[at], 0)
+
+
 def _ranked_rows(
     queries: np.ndarray,
     gallery: np.ndarray,
-    query_labels: np.ndarray,
-    gallery_labels: np.ndarray,
+    query_class: np.ndarray,
+    gallery_class: np.ndarray,
+    n_relevant: np.ndarray,
     ks: tuple[int, ...],
 ) -> np.ndarray:
-    """AP and P@k of each unit-length query row that has a relevant gallery row, in row order.
+    """AP and P@k of each query row with n_relevant > 0, in row order.
 
-    Each `_row_blocks` block of queries gets its normalized distances to every
-    gallery row in one reused buffer, `queries[rows] @ gallery.T` finished by
-    `losses._gram_to_distances`, and is ranked by `_ranked_block`.
+    The classes and relevant counts are `_classes`'. Each `_row_blocks` block
+    of queries gets its Gram rows `queries[rows] @ gallery.T` and its
+    relevance mask in reused buffers. A clear row (`_clear_rows`) takes AP 1
+    and P@k min(k, R) / k. The block's other rows with a relevant item are
+    finished into distances in place by `losses._gram_to_distances` and
+    ranked by `_ranked_block`.
+
+    Only the rows that may be clear are tested: those whose relevant items
+    all have a greater Gram value than their irrelevant ones over about
+    `_SAMPLE` evenly spaced gallery rows, whose Gram values one small product
+    gives for all queries at once. A clear row that this skips is ranked,
+    which gives it the same AP and P@k, so the sample decides only how much
+    work is done.
     """
     blocks = _row_blocks(queries.shape[0])
     height = max((rows.stop - rows.start for rows in blocks), default=0)
-    dist = np.empty((height, gallery.shape[0]))
-    keys = np.empty(dist.shape, dtype=np.uint64)
-    # The empty piece lets an empty half (below two blocks) concatenate.
-    stats = [np.empty((1 + len(ks), 0))]
+    gram = np.empty((height, gallery.shape[0]))
+    relevant = np.empty(gram.shape, dtype=bool)
+    keys = np.empty(gram.shape, dtype=np.uint64)
+    step = max(1, gallery.shape[0] // _SAMPLE)
+    sample = gallery[::step] @ queries.T
+    sample_relevant = gallery_class[::step, None] == query_class
+    least = np.where(sample_relevant, sample, np.inf).min(axis=0)
+    greatest = np.where(sample_relevant, -np.inf, sample).max(axis=0)
+    tested = (n_relevant > 0) & (least > greatest)
+    stats = np.empty((1 + len(ks), queries.shape[0]))
+    stats[0] = 1.0
+    for j, k in enumerate(ks, 1):
+        stats[j] = np.minimum(n_relevant, k) / k
     for rows in blocks:
-        block = dist[: rows.stop - rows.start]
+        m = rows.stop - rows.start
+        block, block_relevant = gram[:m], relevant[:m]
         np.matmul(queries[rows], gallery.T, out=block)
-        _gram_to_distances(block)
-        key = keys[: len(block)]
-        stats.append(_ranked_block(block, query_labels[rows], gallery_labels, ks, key))
-    return np.concatenate(stats, axis=1)
+        np.equal(gallery_class, query_class[rows, None], out=block_relevant)
+        ranked, test = n_relevant[rows] > 0, tested[rows]
+        if test.any():
+            ranked[test] = ~_clear_rows(*_take(test, block, block_relevant))
+        if ranked.any():
+            dist, dist_relevant = _take(ranked, block, block_relevant)
+            _gram_to_distances(dist)
+            stats[:, rows][:, ranked] = _ranked_block(
+                dist, dist_relevant, n_relevant[rows][ranked], ks, keys[: len(dist)]
+            )
+    return stats[:, n_relevant > 0]
+
+
+def _take(rows: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The `rows` of each array, copied only when the mask leaves a row out."""
+    return arrays if rows.all() else tuple(a[rows] for a in arrays)
+
+
+def _clear_rows(gram: np.ndarray, relevant: np.ndarray) -> np.ndarray:
+    """Which Gram rows have every relevant item strictly nearer than every irrelevant one.
+
+    Each row's least Gram value over its relevant items (its farthest
+    relevant item) and greatest over its irrelevant ones (its nearest
+    irrelevant item) are finished into distances, and the row is clear if the
+    first is strictly below the second (see the module docstring). A row
+    without relevant items reads 0 against its nearest irrelevant distance,
+    one without irrelevant items its farthest relevant distance against inf,
+    and a row with a NaN is never clear.
+    """
+    ends = np.empty((2, len(gram)))
+    np.min(np.where(relevant, gram, np.inf), axis=1, out=ends[0])
+    np.max(np.where(relevant, -np.inf, gram), axis=1, out=ends[1])
+    _gram_to_distances(ends)
+    return ends[0] < ends[1]
 
 
 def _ranked_block(
     dist: np.ndarray,
-    query_labels: np.ndarray,
-    gallery_labels: np.ndarray,
+    relevant: np.ndarray,
+    n_relevant: np.ndarray,
     ks: tuple[int, ...],
     keys: np.ndarray,
 ) -> np.ndarray:
-    """AP and P@k of each query row of a distance block that has a relevant item, in row order.
+    """AP and P@k of each row of a distance block, in row order.
 
-    Returns a (1 + len(ks), kept rows) array: AP in row 0, P@ks[j] in row
-    1 + j. Every k must lie in [1, gallery size]. `keys` is a uint64 buffer of
-    the block's shape. The rows are ranked by one sort of their
-    distance-and-relevance keys, stably re-sorting only the rows the keys
-    cannot order (see the module docstring). AP of one query is (1/R) times
-    the sum of hits@r / r over its R relevant ranks r.
+    `relevant` is the block's relevance mask, which this overwrites, and
+    `n_relevant` its row counts, each at least 1. Returns a (1 + len(ks),
+    rows) array: AP in row 0, P@ks[j] in row 1 + j. Every k must lie in [1,
+    gallery size]. `keys` is a uint64 buffer of the block's shape. The rows
+    are ranked by one sort of their distance-and-relevance keys, stably
+    re-sorting only the rows the keys cannot order (see the module
+    docstring). AP of one query is (1/R) times the sum of hits@r / r over its
+    R relevant ranks r.
     """
     n_gallery = dist.shape[1]
     np.left_shift(dist.view(np.uint64), 1, out=keys)
-    keys |= gallery_labels == query_labels[:, None]
+    keys |= relevant
     keys.sort(axis=1)
     fallback = ((keys[:, 1:] ^ keys[:, :-1]) <= 1).any(axis=1)
     # A NaN row reads False in the minimum, but its last sorted key routes it.
@@ -179,23 +278,23 @@ def _ranked_block(
     if fallback.any():
         order = np.argsort(dist[fallback], axis=1, kind="stable")
         # Only the relevance bit is read from here on.
-        keys[fallback] = gallery_labels[order] == query_labels[fallback, None]
-    # Flat indices of the relevant items: rows ascending, ranks within a row.
-    relevant = np.flatnonzero((keys & 1).astype(bool))
-    row, rank = np.divmod(relevant, n_gallery)
-    rank += 1
-    n_relevant = np.bincount(row, minlength=keys.shape[0])
+        keys[fallback] = np.take_along_axis(relevant[fallback], order, axis=1)
+    # The relevance of each rank, and the flat indices of the relevant ranks:
+    # rows ascending, ranks within a row.
+    hit = np.bitwise_and(keys, 1, out=relevant, casting="unsafe")
+    flat = np.flatnonzero(hit)
     first = np.cumsum(n_relevant) - n_relevant
-    hits = np.arange(1, relevant.size + 1) - np.repeat(first, n_relevant)
+    rank = flat + 1 - np.repeat(np.arange(0, dist.size, n_gallery), n_relevant)
+    hits = np.arange(1, flat.size + 1) - np.repeat(first, n_relevant)
     # Zeros at the irrelevant ranks keep each row's pairwise summation
-    # order that of the dense (hits / ranks) * rel row.
-    precision = np.zeros(keys.shape)
-    precision.flat[relevant] = hits / rank
-    kept = n_relevant > 0
-    stats = np.empty((1 + len(ks), int(kept.sum())))
-    stats[0] = precision.sum(axis=1)[kept] / n_relevant[kept]
+    # order that of the dense (hits / ranks) * rel row. The keys are spent.
+    precision = keys.view(np.float64)
+    precision.fill(0.0)
+    np.put(precision, flat, hits / rank)
+    stats = np.empty((1 + len(ks), len(dist)))
+    stats[0] = precision.sum(axis=1) / n_relevant
     for j, k in enumerate(ks, 1):
-        stats[j] = np.bincount(row[rank <= k], minlength=keys.shape[0])[kept] / k
+        stats[j] = hit[:, :k].sum(axis=1) / k
     return stats
 
 
@@ -220,12 +319,14 @@ def evaluate(
         raise NumericError("non-finite embedding values in evaluation")
     ua, _ = normalize_rows(emb.audio, "audio embeddings")
     ub, _ = normalize_rows(emb.visual, "visual embeddings")
-    labels, n = data.labels, len(data)
+    n = len(data)
     usable_ks = tuple(k for k in ks if 1 <= k <= n)
+    query_class, gallery_class, n_relevant = _classes(data.labels, data.labels)
 
     def rank(rows: slice) -> list[np.ndarray]:
         return [
-            _ranked_rows(queries[rows], gallery, labels[rows], labels, usable_ks)
+            _ranked_rows(queries[rows], gallery, query_class[rows], gallery_class,
+                         n_relevant[rows], usable_ks)
             for queries, gallery in ((ua, ub), (ub, ua))
         ]
 

@@ -423,7 +423,7 @@ def _gram_to_distances(gram: np.ndarray) -> None:
     """
     gram *= -2.0
     gram += 2.0
-    np.clip(gram, 0.0, None, out=gram)
+    np.maximum(gram, 0.0, out=gram)
     np.sqrt(gram, out=gram)
 
 

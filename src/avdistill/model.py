@@ -33,7 +33,8 @@ chunks of 600) differed from the whole product.
 
 Training runs in buffers each tower keeps between steps; a model that only
 runs inference allocates none of them. The first training forward allocates,
-per hidden layer, an output block and a one-byte keep mask, and per tower two
+per tower a float64 input block into which each training batch is widened,
+per hidden layer an output block and a one-byte keep mask, and per tower two
 flat float scratch blocks (the dropout draw, then the backward's running
 gradient), all sized to the largest batch seen so far; a shorter batch uses
 their leading rows. The training cache holds each layer's input, keep mask
@@ -142,8 +143,10 @@ class Tower:
         self.spec = spec
         self._params = params
         self._cache: list[tuple | None] = [None] * len(spec.layer_dims)
-        # Training buffers: per hidden layer an output block and a keep mask,
-        # two flat scratch blocks, and the gradients (see `_reserve`, `backward`).
+        # Training buffers: the float64 input, per hidden layer an output block
+        # and a keep mask, two flat scratch blocks, and the gradients (see
+        # `_reserve`, `backward`).
+        self._input = np.empty((0, spec.input_dim), dtype=DTYPE)
         self._outputs: list[np.ndarray] = []
         self._keeps: list[np.ndarray] = []
         self._scratch: list[np.ndarray] = []
@@ -176,11 +179,11 @@ class Tower:
         Dropout zeroes each hidden unit with probability `spec.dropout_rate` and
         scales the rest by 1/(1-rate). Layer i's mask comes from a generator
         seeded with [*seed_base, i], so a seed and shape always give the same mask.
-        A training forward computes on, and caches, a float64 copy of `x`; an
-        inference forward takes float32 or float64 rows as they are and widens
-        each chunk itself.
+        A training forward copies `x` into the float64 input block the tower
+        keeps, and computes on and caches that block; an inference forward
+        takes float32 or float64 rows as they are and widens each chunk itself.
         """
-        h = np.asarray(x, dtype=DTYPE) if training else _as_features(x)
+        h = _as_features(x)
         if h.ndim != 2 or h.shape[1] != self.spec.input_dim:
             raise ShapeError(
                 f"input shape {h.shape} does not match tower input dim {self.spec.input_dim}"
@@ -188,6 +191,8 @@ class Tower:
         rows, last = h.shape[0], len(self.spec.hidden_dims)
         if training:
             self._reserve(rows)
+            np.copyto(self._input[:rows], h)
+            h = self._input[:rows]
             base, rate = seed_base or [0], self.spec.dropout_rate
             for i, d in enumerate(self.spec.hidden_dims):
                 out, keep = self._outputs[i][:rows], None
@@ -230,6 +235,7 @@ class Tower:
         if self._outputs and self._outputs[0].shape[0] >= rows:
             return
         widths = self.spec.hidden_dims
+        self._input = np.empty((rows, self.spec.input_dim), dtype=DTYPE)
         self._outputs = [np.empty((rows, d), dtype=DTYPE) for d in widths]
         self._keeps = [np.empty((rows, d), dtype=bool) for d in widths]
         self._scratch = [np.empty(rows * max(widths), dtype=DTYPE) for _ in range(2)]

@@ -1,4 +1,3 @@
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,21 +59,6 @@ def usable_cpus(monkeypatch):
         monkeypatch.setattr("avdistill.nn._usable_cpus", lambda: n)
 
     return set_cpus
-
-
-@pytest.fixture
-def file_reads(monkeypatch):
-    """Every `Path.read_bytes` result from here on, each as a uint8 array over its bytes."""
-    reads = []
-    read_bytes = Path.read_bytes
-
-    def spy(path):
-        raw = read_bytes(path)
-        reads.append(np.frombuffer(raw, dtype=np.uint8))
-        return raw
-
-    monkeypatch.setattr(Path, "read_bytes", spy)
-    return reads
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -311,7 +311,10 @@ def slow_precision_at_k(
 
 
 def stable_direction_metrics(
-    dist: np.ndarray, labels: np.ndarray, ks: tuple[int, ...]
+    dist: np.ndarray,
+    labels: np.ndarray,
+    ks: tuple[int, ...],
+    gallery_labels: np.ndarray | None = None,
 ) -> tuple[float, int, int, dict[int, float]]:
     """The retrieval kernel with a stable argsort on every row, unblocked.
 
@@ -319,11 +322,14 @@ def stable_direction_metrics(
     relevant ranks; the two share only the per-row float summation order: each
     AP sums its full gallery row of (hits / ranks) * rel, zeros included, so
     neither the ranking method nor blocking changes the bits. The two must
-    agree exactly.
+    agree exactly. The gallery shares the queries' labels unless
+    `gallery_labels` is given.
     """
+    if gallery_labels is None:
+        gallery_labels = labels
     ranks = np.arange(1, dist.shape[1] + 1)
     order = np.argsort(dist, axis=1, kind="stable")
-    rel = labels[order] == labels[:, None]
+    rel = gallery_labels[order] == labels[:, None]
     hits = np.cumsum(rel, axis=1)
     kept = hits[:, -1] > 0
     rel, hits = rel[kept], hits[kept]

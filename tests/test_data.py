@@ -123,15 +123,20 @@ class TestBinaryFormat:
         np.testing.assert_array_equal(data2.visual, data.visual)
         np.testing.assert_array_equal(data2.labels, data.labels)
 
-    def test_loaded_arrays_are_fresh_writeable_arrays(self, tmp_path, file_reads):
+    def test_loaded_arrays_are_fresh_writeable_arrays(self, tmp_path):
         meta, data = _tiny_dataset()
         path = tmp_path / "tiny.avfd"
         save_features(path, meta, data)
         _, back = load_features(path)
-        assert len(file_reads) == 1
-        for array in (back.audio, back.visual, back.labels):
+        arrays = [back.audio, back.visual, back.labels]
+        for i, array in enumerate(arrays):
             assert array.flags.writeable and array.flags.c_contiguous
-            assert not np.shares_memory(array, file_reads[0])
+            # Its memory is numpy's own, not a view of a buffer the file's bytes were read into.
+            owner = array
+            while isinstance(owner.base, np.ndarray):
+                owner = owner.base
+            assert owner.base is None
+            assert not any(np.shares_memory(array, other) for other in arrays[i + 1 :])
 
     def test_binary_features_load_as_float32_once(self, tmp_path):
         meta, data = generate_synthetic(SyntheticSpec(n_classes=10, pairs_per_class=400))
@@ -140,12 +145,15 @@ class TestBinaryFormat:
         tracemalloc.start()
         try:
             _, back = load_features(path)
-            held = tracemalloc.get_traced_memory()[0]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert back.audio.dtype == back.visual.dtype == np.float32
         # 4000 x (128 + 1024) float32 values, then int64 labels and indices.
-        assert held <= 4000 * (128 + 1024) * 4 + 2 * 4000 * 8 + 2**16
+        kept = 4000 * (128 + 1024) * 4 + 2 * 4000 * 8
+        assert held <= kept + 2**16
+        # The records stream through one read block of about 1 MiB.
+        assert peak <= kept + 2**20 + 2**19
         np.testing.assert_array_equal(back.audio, data.audio)
         np.testing.assert_array_equal(back.visual, data.visual)
 
@@ -217,6 +225,30 @@ class TestBinaryFormat:
         raw[22 + 3 * record_size : 22 + 3 * record_size + 4] = struct.pack("<f", np.nan)
         path.write_bytes(bytes(raw))
         with pytest.raises(DataError, match="non-finite feature value at record 3"):
+            load_features(path)
+
+    def test_errors_name_their_record_across_read_blocks(self, tmp_path, monkeypatch):
+        # Three-record read blocks over 10 records: a NaN in record 7 is named
+        # by its place in the file, and a bad label in a later block (record
+        # 8) still takes precedence over it, as when the file was read whole.
+        monkeypatch.setattr("avdistill.data._READ_BYTES", 3 * ((3 + 4) * 4 + 4))
+        meta, data = generate_synthetic(SyntheticSpec(n_classes=2, pairs_per_class=5,
+                                                      audio_dim=3, visual_dim=4))
+        path = tmp_path / "blocks.avfd"
+        save_features(path, meta, data)
+        _, back = load_features(path)
+        np.testing.assert_array_equal(back.visual, data.visual)
+        np.testing.assert_array_equal(back.labels, data.labels)
+        raw = bytearray(path.read_bytes())
+        record_size = (3 + 4) * 4 + 4
+        raw[22 + 7 * record_size + 12 : 22 + 7 * record_size + 16] = struct.pack("<f", np.inf)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="non-finite feature value at record 7"):
+            load_features(path)
+        label_offset = 22 + 8 * record_size + (3 + 4) * 4
+        raw[label_offset : label_offset + 4] = struct.pack("<I", 5)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match=r"label 5 out of range \[0, 2\) at record 8"):
             load_features(path)
 
     def test_header_too_short(self, tmp_path):

@@ -19,8 +19,15 @@ from avdistill import (
     one_hot,
     pairwise_normalized_distances,
 )
-from avdistill.evaluate import _direction_means, _ranked_block, _ranked_rows, _row_blocks
-from avdistill.losses import normalize_rows
+from avdistill.evaluate import (
+    _classes,
+    _clear_rows,
+    _direction_means,
+    _ranked_block,
+    _ranked_rows,
+    _row_blocks,
+)
+from avdistill.losses import _gram_to_distances, normalize_rows
 from avdistill.model import Tower
 
 from oracles import slow_map, slow_precision_at_k, stable_direction_metrics
@@ -30,12 +37,54 @@ _evaluate_module = importlib.import_module("avdistill.evaluate")
 
 
 def _ranked_blocks(dist, query_labels, gallery_labels, ks):
-    """Each `_row_blocks` block of `dist` through `_ranked_block`, joined in row order."""
+    """The rows of `dist` with a relevant item, each `_row_blocks` block through `_ranked_block`.
+
+    Every such row takes the sort path; the stats are joined in row order.
+    """
     stats = [np.empty((1 + len(ks), 0))]
     for rows in _row_blocks(dist.shape[0]):
-        keys = np.empty(dist[rows].shape, dtype=np.uint64)
-        stats.append(_ranked_block(dist[rows], query_labels[rows], gallery_labels, ks, keys))
+        relevant = gallery_labels == query_labels[rows, None]
+        kept = relevant.any(axis=1)
+        block = dist[rows][kept]
+        keys = np.empty(block.shape, dtype=np.uint64)
+        n_relevant = relevant[kept].sum(axis=1)
+        stats.append(_ranked_block(block, relevant[kept], n_relevant, ks, keys))
     return np.concatenate(stats, axis=1)
+
+
+def _clear_oracle(dist, query_labels, gallery_labels):
+    """Rows with a relevant item whose relevant distances all lie strictly below every irrelevant one."""
+    relevant = gallery_labels == query_labels[:, None]
+    farthest = np.where(relevant, dist, -np.inf).max(axis=1)
+    nearest = np.where(relevant, np.inf, dist).min(axis=1)
+    return relevant.any(axis=1) & (farthest < nearest)
+
+
+def _gram_pair(gram):
+    """Unit query rows and gallery rows whose product is exactly `gram`.
+
+    Query i is the i-th axis and gallery row j holds column j of `gram`, so
+    each product entry sums one nonzero term. Equal columns are duplicate
+    gallery rows.
+    """
+    return np.eye(gram.shape[0]), np.ascontiguousarray(gram.T)
+
+
+def _gram_with_clear_rows(rng, clear, query_labels, gallery_labels):
+    """Gram values in [-1, 1] whose rows marked `clear` are clear and whose other rows are not.
+
+    A clear row has its relevant values in [0.5, 1) and its irrelevant ones
+    in [-1, 0.4); each other row with relevant and irrelevant items puts an
+    irrelevant item at 0.99, nearer than a relevant item at -0.99.
+    """
+    relevant = gallery_labels == query_labels[:, None]
+    gram = rng.uniform(-1.0, 1.0, size=relevant.shape)
+    high, low = rng.uniform(0.5, 1.0, relevant.shape), rng.uniform(-1.0, 0.4, relevant.shape)
+    gram[clear] = np.where(relevant, high, low)[clear]
+    for row in np.flatnonzero(~clear & relevant.any(axis=1) & ~relevant.all(axis=1)):
+        gram[row, np.flatnonzero(relevant[row])[0]] = -0.99
+        gram[row, np.flatnonzero(~relevant[row])[0]] = 0.99
+    return gram
 
 
 def _direction_metrics(dist, labels, ks):
@@ -154,13 +203,20 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("n", [1, 2, 61, 63, 65, 121, 129])
     def test_row_halves_match_whole_directions(self, rng, usable_cpus, n):
-        # Tie-free random towers, and one-hot cluster codes whose rows all tie
-        # (every one falls back to the stable sort). At 61 and 121 pairs the
-        # last block takes a one-row tail.
+        # Tie-free random towers, one-hot cluster codes whose rows all tie
+        # (every one falls back to the stable sort), and noisy cluster codes
+        # labelled by cluster, where every row of class 2 is clear and some
+        # items of cluster 0 carry label 1. At 61 and 121 pairs the last block
+        # takes a one-row tail.
         clusters = one_hot(rng.integers(0, 3, size=n), 3).astype(float)
+        separable = rng.integers(0, 3, size=n)
+        codes = one_hot(separable, 3) + 0.01 * rng.random((n, 3))
+        moved = separable.copy()
+        moved[np.flatnonzero(separable == 0)[::5]] = 1
         cases = [
             _random_instance(rng, n, n_classes=3),
             (_identity_model(3), PairedBatch(clusters, clusters.copy(), rng.integers(0, 4, size=n))),
+            (_identity_model(3), PairedBatch(codes, codes + 0.01 * rng.random((n, 3)), moved)),
         ]
         ks = (1, 5, 64, 200)
         for model, data in cases:
@@ -246,13 +302,18 @@ class TestEvaluate:
     @pytest.mark.parametrize("n", [600, 4000])
     def test_distance_blocks_match_the_whole_products(self, rng, monkeypatch, n):
         # The halves meet on a block boundary, so ranking a whole direction
-        # builds the same blocks as evaluate does.
-        audio, visual = rng.standard_normal((n, 10)), rng.standard_normal((n, 10))
-        a2v = pairwise_normalized_distances(audio, visual)
-        v2a = pairwise_normalized_distances(visual, audio)
-        ua, _ = normalize_rows(audio)
-        ub, _ = normalize_rows(visual)
+        # builds the same blocks as evaluate does. Each ranked row must reach
+        # `_ranked_block` as the same row of the whole product. Gaussian
+        # embeddings leave no row clear, so every block arrives whole; in the
+        # second set classes 0-4 sit tight around their one-hot codes, so
+        # their rows are clear and skip the ranking, and classes 5-9 are noise.
         labels = rng.integers(0, 10, size=n)
+        scale = np.where(labels < 5, 0.02, 2.0)[:, None]
+        cases = [
+            (rng.standard_normal((n, 10)), rng.standard_normal((n, 10)), np.ones(n, dtype=bool)),
+            (one_hot(labels, 10) + scale * rng.standard_normal((n, 10)),
+             one_hot(labels, 10) + scale * rng.standard_normal((n, 10)), labels >= 5),
+        ]
         blocks = []
 
         def spy(dist, *args):
@@ -260,11 +321,20 @@ class TestEvaluate:
             return _ranked_block(dist, *args)
 
         monkeypatch.setattr(_evaluate_module, "_ranked_block", spy)
-        for queries, gallery, whole in ((ua, ub, a2v), (ub, ua, v2a), (ub, ua, a2v.T)):
-            blocks.clear()
-            _ranked_rows(queries, gallery, labels, labels, (1,))
-            assert [len(b) for b in blocks] == [r.stop - r.start for r in _row_blocks(n)]
-            assert np.concatenate(blocks).tobytes() == np.ascontiguousarray(whole).tobytes()
+        for audio, visual, not_clear in cases:
+            a2v = pairwise_normalized_distances(audio, visual)
+            v2a = pairwise_normalized_distances(visual, audio)
+            ua, _ = normalize_rows(audio)
+            ub, _ = normalize_rows(visual)
+            for queries, gallery, whole in ((ua, ub, a2v), (ub, ua, v2a), (ub, ua, a2v.T)):
+                blocks.clear()
+                _ranked_rows(queries, gallery, *_classes(labels, labels), (1,))
+                ranked = ~_clear_oracle(whole, labels, labels)
+                assert (ranked == not_clear).all()
+                per_block = [int(ranked[rows].sum()) for rows in _row_blocks(n)]
+                assert [len(b) for b in blocks] == [k for k in per_block if k]
+                want = np.ascontiguousarray(whole[ranked])
+                assert np.concatenate(blocks).tobytes() == want.tobytes()
 
     def test_non_finite_embeddings_rejected(self):
         model = _identity_model(2)
@@ -391,6 +461,163 @@ class TestRankingKernel:
             mean_ap, n_queries, _ = _direction_means(whole, ks)
             assert n_queries == n - max(1, n // 4)
             assert abs(mean_ap - slow_map(d, queries, gallery)) < 1e-12
+
+
+class TestClearRows:
+    """Rows whose relevant items all come first skip the sort, with the same bits."""
+
+    @staticmethod
+    def _check(monkeypatch, gram, query_labels, gallery_labels, ks=(1, 5, 64), halves=()):
+        """`_ranked_rows` on `gram`, whole and split at `halves`, against the all-sorted
+        ranking and the stable oracle, bit for bit; returns the rows `_ranked_block` got."""
+        queries, gallery = _gram_pair(gram)
+        ks = tuple(k for k in ks if k <= gram.shape[1])
+        ranked = []
+
+        def spy(dist, *args):
+            ranked.append(dist.copy())
+            return _ranked_block(dist, *args)
+
+        monkeypatch.setattr(_evaluate_module, "_ranked_block", spy)
+        query_class, gallery_class, n_relevant = _classes(query_labels, gallery_labels)
+        got = _ranked_rows(queries, gallery, query_class, gallery_class, n_relevant, ks)
+        monkeypatch.undo()
+        dist = gram.copy()
+        _gram_to_distances(dist)
+        assert got.tobytes() == _ranked_blocks(dist, query_labels, gallery_labels, ks).tobytes()
+        mean_ap, n_queries, table = _direction_means(got, ks)
+        oracle = stable_direction_metrics(dist, query_labels, ks, gallery_labels)
+        assert (mean_ap, n_queries, gram.shape[0] - n_queries, table) == oracle
+        for bounds in halves:
+            parts = [
+                _ranked_rows(queries[rows], gallery, query_class[rows], gallery_class,
+                             n_relevant[rows], ks)
+                for rows in (slice(0, bounds), slice(bounds, gram.shape[0]))
+            ]
+            assert np.concatenate(parts, axis=1).tobytes() == got.tobytes()
+        clear = _clear_oracle(dist, query_labels, gallery_labels)
+        want = dist[~clear & np.isin(query_labels, gallery_labels)]
+        assert np.concatenate([np.empty((0, gram.shape[1])), *ranked]).tobytes() == want.tobytes()
+        return clear
+
+    @pytest.mark.parametrize("share", [1.0, 0.0, 0.5])
+    def test_all_no_or_some_rows_clear(self, rng, monkeypatch, share):
+        # 150 rows: two full blocks and a 30-row one.
+        labels = rng.integers(0, 5, size=150)
+        clear = rng.random(150) < share
+        gram = _gram_with_clear_rows(rng, clear, labels, labels)
+        assert (self._check(monkeypatch, gram, labels, labels) == clear).all()
+
+    @pytest.mark.parametrize("relevant_first", [True, False])
+    def test_duplicate_gallery_rows_with_different_labels_tie(self, rng, monkeypatch, relevant_first):
+        # Row 0's farthest relevant item and nearest irrelevant one are the
+        # same gallery row twice, so their distances are equal: the row is
+        # ranked, and the stable order puts the lower gallery index first.
+        labels = rng.integers(0, 4, size=90)
+        gram = _gram_with_clear_rows(rng, np.ones(90, dtype=bool), labels, labels)
+        relevant = np.flatnonzero(labels == labels[0])
+        irrelevant = np.flatnonzero(labels != labels[0])
+        first, second = sorted([relevant[1], irrelevant[0]], reverse=not relevant_first)
+        gram[0, relevant] = 0.8
+        gram[0, [first, second]] = 0.45
+        gram[:, second] = gram[:, first]
+        clear = self._check(monkeypatch, gram, labels, labels)
+        assert not clear[0] and clear[1:].sum() > 0
+
+    def test_distances_that_round_equal_tie(self, rng, monkeypatch):
+        # Distinct Gram values whose distances are equal: at or above 1 every
+        # value finishes to 0, so a relevant g above an irrelevant g = 1.0 still
+        # ties with it; one ulp below 1.0 the irrelevant distance is positive.
+        labels = rng.integers(0, 3, size=40)
+        gram = _gram_with_clear_rows(rng, np.ones(40, dtype=bool), labels, labels)
+        for row, irrelevant_g in ((0, 1.0), (1, np.nextafter(1.0, 0.0))):
+            gram[row, labels == labels[row]] = np.nextafter(1.0, 2.0)
+            gram[row, np.flatnonzero(labels != labels[row])[0]] = irrelevant_g
+        clear = self._check(monkeypatch, gram, labels, labels)
+        assert not clear[0] and clear[1]
+
+    def test_signed_zeros_at_the_boundary_are_not_clear(self):
+        # +0.0 and -0.0 both finish to sqrt(2), so either way round they tie.
+        labels = np.array([0, 0, 1, 1])
+        gram = np.array([
+            [0.5, 0.0, -0.0, -0.5],
+            [0.5, -0.0, 0.0, -0.5],
+            [-0.0, -0.5, 0.5, 0.0],
+            [-0.5, -0.5, 0.5, 0.0],
+        ])
+        relevant = labels == labels[:, None]
+        dist = gram.copy()
+        _gram_to_distances(dist)
+        clear = _clear_rows(gram, relevant)
+        assert clear.tolist() == [False, False, False, True]
+        assert (clear == _clear_oracle(dist, labels, labels)).all()
+
+    def test_class_owning_every_gallery_item(self, rng, monkeypatch):
+        # Queries of class 0 have no irrelevant item, so they are clear with
+        # AP 1 and P@k 1; queries of class 1 have no relevant item and drop out.
+        query_labels = np.where(rng.random(70) < 0.7, 0, 1)
+        gallery_labels = np.zeros(70, dtype=np.int64)
+        gram = rng.uniform(-1.0, 1.0, size=(70, 70))
+        clear = self._check(monkeypatch, gram, query_labels, gallery_labels, halves=(60,))
+        assert (clear == (query_labels == 0)).all()
+
+    def test_class_without_gallery_item(self, rng, monkeypatch):
+        # Class 9 queries have no relevant item: excluded, clear or not.
+        gallery_labels = rng.integers(0, 3, size=100)
+        query_labels = gallery_labels.copy()
+        query_labels[::7] = 9
+        clear = rng.random(100) < 0.5
+        gram = _gram_with_clear_rows(rng, clear, query_labels, gallery_labels)
+        self._check(monkeypatch, gram, query_labels, gallery_labels, halves=(60,))
+
+    @pytest.mark.parametrize("n", [61, 121, 181])
+    def test_clear_rows_at_block_edges_tail_and_halves(self, rng, monkeypatch, n):
+        # Block edges at 0, 59, 60, 119 and 120; at 61 and 121 rows the last
+        # block takes a one-row tail. evaluate's halves meet at n // 2 rounded
+        # down to a block boundary.
+        labels = rng.integers(0, 4, size=n)
+        edges = [r for r in (0, 59, 60, 61, 119, 120, n - 2, n - 1) if r < n]
+        for clear in (np.isin(np.arange(n), edges), ~np.isin(np.arange(n), edges)):
+            gram = _gram_with_clear_rows(rng, clear, labels, labels)
+            half = n // 2 // _evaluate_module._BLOCK * _evaluate_module._BLOCK
+            got = self._check(monkeypatch, gram, labels, labels, halves=(half, 60))
+            assert (got == clear).all()
+
+    def test_only_rows_that_are_not_clear_are_ranked(self, rng, usable_cpus, monkeypatch):
+        # A separable 4000-pair evaluate: one-hot class codes with a little
+        # noise, in shuffled order. 1% of the labels of clusters 0-2 move to
+        # the next class, so the rows of classes 0-3 are not clear and those
+        # of classes 4-9 are.
+        n, n_classes = 4000, 10
+        usable_cpus(1)
+        clusters = rng.permutation(np.repeat(np.arange(n_classes), n // n_classes))
+        labels = clusters.copy()
+        moved = rng.choice(np.flatnonzero(clusters < 3), size=n // 100, replace=False)
+        labels[moved] += 1
+        features = one_hot(clusters, n_classes) + 0.02 * rng.random((n, n_classes))
+        data = PairedBatch(features, features + 0.02 * rng.random((n, n_classes)), labels)
+        model = _identity_model(n_classes)
+        ranked = []
+
+        def spy(dist, *args):
+            ranked.append(dist.copy())
+            return _ranked_block(dist, *args)
+
+        monkeypatch.setattr(_evaluate_module, "_ranked_block", spy)
+        report = evaluate(model, data)
+        emb = model.encode(data)
+        half = n // 2 // _evaluate_module._BLOCK * _evaluate_module._BLOCK
+        want = []
+        for rows in (slice(0, half), slice(half, n)):
+            for direction, d in _directions(emb):
+                clear = _clear_oracle(d[rows], labels[rows], labels)
+                want.append(d[rows][~clear])
+                assert 0.3 < clear.mean() < 0.9
+        assert np.concatenate(ranked).tobytes() == np.concatenate(want).tobytes()
+        for direction, d in _directions(emb):
+            mean_ap, n_queries, _, table = stable_direction_metrics(d, labels, (1, 5, 10))
+            assert getattr(report, f"map_{direction}") == mean_ap
+            assert report.precision_at_k[direction] == table
 
 
 class TestReportSerialization:

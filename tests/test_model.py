@@ -310,30 +310,35 @@ class TestTower:
 
     def test_training_step_allocates_no_large_block(self, rng):
         # After a warm-up step, a 400-row step of 512-wide towers writes its
-        # activations, masks, scratch and gradients into buffers it holds. One
-        # activation is 1.6 MB and one hidden weight gradient 2 MB; the largest
-        # new blocks are the two towers' 200 KiB boolean ReLU masks. The peak
-        # bounds the blocks alive at once, so it bounds each block.
-        model = TwoTowerModel.create(
-            TowerSpec(64, 10, (512, 512, 512)), TowerSpec(96, 10, (512, 512, 512)), seed=0
-        )
-        batch = PairedBatch(rng.standard_normal((400, 64)), rng.standard_normal((400, 96)),
-                            np.zeros(400, dtype=np.int64))
+        # float64 inputs, activations, masks, scratch and gradients into
+        # buffers it holds, with float64 features and with float32 ones. One
+        # activation is 1.6 MB, one hidden weight gradient 2 MB and the visual
+        # input widened to float64 1.6 MB; the largest new blocks are the two
+        # towers' 200 KiB boolean ReLU masks. The peak bounds the blocks alive
+        # at once, so it bounds each block.
         d_audio, d_visual = rng.standard_normal((400, 10)), rng.standard_normal((400, 10))
-        optimizer = Adam(1e-3)
+        for dtype in (np.float64, np.float32):
+            model = TwoTowerModel.create(
+                TowerSpec(64, 10, (512, 512, 512)), TowerSpec(512, 10, (512, 512, 512)), seed=0
+            )
+            batch = PairedBatch(rng.standard_normal((400, 64)).astype(dtype),
+                                rng.standard_normal((400, 512)).astype(dtype),
+                                np.zeros(400, dtype=np.int64))
+            assert batch.visual.dtype == dtype
+            optimizer = Adam(1e-3)
 
-        def step(seed: int) -> None:
-            model.encode(batch, training=True, step_seed=seed)
-            optimizer.apply(model.parameters(), model.backward(d_audio, d_visual))
+            def step(seed: int) -> None:
+                model.encode(batch, training=True, step_seed=seed)
+                optimizer.apply(model.parameters(), model.backward(d_audio, d_visual))
 
-        step(0)
-        tracemalloc.start()
-        try:
-            step(1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+            step(0)
+            tracemalloc.start()
+            try:
+                step(1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, dtype
 
     def test_inference_forward_holds_two_activations(self, rng):
         # At most: the full-height `hidden` activation, and one chunk-sized
