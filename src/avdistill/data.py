@@ -277,8 +277,8 @@ def _load_binary(path: Path) -> tuple[DatasetMeta, PairedBatch]:
         audio = np.empty((n, audio_dim), dtype=np.float32)
         visual = np.empty((n, visual_dim), dtype=np.float32)
         labels = np.empty(n, dtype=np.int64)
-        # Label errors take precedence over non-finite values, as in
-        # `_validate_records`, so the first non-finite record waits for them.
+        # Label errors take precedence over non-finite values, as on the CSV
+        # path, so the first non-finite record waits for them.
         per_block = max(1, min(n, _READ_BYTES // record_size))
         raw = np.empty(per_block * record_size, dtype=np.uint8)
         record = _record_dtype(audio_dim, visual_dim)
@@ -308,15 +308,6 @@ def _truncated(n: int, complete: int) -> DataError:
         f"truncated file: header claims {n} records, found {complete} complete "
         f"(failed at record {complete})"
     )
-
-
-def _validate_records(
-    audio: np.ndarray, visual: np.ndarray, labels: np.ndarray, n_classes: int
-) -> None:
-    _check_labels(labels, n_classes)
-    bad = _first_non_finite(audio, visual)
-    if bad is not None:
-        raise DataError(f"non-finite feature value at record {bad}")
 
 
 def _check_labels(labels: np.ndarray, n_classes: int) -> None:
@@ -389,7 +380,9 @@ def _load_csv(path: Path) -> tuple[DatasetMeta, PairedBatch]:
     n_classes = int(label_arr.max()) + 1
     if n_classes < 2:
         raise DataError(f"need at least 2 classes, labels only reach {n_classes - 1}")
-    _validate_records(audio, visual, label_arr, n_classes)
+    bad = _first_non_finite(audio, visual)
+    if bad is not None:
+        raise DataError(f"non-finite feature value at record {bad}")
     meta = DatasetMeta(
         n_pairs=len(labels), audio_dim=audio_dim, visual_dim=visual_dim, n_classes=n_classes
     )

@@ -408,8 +408,7 @@ def _distances_with_cache(a: np.ndarray, b: np.ndarray) -> dict:
     ub, nb = normalize_rows(b, "visual embeddings")
     # One product over all rows: a row-blocked product rounds differently.
     dist = ua @ ub.T
-    half = dist.shape[0] // 2
-    _overlap(lambda: _gram_to_distances(dist[:half]), lambda: _gram_to_distances(dist[half:]))
+    _gram_to_distances(dist)
     return {"ua": ua, "ub": ub, "na": na, "nb": nb, "dist": dist}
 
 
@@ -418,8 +417,8 @@ def _gram_to_distances(gram: np.ndarray) -> None:
 
     2 + (-2g) rounds exactly as 2 - 2g. Each element takes the same four
     operations whatever rows it is given, so the bits do not depend on how a
-    caller splits them: training passes each row half, `evaluate` each
-    ranking block.
+    caller splits them: training passes the whole Gram matrix, `evaluate`
+    each ranking block.
     """
     gram *= -2.0
     gram += 2.0

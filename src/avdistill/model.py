@@ -348,10 +348,6 @@ class TwoTowerModel:
         visual = Tower.build(visual_spec, np.random.default_rng([int(seed), _VISUAL_TAG]))
         return cls(audio, visual)
 
-    @property
-    def output_dim(self) -> int:
-        return self.audio.spec.output_dim
-
     def encode(
         self,
         batch: PairedBatch,

@@ -5,7 +5,9 @@ numerically stable row softmax that the towers and losses use, and the
 two optimizers (SGD, Adam). No autodiff graph is involved; `model.Tower`
 writes out its own layers' forward and backward. Adam walks each parameter in
 cache-sized chunks through preallocated scratch, with the same float
-operations in the same order as the whole-tensor formula. Settings are
+operations in the same order as the whole-tensor formula; every tensor is cut
+at a chunk boundary near its middle, and the first halves and the second
+halves are walked as two pieces. Settings are
 checked once, by their owner: `make_optimizer` checks the learning rate and
 `model.TowerSpec` the dropout rate.
 
@@ -16,11 +18,9 @@ pairs go through it, and none nests another:
 - the two towers' training forward and backward (model.py);
 - the two row halves of a tower's inference hidden layers, each run in row
   chunks (model.py);
-- the two halves of Adam's chunk walk (below);
+- the first and second halves of every tensor in Adam's walk (below);
 - the audio-anchor and visual-anchor sides of the triplet reducer (losses.py);
 - the audio and visual proxies' forward and backward (losses.py);
-- the two row halves of the training distance passes after the Gram product
-  (losses.py);
 - evaluate's two row halves, each building the distance blocks of both
   directions and ranking them (evaluate.py).
 
@@ -174,9 +174,11 @@ class Sgd:
 class Adam:
     """Adam with bias correction, applied in `_ADAM_CHUNK`-element chunks.
 
-    The chunks are walked in two halves of about equal element count, each
-    through its own scratch buffers, and the halves are `_overlap`ped.
-    Parameters must be C-contiguous: they are updated in place through flat views.
+    Every tensor splits at the chunk boundary at or below `size // 2` of its
+    flat view: the `_overlap` worker walks the first halves of all tensors and
+    the caller the second halves, each through its own scratch buffers, so
+    both walk the chunks a whole-tensor walk would. Parameters must be
+    C-contiguous: they are updated in place through flat views.
     """
 
     kind = "adam"
@@ -189,7 +191,7 @@ class Adam:
         self.t = 0
         self._m: list[np.ndarray] | None = None
         self._v: list[np.ndarray] | None = None
-        # Two scratch buffers for each half of the chunk walk.
+        # Two scratch buffers for each half of the walk.
         self._scratch = [np.empty((2, _ADAM_CHUNK), dtype=DTYPE) for _ in range(2)]
 
     def apply(self, params: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
@@ -207,49 +209,45 @@ class Adam:
             if not p.flags.c_contiguous:
                 raise ShapeError(f"parameter {i} is not C-contiguous; Adam updates it in place")
         self.t += 1
-        chunks = []
-        for p, g, m, v in zip(params, grads, self._m, self._v):
-            p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
-            chunks += [
-                (p, g, m, v, lo, min(lo + _ADAM_CHUNK, p.size))
-                for lo in range(0, p.size, _ADAM_CHUNK)
-            ]
-        # Split after the chunk whose running element count is nearest to half the total.
-        done = np.cumsum([hi - lo for *_, lo, hi in chunks])
-        half = int(np.abs(2 * done - done[-1]).argmin()) + 1 if chunks else 0
+        flat = [[x.reshape(-1) for x in t] for t in zip(params, grads, self._m, self._v)]
+        # A tensor of less than two chunks goes whole to the caller: two threads
+        # walking its small halves would pass the GIL back and forth.
+        cuts = [p.size // 2 // _ADAM_CHUNK * _ADAM_CHUNK for p in params]
         first, second = self._scratch
         _overlap(
-            lambda: self._walk(chunks[:half], first),
-            lambda: self._walk(chunks[half:], second),
+            lambda: self._walk([[x[:c] for x in t] for t, c in zip(flat, cuts)], first),
+            lambda: self._walk([[x[c:] for x in t] for t, c in zip(flat, cuts)], second),
         )
         return params
 
-    def _walk(self, chunks: list, scratch: np.ndarray) -> None:
-        """Update each (p, g, m, v, lo, hi) chunk in place through `scratch`'s two rows."""
+    def _walk(self, tensors: list, scratch: np.ndarray) -> None:
+        """Update each flat (p, g, m, v) in place, in `_ADAM_CHUNK` pieces through `scratch`."""
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         lr, eps = self.learning_rate, self.eps
-        for p, g, m, v, lo, hi in chunks:
-            pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
-            s, s2 = scratch[0, : hi - lo], scratch[1, : hi - lo]
-            # m = b1*m + (1-b1)*g
-            mc *= b1
-            np.multiply(gc, 1.0 - b1, out=s)
-            mc += s
-            # v = b2*v + ((1-b2)*g)*g
-            vc *= b2
-            np.multiply(gc, 1.0 - b2, out=s)
-            s *= gc
-            vc += s
-            # p -= (lr*(m/bias1)) / (sqrt(v/bias2) + eps)
-            np.divide(vc, bias2, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += eps
-            np.divide(mc, bias1, out=s)
-            s *= lr
-            s /= s2
-            pc -= s
+        for p, g, m, v in tensors:
+            for lo in range(0, p.size, _ADAM_CHUNK):
+                hi = min(lo + _ADAM_CHUNK, p.size)
+                pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+                s, s2 = scratch[0, : hi - lo], scratch[1, : hi - lo]
+                # m = b1*m + (1-b1)*g
+                mc *= b1
+                np.multiply(gc, 1.0 - b1, out=s)
+                mc += s
+                # v = b2*v + ((1-b2)*g)*g
+                vc *= b2
+                np.multiply(gc, 1.0 - b2, out=s)
+                s *= gc
+                vc += s
+                # p -= (lr*(m/bias1)) / (sqrt(v/bias2) + eps)
+                np.divide(vc, bias2, out=s2)
+                np.sqrt(s2, out=s2)
+                s2 += eps
+                np.divide(mc, bias1, out=s)
+                s *= lr
+                s /= s2
+                pc -= s
 
 
 Optimizer = Sgd | Adam

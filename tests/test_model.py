@@ -431,8 +431,12 @@ class TestTowerOverlap:
     def test_reference_float32_encode_widens_one_chunk_at_a_time(
         self, rng, usable_cpus, float32_twins, reference_model
     ):
-        # No float64 copy of the features at full height: the float32 encode
-        # peaks no higher than the one given float64 features to begin with.
+        # No float64 copy of the features, at full height or per chunk: the
+        # float32 encode peaks no higher than the one given float64 features
+        # to begin with. How the two threads interleave decides whether a
+        # thread's numpy ufunc buffer (`np.getbufsize()` values, 64 KiB of
+        # float64) is live at the peak, so either peak may hold one per thread
+        # more; a float64 copy of one 500-row visual chunk would add 4 MiB.
         usable_cpus(2)
         narrow, wide = float32_twins(
             PairedBatch(rng.standard_normal((4000, 128)), rng.standard_normal((4000, 1024)),
@@ -451,7 +455,7 @@ class TestTowerOverlap:
         (got, narrow_peak), (want, wide_peak) = runs
         assert np.array_equal(got.audio, want.audio)
         assert np.array_equal(got.visual, want.visual)
-        assert narrow_peak <= wide_peak
+        assert narrow_peak <= wide_peak + 2 * 8 * np.getbufsize()
 
     def test_backward_matches_serial(self, small_model, usable_cpus):
         batch = _rows(6)

@@ -352,28 +352,49 @@ class TestOptimizers:
         halves = {}
         walk = Adam._walk
 
-        def spy(opt, chunks, scratch):
-            halves[id(scratch)] = chunks
-            return walk(opt, chunks, scratch)
+        def spy(opt, tensors, scratch):
+            halves[id(scratch)] = tensors
+            return walk(opt, tensors, scratch)
+
+        def serial_walk(opt, params, grads):
+            # One walk over every whole tensor, as if the split did not exist.
+            opt._m = opt._m or [np.zeros_like(p) for p in params]
+            opt._v = opt._v or [np.zeros_like(p) for p in params]
+            opt.t += 1
+            flat = [[x.reshape(-1) for x in t] for t in zip(params, grads, opt._m, opt._v)]
+            walk(opt, flat, opt._scratch[0])
 
         monkeypatch.setattr(Adam, "_walk", spy)
         runs = []
-        for cpus in (1, 2):
-            usable_cpus(cpus)
+        for cpus in (None, 1, 2):
+            usable_cpus(cpus or 2)
             step_rng = np.random.default_rng(5)
             params = [step_rng.standard_normal(s) for s in shapes]
             opt = Adam(3e-3)
             for t in range(4):
-                opt.apply(params, [step_rng.standard_normal(s) * 10.0 ** (t - 2) for s in shapes])
+                grads = [step_rng.standard_normal(s) * 10.0 ** (t - 2) for s in shapes]
+                if cpus is None:
+                    serial_walk(opt, params, grads)
+                else:
+                    opt.apply(params, grads)
             runs.append(params + opt._m + opt._v)
-        for serial, overlapped in zip(*runs):
-            assert np.array_equal(serial, overlapped)
-        # The split falls inside the list, with the halves one chunk apart at most.
+        for serial, one_cpu, two_cpus in zip(*runs):
+            assert np.array_equal(one_cpu, serial)
+            assert np.array_equal(two_cpus, serial)
+        # Each tensor splits at the chunk boundary at or below size // 2: the
+        # first half holds the leading elements of every tensor, the second the
+        # rest, and a tensor of less than two chunks goes whole to the second.
         first, second = (halves[id(scratch)] for scratch in opt._scratch)
-        sizes = [sum(hi - lo for *_, lo, hi in half) for half in (first, second)]
-        assert abs(sizes[0] - sizes[1]) <= _ADAM_CHUNK
-        last_first = next(i for i, s in enumerate(shapes) if np.prod(s) == first[-1][0].size)
-        assert 0 < last_first < len(shapes) - 1
+        assert len(first) == len(second) == len(shapes)
+        cuts = [head[0].size for head in first]
+        for p, cut, head, tail in zip(params, cuts, first, second):
+            assert [x.size for x in head] == [cut] * 4
+            assert [x.size for x in tail] == [p.size - cut] * 4
+            assert np.array_equal(np.concatenate([head[0], tail[0]]), p.reshape(-1))
+        # (3 * _ADAM_CHUNK + 5) // 2 and 420000 // 2 round down to 1 and 6 chunks.
+        assert cuts == [0, _ADAM_CHUNK, 0, 6 * _ADAM_CHUNK, _ADAM_CHUNK, 0]
+        sizes = [sum(t[0].size for t in half) for half in (first, second)]
+        assert 0 <= sizes[1] - sizes[0] <= len(shapes) * _ADAM_CHUNK
 
     def test_adam_shape_change_is_shape_error(self):
         opt = Adam(0.1)

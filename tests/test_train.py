@@ -72,7 +72,7 @@ class TestResolveAndBuild:
         cfg = _config()
         meta, _ = resolve_dataset(cfg)
         model = build_model(cfg, meta)
-        assert model.output_dim == 3
+        assert model.audio.spec.output_dim == 3
         assert model.audio.spec.input_dim == 12
         assert model.visual.spec.input_dim == 16
         assert model.audio.spec.hidden_dims == (16, 16)
