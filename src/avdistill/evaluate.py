@@ -1,12 +1,12 @@
 """Bidirectional cross-modal retrieval evaluation.
 
-Each test audio row queries the full visual gallery and vice versa; the
-query's own counterpart stays in the gallery. Rankings sort ascending by
-normalized distance (Euclidean between unit-length embeddings, as in the
-triplet loss) with ties resolved to the lowest gallery index, a relevant item
-is one sharing the query's class, and average precision is taken over the
-full ranked list. Queries whose class has no gallery match are excluded from the
-mean and counted in the report.
+One labeled set is ranked against itself: each of its audio rows queries all
+of its visual rows and vice versa. Rankings sort ascending by normalized
+distance (Euclidean between unit-length embeddings, as in the triplet loss)
+with ties resolved to the lowest gallery index, a relevant item is one sharing
+the query's class, and average precision is taken over the full ranked list.
+The query's own counterpart stays in the gallery, so every query has R >= 1
+relevant items and counts in the mean.
 
 A query row is *clear* when every relevant gallery item lies strictly nearer
 than every irrelevant one. Its AP is then exactly 1 and its P@k exactly
@@ -27,9 +27,9 @@ row is ranked as before. Only the rows that pass a cheap sampled check are
 tested (see `_ranked_rows`); a clear row that the check skips is ranked,
 and gets the same values.
 
-Every other row with a relevant item is ranked by one sort of unsigned
-64-bit keys, `(distance bits << 1) | relevant`: the sorted keys give the
-relevance of every rank, with no argsort or gather. The keys are exact on
+Every other row is ranked by one sort of unsigned 64-bit keys, `(distance
+bits << 1) | relevant`: the sorted keys give the relevance of every rank,
+with no argsort or gather. The keys are exact on
 non-negative distances. The bit patterns of non-negative doubles order as
 their values do, and the shift drops only the sign bit, which is 0 (-0.0
 wraps to +0.0's key). So a row whose values strictly increase sorts into its
@@ -74,8 +74,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import PairedBatch
-from .errors import NumericError, ShapeError
-from .losses import _gram_to_distances, normalize_rows
+from .errors import ShapeError
+from .losses import _finite, _gram_to_distances, normalize_rows
 from .model import TwoTowerModel
 from .nn import _overlap
 
@@ -105,6 +105,13 @@ _INF_KEY = np.uint64(0x7FF0000000000000 << 1 | 1)
 
 @dataclass
 class RetrievalReport:
+    """Mean AP and P@k of each direction over every row of one labeled set.
+
+    `n_queries_*` count those rows. `n_excluded_*` are 0 by construction,
+    because every query's own counterpart is relevant; they stay so that
+    reports and `metrics.jsonl` keep their fields.
+    """
+
     map_a2v: float
     map_v2a: float
     map_avg: float
@@ -152,23 +159,14 @@ def _row_blocks(n_rows: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(starts, [*starts[1:], n_rows])]
 
 
-def _classes(
-    query_labels: np.ndarray, gallery_labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Query and gallery labels as class indices, and each query's relevant count R.
+def _classes(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's class index, and its class size: the relevant count R >= 1.
 
     The indices take the smallest unsigned dtype that holds them, which
-    compares fastest. A query whose class has no gallery item takes the index
-    past the last class, and R = 0.
+    compares fastest.
     """
-    classes, gallery_class, counts = np.unique(
-        gallery_labels, return_inverse=True, return_counts=True
-    )
-    at = np.searchsorted(classes, query_labels).clip(max=classes.size - 1)
-    known = classes[at] == query_labels
-    index = np.min_scalar_type(classes.size)
-    query_class = np.where(known, at, classes.size).astype(index)
-    return query_class, gallery_class.astype(index), np.where(known, counts[at], 0)
+    classes, index, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    return index.astype(np.min_scalar_type(classes.size - 1)), counts[index]
 
 
 def _ranked_rows(
@@ -179,13 +177,14 @@ def _ranked_rows(
     n_relevant: np.ndarray,
     ks: tuple[int, ...],
 ) -> np.ndarray:
-    """AP and P@k of each query row with n_relevant > 0, in row order.
+    """AP and P@k of each query row, in row order.
 
-    The classes and relevant counts are `_classes`'. Each `_row_blocks` block
-    of queries gets its Gram rows `queries[rows] @ gallery.T` and its
-    relevance mask in reused buffers. A clear row (`_clear_rows`) takes AP 1
-    and P@k min(k, R) / k. The block's other rows with a relevant item are
-    finished into distances in place by `losses._gram_to_distances` and
+    The queries are rows of the set the gallery holds, so each has R >= 1
+    relevant items; the classes and relevant counts are `_classes`'. Each
+    `_row_blocks` block of queries gets its Gram rows `queries[rows] @
+    gallery.T` and its relevance mask in reused buffers. A clear row
+    (`_clear_rows`) takes AP 1 and P@k min(k, R) / k. The block's other rows
+    are finished into distances in place by `losses._gram_to_distances` and
     ranked by `_ranked_block`.
 
     Only the rows that may be clear are tested: those whose relevant items
@@ -205,7 +204,7 @@ def _ranked_rows(
     sample_relevant = gallery_class[::step, None] == query_class
     least = np.where(sample_relevant, sample, np.inf).min(axis=0)
     greatest = np.where(sample_relevant, -np.inf, sample).max(axis=0)
-    tested = (n_relevant > 0) & (least > greatest)
+    tested = least > greatest
     stats = np.empty((1 + len(ks), queries.shape[0]))
     stats[0] = 1.0
     for j, k in enumerate(ks, 1):
@@ -215,7 +214,7 @@ def _ranked_rows(
         block, block_relevant = gram[:m], relevant[:m]
         np.matmul(queries[rows], gallery.T, out=block)
         np.equal(gallery_class, query_class[rows, None], out=block_relevant)
-        ranked, test = n_relevant[rows] > 0, tested[rows]
+        ranked, test = np.ones(m, dtype=bool), tested[rows]
         if test.any():
             ranked[test] = ~_clear_rows(*_take(test, block, block_relevant))
         if ranked.any():
@@ -224,7 +223,7 @@ def _ranked_rows(
             stats[:, rows][:, ranked] = _ranked_block(
                 dist, dist_relevant, n_relevant[rows][ranked], ks, keys[: len(dist)]
             )
-    return stats[:, n_relevant > 0]
+    return stats
 
 
 def _take(rows: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -238,10 +237,9 @@ def _clear_rows(gram: np.ndarray, relevant: np.ndarray) -> np.ndarray:
     Each row's least Gram value over its relevant items (its farthest
     relevant item) and greatest over its irrelevant ones (its nearest
     irrelevant item) are finished into distances, and the row is clear if the
-    first is strictly below the second (see the module docstring). A row
-    without relevant items reads 0 against its nearest irrelevant distance,
-    one without irrelevant items its farthest relevant distance against inf,
-    and a row with a NaN is never clear.
+    first is strictly below the second (see the module docstring). Every row
+    has a relevant item; a row without irrelevant items reads its farthest
+    relevant distance against inf, and a row with a NaN is never clear.
     """
     ends = np.empty((2, len(gram)))
     np.min(np.where(relevant, gram, np.inf), axis=1, out=ends[0])
@@ -302,10 +300,8 @@ def _direction_means(
     stats: np.ndarray, ks: tuple[int, ...]
 ) -> tuple[float, int, dict[int, float]]:
     """Mean AP, query count and mean P@k of `_ranked_rows` stats, rows in order."""
-    n = stats.shape[1]
-    mean_ap = float(np.mean(stats[0])) if n else 0.0
-    table = {k: float(np.mean(stats[j])) if n else 0.0 for j, k in enumerate(ks, 1)}
-    return mean_ap, n, table
+    table = {k: float(np.mean(stats[j])) for j, k in enumerate(ks, 1)}
+    return float(np.mean(stats[0])), stats.shape[1], table
 
 
 def evaluate(
@@ -314,19 +310,17 @@ def evaluate(
     """Encode a test set in inference mode and score retrieval both ways."""
     if len(data) < 1:
         raise ShapeError("evaluation needs at least one pair")
-    emb = model.encode(data, training=False)
-    if not (np.isfinite(emb.audio).all() and np.isfinite(emb.visual).all()):
-        raise NumericError("non-finite embedding values in evaluation")
+    emb = _finite(model.encode(data, training=False), "evaluation")
     ua, _ = normalize_rows(emb.audio, "audio embeddings")
     ub, _ = normalize_rows(emb.visual, "visual embeddings")
     n = len(data)
     usable_ks = tuple(k for k in ks if 1 <= k <= n)
-    query_class, gallery_class, n_relevant = _classes(data.labels, data.labels)
+    classes, n_relevant = _classes(data.labels)
 
     def rank(rows: slice) -> list[np.ndarray]:
         return [
-            _ranked_rows(queries[rows], gallery, query_class[rows], gallery_class,
-                         n_relevant[rows], usable_ks)
+            _ranked_rows(queries[rows], gallery, classes[rows], classes, n_relevant[rows],
+                         usable_ks)
             for queries, gallery in ((ua, ub), (ub, ua))
         ]
 
@@ -344,6 +338,4 @@ def evaluate(
         precision_at_k={"a2v": table_a2v, "v2a": table_v2a},
         n_queries_a2v=n_a2v,
         n_queries_v2a=n_v2a,
-        n_excluded_a2v=n - n_a2v,
-        n_excluded_v2a=n - n_v2a,
     )

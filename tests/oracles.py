@@ -314,22 +314,18 @@ def stable_direction_metrics(
     dist: np.ndarray,
     labels: np.ndarray,
     ks: tuple[int, ...],
-    gallery_labels: np.ndarray | None = None,
 ) -> tuple[float, int, int, dict[int, float]]:
     """The retrieval kernel with a stable argsort on every row, unblocked.
 
-    `evaluate._direction_metrics` ranks by sorted keys and reads only the
+    `evaluate._ranked_block` ranks by sorted keys and reads only the
     relevant ranks; the two share only the per-row float summation order: each
     AP sums its full gallery row of (hits / ranks) * rel, zeros included, so
     neither the ranking method nor blocking changes the bits. The two must
-    agree exactly. The gallery shares the queries' labels unless
-    `gallery_labels` is given.
+    agree exactly. The gallery shares the queries' labels.
     """
-    if gallery_labels is None:
-        gallery_labels = labels
     ranks = np.arange(1, dist.shape[1] + 1)
     order = np.argsort(dist, axis=1, kind="stable")
-    rel = gallery_labels[order] == labels[:, None]
+    rel = labels[order] == labels[:, None]
     hits = np.cumsum(rel, axis=1)
     kept = hits[:, -1] > 0
     rel, hits = rel[kept], hits[kept]

@@ -365,4 +365,4 @@ class TestNumericErrors:
         save_checkpoint(model, ckpt)
         capsys.readouterr()
         assert main(["eval", "--model", str(ckpt), "--data", str(data)]) == EXIT_NUMERIC
-        assert "non-finite embedding values in evaluation" in capsys.readouterr().err
+        assert "non-finite embedding values in the evaluation pass" in capsys.readouterr().err

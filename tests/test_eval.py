@@ -146,6 +146,11 @@ def _brute_force_cases(rng):
         clusters = one_hot(rng.integers(0, n_clusters, size=n), n_clusters).astype(float)
         labels = rng.integers(0, 3, size=n)
         cases.append((_identity_model(n_clusters), PairedBatch(clusters, clusters.copy(), labels)))
+    # One pair per class, under sparse ids: every query has R = 1, its own
+    # counterpart, and the 130 rows split into halves of 60 and 70.
+    model, data = _random_instance(rng, 130, n_classes=5)
+    ids = rng.choice(10_000, size=130, replace=False)
+    cases.append((model, PairedBatch(data.audio, data.visual, ids)))
     return cases
 
 
@@ -328,7 +333,8 @@ class TestEvaluate:
             ub, _ = normalize_rows(visual)
             for queries, gallery, whole in ((ua, ub, a2v), (ub, ua, v2a), (ub, ua, a2v.T)):
                 blocks.clear()
-                _ranked_rows(queries, gallery, *_classes(labels, labels), (1,))
+                classes, n_relevant = _classes(labels)
+                _ranked_rows(queries, gallery, classes, classes, n_relevant, (1,))
                 ranked = ~_clear_oracle(whole, labels, labels)
                 assert (ranked == not_clear).all()
                 per_block = [int(ranked[rows].sum()) for rows in _row_blocks(n)]
@@ -341,7 +347,7 @@ class TestEvaluate:
         model.parameters()[0][0, 0] = np.nan
         labels = np.array([0, 1])
         feats = one_hot(labels, 2).astype(float)
-        with pytest.raises(NumericError, match="non-finite embedding values in evaluation"):
+        with pytest.raises(NumericError, match="non-finite embedding values in the evaluation pass"):
             evaluate(model, PairedBatch(feats, feats, labels))
 
 
@@ -467,9 +473,12 @@ class TestClearRows:
     """Rows whose relevant items all come first skip the sort, with the same bits."""
 
     @staticmethod
-    def _check(monkeypatch, gram, query_labels, gallery_labels, ks=(1, 5, 64), halves=()):
+    def _check(monkeypatch, gram, labels, ks=(1, 5, 64), halves=()):
         """`_ranked_rows` on `gram`, whole and split at `halves`, against the all-sorted
-        ranking and the stable oracle, bit for bit; returns the rows `_ranked_block` got."""
+        ranking and the stable oracle, bit for bit; returns which rows are clear.
+
+        The queries and the gallery share `labels`, as in `evaluate`.
+        """
         queries, gallery = _gram_pair(gram)
         ks = tuple(k for k in ks if k <= gram.shape[1])
         ranked = []
@@ -479,24 +488,22 @@ class TestClearRows:
             return _ranked_block(dist, *args)
 
         monkeypatch.setattr(_evaluate_module, "_ranked_block", spy)
-        query_class, gallery_class, n_relevant = _classes(query_labels, gallery_labels)
-        got = _ranked_rows(queries, gallery, query_class, gallery_class, n_relevant, ks)
+        classes, n_relevant = _classes(labels)
+        got = _ranked_rows(queries, gallery, classes, classes, n_relevant, ks)
         monkeypatch.undo()
         dist = gram.copy()
         _gram_to_distances(dist)
-        assert got.tobytes() == _ranked_blocks(dist, query_labels, gallery_labels, ks).tobytes()
+        assert got.tobytes() == _ranked_blocks(dist, labels, labels, ks).tobytes()
         mean_ap, n_queries, table = _direction_means(got, ks)
-        oracle = stable_direction_metrics(dist, query_labels, ks, gallery_labels)
-        assert (mean_ap, n_queries, gram.shape[0] - n_queries, table) == oracle
+        assert (mean_ap, n_queries, 0, table) == stable_direction_metrics(dist, labels, ks)
         for bounds in halves:
             parts = [
-                _ranked_rows(queries[rows], gallery, query_class[rows], gallery_class,
-                             n_relevant[rows], ks)
+                _ranked_rows(queries[rows], gallery, classes[rows], classes, n_relevant[rows], ks)
                 for rows in (slice(0, bounds), slice(bounds, gram.shape[0]))
             ]
             assert np.concatenate(parts, axis=1).tobytes() == got.tobytes()
-        clear = _clear_oracle(dist, query_labels, gallery_labels)
-        want = dist[~clear & np.isin(query_labels, gallery_labels)]
+        clear = _clear_oracle(dist, labels, labels)
+        want = dist[~clear]
         assert np.concatenate([np.empty((0, gram.shape[1])), *ranked]).tobytes() == want.tobytes()
         return clear
 
@@ -506,7 +513,7 @@ class TestClearRows:
         labels = rng.integers(0, 5, size=150)
         clear = rng.random(150) < share
         gram = _gram_with_clear_rows(rng, clear, labels, labels)
-        assert (self._check(monkeypatch, gram, labels, labels) == clear).all()
+        assert (self._check(monkeypatch, gram, labels) == clear).all()
 
     @pytest.mark.parametrize("relevant_first", [True, False])
     def test_duplicate_gallery_rows_with_different_labels_tie(self, rng, monkeypatch, relevant_first):
@@ -521,7 +528,7 @@ class TestClearRows:
         gram[0, relevant] = 0.8
         gram[0, [first, second]] = 0.45
         gram[:, second] = gram[:, first]
-        clear = self._check(monkeypatch, gram, labels, labels)
+        clear = self._check(monkeypatch, gram, labels)
         assert not clear[0] and clear[1:].sum() > 0
 
     def test_distances_that_round_equal_tie(self, rng, monkeypatch):
@@ -533,7 +540,7 @@ class TestClearRows:
         for row, irrelevant_g in ((0, 1.0), (1, np.nextafter(1.0, 0.0))):
             gram[row, labels == labels[row]] = np.nextafter(1.0, 2.0)
             gram[row, np.flatnonzero(labels != labels[row])[0]] = irrelevant_g
-        clear = self._check(monkeypatch, gram, labels, labels)
+        clear = self._check(monkeypatch, gram, labels)
         assert not clear[0] and clear[1]
 
     def test_signed_zeros_at_the_boundary_are_not_clear(self):
@@ -553,22 +560,11 @@ class TestClearRows:
         assert (clear == _clear_oracle(dist, labels, labels)).all()
 
     def test_class_owning_every_gallery_item(self, rng, monkeypatch):
-        # Queries of class 0 have no irrelevant item, so they are clear with
-        # AP 1 and P@k 1; queries of class 1 have no relevant item and drop out.
-        query_labels = np.where(rng.random(70) < 0.7, 0, 1)
-        gallery_labels = np.zeros(70, dtype=np.int64)
+        # One class: no query has an irrelevant item, so every row is clear
+        # with AP 1 and P@k 1.
+        labels = np.zeros(70, dtype=np.int64)
         gram = rng.uniform(-1.0, 1.0, size=(70, 70))
-        clear = self._check(monkeypatch, gram, query_labels, gallery_labels, halves=(60,))
-        assert (clear == (query_labels == 0)).all()
-
-    def test_class_without_gallery_item(self, rng, monkeypatch):
-        # Class 9 queries have no relevant item: excluded, clear or not.
-        gallery_labels = rng.integers(0, 3, size=100)
-        query_labels = gallery_labels.copy()
-        query_labels[::7] = 9
-        clear = rng.random(100) < 0.5
-        gram = _gram_with_clear_rows(rng, clear, query_labels, gallery_labels)
-        self._check(monkeypatch, gram, query_labels, gallery_labels, halves=(60,))
+        assert self._check(monkeypatch, gram, labels, halves=(60,)).all()
 
     @pytest.mark.parametrize("n", [61, 121, 181])
     def test_clear_rows_at_block_edges_tail_and_halves(self, rng, monkeypatch, n):
@@ -580,7 +576,7 @@ class TestClearRows:
         for clear in (np.isin(np.arange(n), edges), ~np.isin(np.arange(n), edges)):
             gram = _gram_with_clear_rows(rng, clear, labels, labels)
             half = n // 2 // _evaluate_module._BLOCK * _evaluate_module._BLOCK
-            got = self._check(monkeypatch, gram, labels, labels, halves=(half, 60))
+            got = self._check(monkeypatch, gram, labels, halves=(half, 60))
             assert (got == clear).all()
 
     def test_only_rows_that_are_not_clear_are_ranked(self, rng, usable_cpus, monkeypatch):
