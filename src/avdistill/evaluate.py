@@ -27,6 +27,28 @@ row is ranked as before. Only the rows that pass a cheap sampled check are
 tested (see `_ranked_rows`); a clear row that the check skips is ranked,
 and gets the same values.
 
+Most clear rows are *certified* without reading their Gram rows at all, by
+one ball per class (the bound of Elkan, "Using the Triangle Inequality to
+Accelerate k-Means", ICML 2003, applied to the clear test). Each class c of
+the gallery gets the mean mu_c of its rows as centre and a radius r_c no less
+than any of those rows' distance from mu_c. For a query q with |q| <= 1 the
+Gram value of every class-c item lies within q . mu_c -+ r_c, because
+|q . (x - mu_c)| <= |x - mu_c|. A row is certified when the least bound of
+its own class exceeds the greatest bound of every other class by more than
+2 * `_SLACK`; it takes AP 1 and P@k min(k, R) / k with no exact test. This is
+exact. While every row of both sets has a squared norm of at most 1 +
+`_SLACK` / 64 (only an underflowed normalization gives more, and then no row
+is certified), the rounding of the BLAS Gram value, of q . mu_c, of r_c and
+of the test's own sums moves each bound by at most a few d * 2^-53 plus the
+norm slack, under 5e-11 for embedding widths d up to 10^4. So a certified
+row's least relevant Gram value, as computed, exceeds its greatest
+irrelevant one by more than `_SLACK`, and the latter lies below 1 - `_SLACK`.
+Their values of 2 + (-2g) then differ by more than 2 * `_SLACK`, the larger
+one positive, a gap far above the rounding of that sum and of the square
+root: the farthest relevant distance finishes strictly below the nearest
+irrelevant one, and the exact test would find the row clear. A row the
+certificate misses goes through the sampled check and the exact test.
+
 Every other row is ranked by one sort of unsigned 64-bit keys, `(distance
 bits << 1) | relevant`: the sorted keys give the relevance of every rank,
 with no argsort or gather. The keys are exact on
@@ -44,20 +66,26 @@ ranks, so its float summation order is that of the dense `(hits / ranks) *
 rel` row.
 
 No n x n array is built. `evaluate` normalizes both embedding sets once, and
-each block of query rows gets its Gram rows against the whole gallery in one
-buffer, reused block after block: the rows of `ua @ ub.T` for a2v and of
-`ub @ ua.T` for v2a. The rows that are ranked are finished into distances in
-place, as the training distances are. A product's rounding can depend on its
-shape, but every block starts on a multiple of `_BLOCK` and ends on one or at
-the last row, and then (see `_BLOCK`) its product equals those rows of the
-whole product bit for bit. The two orientations are not always bit-equal to
-each other: `ub @ ua.T` equals the transpose of `ua @ ub.T` at the reference
-sizes, 600 and 4000 pairs of 10-d embeddings, but at 599 pairs some
-distances differ by one ulp.
+each block of uncertified query rows gets its Gram rows against the whole
+gallery in one buffer, reused block after block: the rows of `ua @ ub.T` for
+a2v and of `ub @ ua.T` for v2a. The rows that are ranked are finished into
+distances in place, as the training distances are. A product's rounding can
+depend on its shape, but with one BLAS thread only through the rows of a
+partial BLAS tile (see `_TILE`). So the uncertified rows before the last
+`_BLOCK` block are gathered, up to `_BLOCK` at a time, into products padded
+to whole tiles (unless that would save no product, and then the blocks are
+multiplied as they stand), and the last block, which may end in the whole
+product's partial tile, is multiplied as it stands; every Gram row then
+equals that row of the whole product bit for bit. The two orientations are
+not always bit-equal to each other: `ub @ ua.T` equals the transpose of
+`ua @ ub.T` at the reference sizes, 600 and 4000 pairs of 10-d embeddings,
+but at 599 pairs some distances differ by one ulp.
 
-Every phase of `evaluate` splits its rows in two halves, on any number of
-CPUs: the encode (each tower's inference forward, at n // 2) and the rankings,
-at n // 2 rounded down to a block boundary. Through `nn._overlap` the worker
+Every long phase of `evaluate` splits its rows in two halves, on any number
+of CPUs: the encode (each tower's inference forward, at n // 2) and the
+rankings, at n // 2 rounded down to a block boundary. The class balls and
+their certificate, about a millisecond at 4000 pairs, run once per direction
+before the rankings. Through `nn._overlap` the worker
 thread ranks query rows [0, h) of both a2v and v2a, and the caller ranks the
 rest, each through its own buffers; so the halves stay balanced whatever each
 direction costs. A row takes the same float operations whichever half ranks
@@ -90,9 +118,21 @@ from .nn import _overlap
 # time. On the eval-4k benchmark (2-core host) the process peaked at
 # 169.9-170.3 MB over 12 runs, with the features held as float32; with them
 # held as float64 it peaked at 187.5-187.9 MB, and at 291.5-292.8 MB when it
-# also built the 4000 x 4000 matrix. 36 to 72 rows ranked 4000 pairs equally
-# fast in-process, 96 and 120 rows slower.
+# also built the 4000 x 4000 matrix. Before the class-ball certificate, 36 to
+# 72 rows ranked 4000 pairs equally fast in-process, 96 and 120 rows slower;
+# 96 rows lift the traced peak of an untrained 3000-pair evaluate from 14.2
+# to 19.7 MB, above a quarter of one distance matrix. A multiple of `_TILE`,
+# so a padded gathered group fits a block's buffers.
 _BLOCK = 60
+# The BLAS row tile: a product row in a whole tile (rows [12i, 12i + 12) of
+# its product) gets the same bits whatever rows share the product, so
+# `_ranked_rows` may gather rows into products of whole tiles. With the BLAS
+# above, products of 12 to 96 rows (multiples of 12) gathered in any order
+# from the whole tiles of 599 to 4000 rows of 2- to 300-d embeddings equalled
+# those rows of the whole product in 30 draws of each size; products of 2,
+# 5, 11, 13 and 59 rows differed in most draws at 599 and 1599 rows, and one
+# row (a matrix-vector product) always.
+_TILE = 12
 # About this many gallery rows pick the query rows worth testing for
 # clearness (see `_ranked_rows`). On an untrained reference model's 4000-pair
 # rankings, 130 sampled rows let 5-9% of the query rows through to the exact
@@ -101,6 +141,12 @@ _BLOCK = 60
 _SAMPLE = 128
 # inf's key with the relevance bit set: only a NaN's key is larger.
 _INF_KEY = np.uint64(0x7FF0000000000000 << 1 | 1)
+# The class-ball certificate's margin (see the module docstring): a row is
+# certified clear when its bounds leave a Gram gap above 2 * _SLACK. The
+# rounding the bounds must absorb stays below 5e-11 for embedding widths up
+# to 10^4; the rows certified on the eval-4k checkpoint leave median gaps of
+# 0.15 (a2v) and 0.27 (v2a).
+_SLACK = 1e-9
 
 
 @dataclass
@@ -169,6 +215,52 @@ def _classes(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return index.astype(np.min_scalar_type(classes.size - 1)), counts[index]
 
 
+def _balls(
+    gallery: np.ndarray, order: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each class's centre, the mean of its gallery rows, and a radius bounding their distances.
+
+    `order` lists the gallery rows class by class and `sizes` counts each
+    class's rows, so one `np.add.reduceat` sums each class and one
+    `np.maximum.reduceat` takes its greatest squared distance.
+    """
+    starts = np.cumsum(sizes) - sizes
+    members = np.take(gallery, order, axis=0)
+    centres = np.add.reduceat(members, starts, axis=0) / sizes[:, None]
+    members -= np.repeat(centres, sizes, axis=0)
+    return centres, np.sqrt(np.maximum.reduceat(_squared_norms(members), starts))
+
+
+def _certified(
+    queries: np.ndarray, query_class: np.ndarray, centres: np.ndarray, radii: np.ndarray
+) -> np.ndarray:
+    """Which unit query rows the class balls prove clear (see the module docstring).
+
+    Every Gram value of a unit query q against a gallery row of class c lies
+    within `q . centres[c] -+ radii[c]`. A row is certified when the least
+    bound of its own class exceeds the greatest bound of every other class
+    by more than `2 * _SLACK`. The bounds are computed for column chunks of
+    the queries; a chunk holds no more bounds than a Gram block of the set
+    holds values.
+    """
+    n = queries.shape[0]
+    certified = np.empty(n, dtype=bool)
+    chunk = _BLOCK * max(1, n // radii.size)
+    for lo in range(0, n, chunk):
+        rows = slice(lo, min(lo + chunk, n))
+        own = query_class[rows], np.arange(rows.stop - lo)
+        bounds = centres @ queries[rows].T
+        least = bounds[own] - radii[own[0]]
+        bounds += radii[:, None]
+        bounds[own] = -np.inf
+        certified[rows] = least - bounds.max(axis=0) > 2.0 * _SLACK
+    return certified
+
+
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", rows, rows)
+
+
 def _ranked_rows(
     queries: np.ndarray,
     gallery: np.ndarray,
@@ -176,53 +268,82 @@ def _ranked_rows(
     gallery_class: np.ndarray,
     n_relevant: np.ndarray,
     ks: tuple[int, ...],
+    certified: np.ndarray,
 ) -> np.ndarray:
     """AP and P@k of each query row, in row order.
 
     The queries are rows of the set the gallery holds, so each has R >= 1
-    relevant items; the classes and relevant counts are `_classes`'. Each
-    `_row_blocks` block of queries gets its Gram rows `queries[rows] @
-    gallery.T` and its relevance mask in reused buffers. A clear row
-    (`_clear_rows`) takes AP 1 and P@k min(k, R) / k. The block's other rows
-    are finished into distances in place by `losses._gram_to_distances` and
-    ranked by `_ranked_block`.
+    relevant items; the classes and relevant counts are `_classes`', and
+    `certified` marks the rows that `_certified` proves clear. A certified
+    row takes AP 1 and P@k min(k, R) / k at once: it gets no exact test and
+    no sort. The other rows before the last `_row_blocks` block are
+    gathered, `_BLOCK` at a time, into products padded with repeats of their
+    rows to whole `_TILE`s, so certified rows get no Gram product; when that
+    would not save a product, the blocks are multiplied as they stand, and
+    the last block always is (see the module docstring). Each block gets its
+    Gram rows `queries[rows] @ gallery.T` and its relevance mask in reused
+    buffers. A clear row (`_clear_rows`) takes the same values as a
+    certified one. The block's other rows are finished into distances in
+    place by `losses._gram_to_distances` and ranked by `_ranked_block`.
 
-    Only the rows that may be clear are tested: those whose relevant items
-    all have a greater Gram value than their irrelevant ones over about
-    `_SAMPLE` evenly spaced gallery rows, whose Gram values one small product
-    gives for all queries at once. A clear row that this skips is ranked,
-    which gives it the same AP and P@k, so the sample decides only how much
-    work is done.
+    Only the uncertified rows that may be clear are tested: those whose
+    relevant items all have a greater Gram value than their irrelevant ones
+    over about `_SAMPLE` evenly spaced gallery rows, whose Gram values one
+    small product gives for all uncertified queries at once. A clear row
+    that this skips is ranked, which gives it the same AP and P@k, so the
+    certificate and the sample decide only how much work is done.
     """
-    blocks = _row_blocks(queries.shape[0])
+    n = queries.shape[0]
+    unsure = ~certified
+    step = max(1, gallery.shape[0] // _SAMPLE)
+    sample_queries, sample_class = _take(unsure, queries, query_class)
+    sample = gallery[::step] @ sample_queries.T
+    sample_relevant = gallery_class[::step, None] == sample_class
+    tested = np.zeros(n, dtype=bool)
+    tested[unsure] = (
+        np.where(sample_relevant, sample, np.inf).min(axis=0)
+        > np.where(sample_relevant, -np.inf, sample).max(axis=0)
+    )
+    stats = np.empty((1 + len(ks), n))
+    stats[0] = 1.0
+    for j, k in enumerate(ks, 1):
+        stats[j] = np.minimum(n_relevant, k) / k
+    # Each group pairs the rows it examines with the rows it multiplies, theirs
+    # first: gathered rows, or the blocks as they stand while gathering would
+    # not save a product.
+    blocks = _row_blocks(n)
+    last = blocks[-1].start if blocks else 0
+    gathered = np.flatnonzero(unsure[:last])
+    if -(-gathered.size // _BLOCK) >= len(blocks) - 1:
+        groups = [(rows, rows) for rows in blocks[:-1]]
+    else:
+        groups = [
+            (rows, np.resize(rows, -(-rows.size // _TILE) * _TILE))
+            for rows in (gathered[lo : lo + _BLOCK] for lo in range(0, gathered.size, _BLOCK))
+        ]
+    if unsure[last:].any():
+        groups.append((blocks[-1], blocks[-1]))
     height = max((rows.stop - rows.start for rows in blocks), default=0)
     gram = np.empty((height, gallery.shape[0]))
     relevant = np.empty(gram.shape, dtype=bool)
     keys = np.empty(gram.shape, dtype=np.uint64)
-    step = max(1, gallery.shape[0] // _SAMPLE)
-    sample = gallery[::step] @ queries.T
-    sample_relevant = gallery_class[::step, None] == query_class
-    least = np.where(sample_relevant, sample, np.inf).min(axis=0)
-    greatest = np.where(sample_relevant, -np.inf, sample).max(axis=0)
-    tested = least > greatest
-    stats = np.empty((1 + len(ks), queries.shape[0]))
-    stats[0] = 1.0
-    for j, k in enumerate(ks, 1):
-        stats[j] = np.minimum(n_relevant, k) / k
-    for rows in blocks:
-        m = rows.stop - rows.start
+    for rows, gram_rows in groups:
+        product = queries[gram_rows]
+        np.matmul(product, gallery.T, out=gram[: len(product)])
+        block_stats = stats[:, rows]
+        m = block_stats.shape[1]
         block, block_relevant = gram[:m], relevant[:m]
-        np.matmul(queries[rows], gallery.T, out=block)
         np.equal(gallery_class, query_class[rows, None], out=block_relevant)
-        ranked, test = np.ones(m, dtype=bool), tested[rows]
+        ranked, test = unsure[rows].copy(), tested[rows]
         if test.any():
             ranked[test] = ~_clear_rows(*_take(test, block, block_relevant))
         if ranked.any():
             dist, dist_relevant = _take(ranked, block, block_relevant)
             _gram_to_distances(dist)
-            stats[:, rows][:, ranked] = _ranked_block(
+            block_stats[:, ranked] = _ranked_block(
                 dist, dist_relevant, n_relevant[rows][ranked], ks, keys[: len(dist)]
             )
+            stats[:, rows] = block_stats
     return stats
 
 
@@ -296,12 +417,9 @@ def _ranked_block(
     return stats
 
 
-def _direction_means(
-    stats: np.ndarray, ks: tuple[int, ...]
-) -> tuple[float, int, dict[int, float]]:
-    """Mean AP, query count and mean P@k of `_ranked_rows` stats, rows in order."""
-    table = {k: float(np.mean(stats[j])) for j, k in enumerate(ks, 1)}
-    return float(np.mean(stats[0])), stats.shape[1], table
+def _direction_means(stats: np.ndarray, ks: tuple[int, ...]) -> tuple[float, dict[int, float]]:
+    """Mean AP and mean P@k of `_ranked_rows` stats, rows in order."""
+    return float(np.mean(stats[0])), {k: float(np.mean(stats[j])) for j, k in enumerate(ks, 1)}
 
 
 def evaluate(
@@ -316,18 +434,26 @@ def evaluate(
     n = len(data)
     usable_ks = tuple(k for k in ks if 1 <= k <= n)
     classes, n_relevant = _classes(data.labels)
+    order, sizes = np.argsort(classes, kind="stable"), np.bincount(classes)
+    # The balls bound unit rows; only an underflowed normalization leaves a longer one.
+    unit = max(_squared_norms(ua).max(), _squared_norms(ub).max()) <= 1.0 + _SLACK / 64
+    directions = [
+        (queries, gallery, _certified(queries, classes, *_balls(gallery, order, sizes))
+         if unit else np.zeros(n, dtype=bool))
+        for queries, gallery in ((ua, ub), (ub, ua))
+    ]
 
     def rank(rows: slice) -> list[np.ndarray]:
         return [
             _ranked_rows(queries[rows], gallery, classes[rows], classes, n_relevant[rows],
-                         usable_ks)
-            for queries, gallery in ((ua, ub), (ub, ua))
+                         usable_ks, certified[rows])
+            for queries, gallery, certified in directions
         ]
 
     # The halves meet on a block boundary; below two blocks the caller ranks every row.
     half = n // 2 // _BLOCK * _BLOCK
     top, bottom = _overlap(lambda: rank(slice(0, half)), lambda: rank(slice(half, n)))
-    (map_a2v, n_a2v, table_a2v), (map_v2a, n_v2a, table_v2a) = (
+    (map_a2v, table_a2v), (map_v2a, table_v2a) = (
         _direction_means(np.concatenate(halves, axis=1), usable_ks)
         for halves in zip(top, bottom)
     )
@@ -336,6 +462,6 @@ def evaluate(
         map_v2a=map_v2a,
         map_avg=(map_a2v + map_v2a) / 2.0,
         precision_at_k={"a2v": table_a2v, "v2a": table_v2a},
-        n_queries_a2v=n_a2v,
-        n_queries_v2a=n_v2a,
+        n_queries_a2v=n,
+        n_queries_v2a=n,
     )

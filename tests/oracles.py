@@ -290,54 +290,43 @@ def slow_map(dist: np.ndarray, query_labels: np.ndarray, gallery_labels: np.ndar
     for i in range(dist.shape[0]):
         order = sorted(range(dist.shape[1]), key=lambda j: (dist[i][j], j))
         relevance = [int(gallery_labels[j] == query_labels[i]) for j in order]
-        if sum(relevance) == 0:
-            continue
         aps.append(slow_average_precision(relevance))
-    return sum(aps) / len(aps) if aps else 0.0
+    return sum(aps) / len(aps)
 
 
 def slow_precision_at_k(
     dist: np.ndarray, query_labels: np.ndarray, gallery_labels: np.ndarray, k: int
 ) -> float:
-    """Mean share of relevant items in each query's top k, over the queries slow_map keeps."""
+    """Mean share of relevant items in each query's top k."""
     shares = []
     for i in range(dist.shape[0]):
         order = sorted(range(dist.shape[1]), key=lambda j: (dist[i][j], j))
         relevance = [int(gallery_labels[j] == query_labels[i]) for j in order]
-        if sum(relevance) == 0:
-            continue
         shares.append(sum(relevance[:k]) / k)
-    return sum(shares) / len(shares) if shares else 0.0
+    return sum(shares) / len(shares)
 
 
 def stable_direction_metrics(
     dist: np.ndarray,
     labels: np.ndarray,
     ks: tuple[int, ...],
-) -> tuple[float, int, int, dict[int, float]]:
-    """The retrieval kernel with a stable argsort on every row, unblocked.
+) -> tuple[float, dict[int, float]]:
+    """Mean AP and mean P@k of the retrieval kernel with a stable argsort on every row, unblocked.
 
     `evaluate._ranked_block` ranks by sorted keys and reads only the
     relevant ranks; the two share only the per-row float summation order: each
     AP sums its full gallery row of (hits / ranks) * rel, zeros included, so
     neither the ranking method nor blocking changes the bits. The two must
-    agree exactly. The gallery shares the queries' labels.
+    agree exactly. The gallery shares the queries' labels, so every row holds
+    a relevant item.
     """
     ranks = np.arange(1, dist.shape[1] + 1)
     order = np.argsort(dist, axis=1, kind="stable")
     rel = labels[order] == labels[:, None]
     hits = np.cumsum(rel, axis=1)
-    kept = hits[:, -1] > 0
-    rel, hits = rel[kept], hits[kept]
     ap = ((hits / ranks) * rel).sum(axis=1) / hits[:, -1]
-    n = ap.size
-    mean_ap = float(np.mean(ap)) if n else 0.0
-    table = {
-        k: float(np.mean(hits[:, k - 1] / k)) if n else 0.0
-        for k in ks
-        if 1 <= k <= dist.shape[1]
-    }
-    return mean_ap, n, dist.shape[0] - n, table
+    table = {k: float(np.mean(hits[:, k - 1] / k)) for k in ks if 1 <= k <= dist.shape[1]}
+    return float(np.mean(ap)), table
 
 
 def whole_tensor_adam_step(

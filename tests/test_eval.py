@@ -12,14 +12,20 @@ from hypothesis import strategies as st
 from avdistill import (
     NumericError,
     PairedBatch,
+    RunConfig,
     ShapeError,
+    SyntheticSpec,
     TowerSpec,
     TwoTowerModel,
     evaluate,
     one_hot,
     pairwise_normalized_distances,
+    resolve_dataset,
+    train,
 )
 from avdistill.evaluate import (
+    _balls,
+    _certified,
     _classes,
     _clear_rows,
     _direction_means,
@@ -37,27 +43,36 @@ _evaluate_module = importlib.import_module("avdistill.evaluate")
 
 
 def _ranked_blocks(dist, query_labels, gallery_labels, ks):
-    """The rows of `dist` with a relevant item, each `_row_blocks` block through `_ranked_block`.
+    """Each `_row_blocks` block of `dist` through `_ranked_block`; every row holds a relevant item.
 
-    Every such row takes the sort path; the stats are joined in row order.
+    Every row takes the sort path; the stats are joined in row order.
     """
     stats = [np.empty((1 + len(ks), 0))]
     for rows in _row_blocks(dist.shape[0]):
         relevant = gallery_labels == query_labels[rows, None]
-        kept = relevant.any(axis=1)
-        block = dist[rows][kept]
-        keys = np.empty(block.shape, dtype=np.uint64)
-        n_relevant = relevant[kept].sum(axis=1)
-        stats.append(_ranked_block(block, relevant[kept], n_relevant, ks, keys))
+        keys = np.empty(relevant.shape, dtype=np.uint64)
+        stats.append(_ranked_block(dist[rows], relevant, relevant.sum(axis=1), ks, keys))
     return np.concatenate(stats, axis=1)
 
 
+def _groups(labels):
+    """Each row's class index, the rows listed class by class, and the class sizes, as in `evaluate`."""
+    classes, _ = _classes(labels)
+    return classes, np.argsort(classes, kind="stable"), np.bincount(classes)
+
+
+def _certificate(queries, gallery, labels):
+    """`_certified` over the class balls of `gallery`, as `evaluate` builds them for one direction."""
+    classes, order, sizes = _groups(labels)
+    return _certified(queries, classes, *_balls(gallery, order, sizes))
+
+
 def _clear_oracle(dist, query_labels, gallery_labels):
-    """Rows with a relevant item whose relevant distances all lie strictly below every irrelevant one."""
+    """Rows whose relevant distances all lie strictly below every irrelevant one."""
     relevant = gallery_labels == query_labels[:, None]
     farthest = np.where(relevant, dist, -np.inf).max(axis=1)
     nearest = np.where(relevant, np.inf, dist).min(axis=1)
-    return relevant.any(axis=1) & (farthest < nearest)
+    return farthest < nearest
 
 
 def _gram_pair(gram):
@@ -90,8 +105,7 @@ def _gram_with_clear_rows(rng, clear, query_labels, gallery_labels):
 def _direction_metrics(dist, labels, ks):
     """One whole direction through evaluate's kernel, in `stable_direction_metrics`' form."""
     usable = tuple(k for k in ks if 1 <= k <= dist.shape[1])
-    mean_ap, n, table = _direction_means(_ranked_blocks(dist, labels, labels, usable), usable)
-    return mean_ap, n, dist.shape[0] - n, table
+    return _direction_means(_ranked_blocks(dist, labels, labels, usable), usable)
 
 
 def _directions(emb):
@@ -230,10 +244,10 @@ class TestEvaluate:
                 usable_cpus(cpus)
                 report = evaluate(model, data, ks=ks)
                 for direction, d in directions:
-                    mean_ap, n_queries, n_excluded, table = stable_direction_metrics(d, data.labels, ks)
+                    mean_ap, table = stable_direction_metrics(d, data.labels, ks)
                     assert getattr(report, f"map_{direction}") == mean_ap
-                    assert getattr(report, f"n_queries_{direction}") == n_queries
-                    assert getattr(report, f"n_excluded_{direction}") == n_excluded
+                    assert getattr(report, f"n_queries_{direction}") == n
+                    assert getattr(report, f"n_excluded_{direction}") == 0
                     assert report.precision_at_k[direction] == table
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 511, 512, 513, 1024, 1025, 1599])
@@ -308,17 +322,25 @@ class TestEvaluate:
     def test_distance_blocks_match_the_whole_products(self, rng, monkeypatch, n):
         # The halves meet on a block boundary, so ranking a whole direction
         # builds the same blocks as evaluate does. Each ranked row must reach
-        # `_ranked_block` as the same row of the whole product. Gaussian
-        # embeddings leave no row clear, so every block arrives whole; in the
-        # second set classes 0-4 sit tight around their one-hot codes, so
-        # their rows are clear and skip the ranking, and classes 5-9 are noise.
+        # `_ranked_block` as the same row of the whole product, in row order.
+        # Gaussian embeddings leave no row clear, so every block arrives
+        # whole; in the second set classes 0-4 sit tight around their one-hot
+        # codes, so their rows are clear and skip the ranking, and classes
+        # 5-9 are noise. In the third set every class is tight, but class 1
+        # sits just beside class 0, so their rows are not all clear: the
+        # other rows are certified, and these are gathered into whole tiles
+        # before the last block.
         labels = rng.integers(0, 10, size=n)
         scale = np.where(labels < 5, 0.02, 2.0)[:, None]
+        codes = one_hot(labels, 10)
+        codes[labels == 1] = one_hot(np.array([0]), 10) + 0.05 * one_hot(np.array([1]), 10)
         cases = [
-            (rng.standard_normal((n, 10)), rng.standard_normal((n, 10)), np.ones(n, dtype=bool)),
+            (rng.standard_normal((n, 10)), rng.standard_normal((n, 10))),
             (one_hot(labels, 10) + scale * rng.standard_normal((n, 10)),
-             one_hot(labels, 10) + scale * rng.standard_normal((n, 10)), labels >= 5),
+             one_hot(labels, 10) + scale * rng.standard_normal((n, 10))),
+            (codes + 0.02 * rng.standard_normal((n, 10)), codes + 0.02 * rng.standard_normal((n, 10))),
         ]
+        not_clear = [np.ones(n, dtype=bool), labels >= 5, None]
         blocks = []
 
         def spy(dist, *args):
@@ -326,7 +348,7 @@ class TestEvaluate:
             return _ranked_block(dist, *args)
 
         monkeypatch.setattr(_evaluate_module, "_ranked_block", spy)
-        for audio, visual, not_clear in cases:
+        for (audio, visual), want_ranked in zip(cases, not_clear):
             a2v = pairwise_normalized_distances(audio, visual)
             v2a = pairwise_normalized_distances(visual, audio)
             ua, _ = normalize_rows(audio)
@@ -334,13 +356,46 @@ class TestEvaluate:
             for queries, gallery, whole in ((ua, ub, a2v), (ub, ua, v2a), (ub, ua, a2v.T)):
                 blocks.clear()
                 classes, n_relevant = _classes(labels)
-                _ranked_rows(queries, gallery, classes, classes, n_relevant, (1,))
+                certified = _certificate(queries, gallery, labels)
+                _ranked_rows(queries, gallery, classes, classes, n_relevant, (1,), certified)
                 ranked = ~_clear_oracle(whole, labels, labels)
-                assert (ranked == not_clear).all()
-                per_block = [int(ranked[rows].sum()) for rows in _row_blocks(n)]
-                assert [len(b) for b in blocks] == [k for k in per_block if k]
+                if want_ranked is None:
+                    # Gathered rows reach `_ranked_block` in groups of at most a block.
+                    assert certified.mean() > 0.5 and ranked.any()
+                    assert not (certified & ranked).any()
+                    assert all(len(b) <= _evaluate_module._BLOCK for b in blocks)
+                else:
+                    assert (ranked == want_ranked).all()
+                    per_block = [int(ranked[rows].sum()) for rows in _row_blocks(n)]
+                    assert [len(b) for b in blocks] == [k for k in per_block if k]
                 want = np.ascontiguousarray(whole[ranked])
-                assert np.concatenate(blocks).tobytes() == want.tobytes()
+                assert np.concatenate([np.empty((0, n)), *blocks]).tobytes() == want.tobytes()
+
+    def test_gathered_rows_keep_their_tile_bits(self, rng, monkeypatch):
+        # 399 pairs end in a 3-row partial tile. A quarter of the rows before
+        # the last block [360, 399) are left uncertified (Gaussian rows are
+        # never clear, so they are all ranked): they are gathered, padded to
+        # whole tiles, and each must keep the bits of the 12-row tile that
+        # holds it; the last block keeps those of its own product. Every
+        # product here is small enough that OpenBLAS runs it on one thread.
+        n = 399
+        ua, _ = normalize_rows(rng.standard_normal((n, 10)))
+        ub, _ = normalize_rows(rng.standard_normal((n, 10)))
+        certified = rng.random(n) < 0.75
+        certified[360:] = False
+        labels = rng.integers(0, 3, size=n)
+        classes, n_relevant = _classes(labels)
+        blocks = []
+        monkeypatch.setattr(_evaluate_module, "_ranked_block",
+                            lambda dist, *args: blocks.append(dist.copy()) or _ranked_block(dist, *args))
+        _ranked_rows(ua, ub, classes, classes, n_relevant, (1,), certified)
+        want = []
+        for row in np.flatnonzero(~certified):
+            lo = min(row // 12 * 12, 360)
+            want.append((ua[lo : lo + 12 if lo < 360 else n] @ ub.T)[row - lo])
+        want = np.array(want)
+        _gram_to_distances(want)
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
 
     def test_non_finite_embeddings_rejected(self):
         model = _identity_model(2)
@@ -450,12 +505,13 @@ class TestRankingKernel:
 
     @pytest.mark.parametrize("n", [2, 63, 65, 129])
     def test_row_halves_join_into_the_whole_direction(self, rng, n):
-        # Queries of class 9, absent from the gallery, sit in the first half only.
+        # The first half's queries all take gallery row 0's class, so their
+        # relevant counts differ from the second half's.
         dist = np.abs(rng.standard_normal((n, n)))
         dist[::3, 1] = dist[::3, n - 1]  # tied rows beside keyed ones
         gallery = rng.integers(0, 3, size=n)
         queries = gallery.copy()
-        queries[: max(1, n // 4)] = 9
+        queries[: max(1, n // 4)] = gallery[0]
         ks = tuple(k for k in (1, 5, 64) if k <= n)
         half = n // 2
         for d in (dist, dist.T):
@@ -463,9 +519,8 @@ class TestRankingKernel:
             halves = [_ranked_blocks(d[rows], queries[rows], gallery, ks)
                       for rows in (slice(0, half), slice(half, n))]
             assert np.concatenate(halves, axis=1).tobytes() == whole.tobytes()
-            assert whole.shape == (1 + len(ks), n - max(1, n // 4))
-            mean_ap, n_queries, _ = _direction_means(whole, ks)
-            assert n_queries == n - max(1, n // 4)
+            assert whole.shape == (1 + len(ks), n)
+            mean_ap, _ = _direction_means(whole, ks)
             assert abs(mean_ap - slow_map(d, queries, gallery)) < 1e-12
 
 
@@ -477,7 +532,9 @@ class TestClearRows:
         """`_ranked_rows` on `gram`, whole and split at `halves`, against the all-sorted
         ranking and the stable oracle, bit for bit; returns which rows are clear.
 
-        The queries and the gallery share `labels`, as in `evaluate`.
+        The queries and the gallery share `labels`, as in `evaluate`, and
+        the class-ball certificate runs as it does there; it may certify
+        only clear rows.
         """
         queries, gallery = _gram_pair(gram)
         ks = tuple(k for k in ks if k <= gram.shape[1])
@@ -489,20 +546,22 @@ class TestClearRows:
 
         monkeypatch.setattr(_evaluate_module, "_ranked_block", spy)
         classes, n_relevant = _classes(labels)
-        got = _ranked_rows(queries, gallery, classes, classes, n_relevant, ks)
+        certified = _certificate(queries, gallery, labels)
+        got = _ranked_rows(queries, gallery, classes, classes, n_relevant, ks, certified)
         monkeypatch.undo()
         dist = gram.copy()
         _gram_to_distances(dist)
         assert got.tobytes() == _ranked_blocks(dist, labels, labels, ks).tobytes()
-        mean_ap, n_queries, table = _direction_means(got, ks)
-        assert (mean_ap, n_queries, 0, table) == stable_direction_metrics(dist, labels, ks)
+        assert _direction_means(got, ks) == stable_direction_metrics(dist, labels, ks)
         for bounds in halves:
             parts = [
-                _ranked_rows(queries[rows], gallery, classes[rows], classes, n_relevant[rows], ks)
+                _ranked_rows(queries[rows], gallery, classes[rows], classes, n_relevant[rows], ks,
+                             certified[rows])
                 for rows in (slice(0, bounds), slice(bounds, gram.shape[0]))
             ]
             assert np.concatenate(parts, axis=1).tobytes() == got.tobytes()
         clear = _clear_oracle(dist, labels, labels)
+        assert not (certified & ~clear).any()
         want = dist[~clear]
         assert np.concatenate([np.empty((0, gram.shape[1])), *ranked]).tobytes() == want.tobytes()
         return clear
@@ -611,9 +670,176 @@ class TestClearRows:
                 assert 0.3 < clear.mean() < 0.9
         assert np.concatenate(ranked).tobytes() == np.concatenate(want).tobytes()
         for direction, d in _directions(emb):
-            mean_ap, n_queries, _, table = stable_direction_metrics(d, labels, (1, 5, 10))
+            mean_ap, table = stable_direction_metrics(d, labels, (1, 5, 10))
             assert getattr(report, f"map_{direction}") == mean_ap
             assert report.precision_at_k[direction] == table
+
+
+def _uncertified_report(monkeypatch, model, data, **kw):
+    """evaluate's report with the class-ball certificate patched to certify no row."""
+    with monkeypatch.context() as m:
+        m.setattr(_evaluate_module, "_certified", lambda queries, *_: np.zeros(len(queries), bool))
+        return evaluate(model, data, **kw).as_dict()
+
+
+def _cluster_instance(rng, labels, noise=0.02):
+    """Identity towers over one-hot class codes plus a little noise: tight, separated classes."""
+    n_classes = int(labels.max()) + 1
+    codes = [one_hot(labels, n_classes) + noise * rng.random((labels.size, n_classes)) for _ in "av"]
+    return _identity_model(n_classes), PairedBatch(*codes, labels)
+
+
+def _in_the_plane(degrees):
+    """Unit rows of the plane at the given angles."""
+    radians = np.deg2rad(np.asarray(degrees, dtype=float))
+    return np.stack([np.cos(radians), np.sin(radians)], axis=1)
+
+
+class TestCertificate:
+    """Rows the class balls certify skip the exact test and keep every bit of the report."""
+
+    def test_report_matches_the_uncertified_report(self, rng, monkeypatch):
+        for model, data in _brute_force_cases(rng):
+            assert evaluate(model, data).as_dict() == _uncertified_report(monkeypatch, model, data)
+
+    def test_trained_set_is_mostly_certified_with_the_same_report(self, monkeypatch, usable_cpus):
+        # 1200 pairs, four classes, four epochs: most rows are certified both
+        # ways, and the rest take the exact test or the sort.
+        config = RunConfig(
+            synthetic=SyntheticSpec(n_classes=4, pairs_per_class=300, audio_dim=12, visual_dim=16,
+                                    seed=9),
+            hidden_dims=(32, 32), batch_size=64, epochs=4, learning_rate=1e-3, seed=5, eval_every=0,
+        )
+        model = train(config).model
+        _, data = resolve_dataset(config)
+        emb = model.encode(data, training=False)
+        ua, _ = normalize_rows(emb.audio)
+        ub, _ = normalize_rows(emb.visual)
+        for queries, gallery in ((ua, ub), (ub, ua)):
+            certified = _certificate(queries, gallery, data.labels)
+            assert 0.5 < certified.mean() < 0.9
+            dist = pairwise_normalized_distances(queries, gallery)
+            assert not (certified & ~_clear_oracle(dist, data.labels, data.labels)).any()
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            assert evaluate(model, data).as_dict() == _uncertified_report(monkeypatch, model, data)
+
+    def test_certified_rows_skip_the_exact_test_and_the_sort(self, rng, monkeypatch):
+        labels = rng.permutation(np.repeat(np.arange(5), 40))
+        model, data = _cluster_instance(rng, labels)
+        calls = []
+        for name in ("_clear_rows", "_ranked_block"):
+            real = getattr(_evaluate_module, name)
+            monkeypatch.setattr(_evaluate_module, name,
+                                lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        report = evaluate(model, data)
+        assert calls == [] and report.map_avg == 1.0
+        assert report.precision_at_k["a2v"] == {1: 1.0, 5: 1.0, 10: 1.0}
+
+    def test_one_item_class_has_a_zero_radius(self, rng, monkeypatch):
+        labels = np.concatenate([rng.permutation(np.repeat(np.arange(3), 30)), [3]])
+        model, data = _cluster_instance(rng, labels)
+        emb = model.encode(data, training=False)
+        queries, _ = normalize_rows(emb.audio)
+        gallery, _ = normalize_rows(emb.visual)
+        classes, order, sizes = _groups(labels)
+        centres, radii = _balls(gallery, order, sizes)
+        assert radii[3] == 0.0 and centres[3].tobytes() == gallery[-1].tobytes()
+        assert _certified(queries, classes, centres, radii)[-1]
+        assert evaluate(model, data).as_dict() == _uncertified_report(monkeypatch, model, data)
+
+    def test_class_owning_every_gallery_item(self, rng, monkeypatch):
+        # No other class bounds the row from above, so every row is certified.
+        labels = np.zeros(70, dtype=np.int64)
+        model, data = _random_instance(rng, 70)
+        data = PairedBatch(data.audio, data.visual, labels)
+        ua, _ = normalize_rows(model.encode(data, training=False).audio)
+        ub, _ = normalize_rows(model.encode(data, training=False).visual)
+        assert _certificate(ua, ub, labels).all()
+        report = evaluate(model, data)
+        assert report.map_avg == 1.0 and report.precision_at_k["v2a"] == {1: 1.0, 5: 1.0, 10: 1.0}
+        assert report.as_dict() == _uncertified_report(monkeypatch, model, data)
+
+    def test_an_embedding_shared_across_classes_is_never_certified(self, rng, monkeypatch):
+        # Pairs 0 (class 0) and 1 (class 1) hold one pair of embeddings, and
+        # each is its class's only pair, so both balls have radius 0 and
+        # their bounds meet exactly. Each query ties its relevant item with
+        # the irrelevant copy; for query 1 the copy has the lower index and
+        # ranks first, so its AP is 1/2.
+        labels = np.concatenate([[0, 1], 2 + rng.permutation(np.repeat(np.arange(3), 20))])
+        model, data = _cluster_instance(rng, labels)
+        data.audio[1], data.visual[1] = data.audio[0], data.visual[0]
+        emb = model.encode(data, training=False)
+        ua, _ = normalize_rows(emb.audio)
+        ub, _ = normalize_rows(emb.visual)
+        for queries, gallery in ((ua, ub), (ub, ua)):
+            certified = _certificate(queries, gallery, labels)
+            assert not certified[:2].any() and certified[2:].all()
+        report = evaluate(model, data, ks=(1,))
+        assert report.map_a2v < 1.0 and report.precision_at_k["a2v"][1] < 1.0
+        assert report.as_dict() == _uncertified_report(monkeypatch, model, data, ks=(1,))
+
+    @pytest.mark.parametrize("gap, certified", [(0.999, False), (1.999, False), (2.001, True)])
+    def test_gaps_at_the_slack(self, gap, certified):
+        # One query on the first axis and two one-item classes (radius 0):
+        # the Gram values are the gallery rows' first coordinates, exactly,
+        # and the relevant one leads by `gap` slacks.
+        delta = gap * _evaluate_module._SLACK
+        first = np.array([0.5, 0.5 - delta])
+        gallery = np.stack([first, np.sqrt(1.0 - first**2)], axis=1)
+        classes = np.array([0, 1], dtype=np.uint8)
+        centres, radii = _balls(gallery, np.arange(2), np.ones(2, dtype=np.int64))
+        assert radii.tolist() == [0.0, 0.0]
+        query = np.array([[1.0, 0.0]])
+        assert _certified(query, classes[:1], centres, radii).tolist() == [certified]
+        dist = query @ gallery.T
+        _gram_to_distances(dist)
+        assert dist[0, 0] < dist[0, 1]  # the row is clear either way
+
+    def test_a_ball_bound_met_exactly_is_not_certified(self):
+        # Class 0 holds the two axes: its centre is (0.5, 0.5) and the query
+        # (1, -1) / sqrt(2) meets its lower bound exactly at (0, 1). The
+        # class-1 item at 87.6 degrees lies nearer the query than (0, 1),
+        # inside the ball's reach, so the row is not clear.
+        gallery, labels = _in_the_plane([0.0, 90.0, 87.6]), np.array([0, 0, 1])
+        classes, order, sizes = _groups(labels)
+        query = np.array([[1.0, -1.0]]) / np.sqrt(2.0)
+        dist = pairwise_normalized_distances(query, gallery)
+        assert not _clear_oracle(dist, labels[:1], labels)[0]
+        assert not _certified(query, classes[:1], *_balls(gallery, order, sizes))[0]
+
+    def test_random_plane_certificates_are_clear(self, rng):
+        # Classes 40 degrees apart, each spread over 16 degrees: every row is
+        # clear or nearly so, and about one in six is certified.
+        n_certified = 0
+        for _ in range(20):
+            labels = rng.integers(0, 4, size=60)
+            gallery = _in_the_plane(labels * 40 + rng.uniform(-8, 8, 60))
+            queries = _in_the_plane(labels * 40 + rng.uniform(-8, 8, 60))
+            certified = _certificate(queries, gallery, labels)
+            dist = pairwise_normalized_distances(queries, gallery)
+            assert not (certified & ~_clear_oracle(dist, labels, labels)).any()
+            n_certified += certified.sum()
+        assert n_certified > 100
+
+    def test_rows_an_underflowed_normalization_lengthens_are_not_certified(self, monkeypatch):
+        # Features near 3e-161 square into subnormals, so their normalized
+        # rows come out about 0.1% long: every Gram value is at least 1 and
+        # every distance finishes to 0. Each query ties its own counterpart
+        # with the other pair, and query 1's irrelevant item ranks first.
+        # Its ball bounds, both of radius 0, still lead by 0.0011, so the
+        # unit check must stop the certificate.
+        feats = np.array([[3.0, 0.35], [3.0, 0.55]]) * 1e-161
+        data = PairedBatch(feats, feats.copy(), np.array([1, 0]))
+        model = _identity_model(2)
+        ua, _ = normalize_rows(model.encode(data, training=False).audio)
+        assert (ua @ ua.T).min() > 1.0
+        calls = []
+        real = _evaluate_module._certified
+        monkeypatch.setattr(_evaluate_module, "_certified", lambda *a: calls.append(1) or real(*a))
+        report = evaluate(model, data, ks=(1,)).as_dict()
+        assert report["map_a2v"] == 0.75 and report["precision_at_k"]["a2v"] == {"1": 0.5}
+        assert report == _uncertified_report(monkeypatch, model, data, ks=(1,)) and calls == []
 
 
 class TestReportSerialization:
