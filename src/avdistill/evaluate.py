@@ -69,17 +69,18 @@ No n x n array is built. `evaluate` normalizes both embedding sets once, and
 each block of uncertified query rows gets its Gram rows against the whole
 gallery in one buffer, reused block after block: the rows of `ua @ ub.T` for
 a2v and of `ub @ ua.T` for v2a. The rows that are ranked are finished into
-distances in place, as the training distances are. A product's rounding can
-depend on its shape, but with one BLAS thread only through the rows of a
-partial BLAS tile (see `_TILE`). So the uncertified rows before the last
-`_BLOCK` block are gathered, up to `_BLOCK` at a time, into products padded
-to whole tiles (unless that would save no product, and then the blocks are
-multiplied as they stand), and the last block, which may end in the whole
-product's partial tile, is multiplied as it stands; every Gram row then
-equals that row of the whole product bit for bit. The two orientations are
-not always bit-equal to each other: `ub @ ua.T` equals the transpose of
-`ua @ ub.T` at the reference sizes, 600 and 4000 pairs of 10-d embeddings,
-but at 599 pairs some distances differ by one ulp.
+distances in place, as the training distances are. A BLAS product's
+rounding can depend on its shape and, with more than one BLAS thread, on the
+position of a row within the product, but not on the values of its other
+rows (see `_BLOCK` for the measurement). So the uncertified rows before the
+last block are packed into products of one whole block each, every row at
+the position it holds in its own block (the other positions take certified
+rows, whose values are not read), and the last block is multiplied as it
+stands: every Gram row gets the bits of its block's product, as if each
+block were multiplied, and with one BLAS thread those of the whole product.
+The two orientations are not always bit-equal to each other: `ub @ ua.T`
+equals the transpose of `ua @ ub.T` at the reference sizes, 600 and 4000
+pairs of 10-d embeddings, but at 599 pairs some distances differ by one ulp.
 
 Every long phase of `evaluate` splits its rows in two halves, on any number
 of CPUs: the encode (each tower's inference forward, at n // 2) and the
@@ -121,18 +122,15 @@ from .nn import _overlap
 # also built the 4000 x 4000 matrix. Before the class-ball certificate, 36 to
 # 72 rows ranked 4000 pairs equally fast in-process, 96 and 120 rows slower;
 # 96 rows lift the traced peak of an untrained 3000-pair evaluate from 14.2
-# to 19.7 MB, above a quarter of one distance matrix. A multiple of `_TILE`,
-# so a padded gathered group fits a block's buffers.
+# to 19.7 MB, above a quarter of one distance matrix. Rows packed from
+# several blocks into one product at their own block positions (see
+# `_ranked_rows`) equalled those rows of the blocks bit for bit in 15 draws
+# at each of 130 to 4000 rows of 2- to 300-d embeddings, under OpenBLAS's
+# SkylakeX, Haswell (also chosen for Zen) and SandyBridge kernels, each with
+# 1, 2 and 4 BLAS threads. Rows gathered into fewer rows instead, at other
+# positions, kept their bits on every kernel with one thread but not on
+# SkylakeX with two or four, at 399, 599 and 1599 rows.
 _BLOCK = 60
-# The BLAS row tile: a product row in a whole tile (rows [12i, 12i + 12) of
-# its product) gets the same bits whatever rows share the product, so
-# `_ranked_rows` may gather rows into products of whole tiles. With the BLAS
-# above, products of 12 to 96 rows (multiples of 12) gathered in any order
-# from the whole tiles of 599 to 4000 rows of 2- to 300-d embeddings equalled
-# those rows of the whole product in 30 draws of each size; products of 2,
-# 5, 11, 13 and 59 rows differed in most draws at 599 and 1599 rows, and one
-# row (a matrix-vector product) always.
-_TILE = 12
 # About this many gallery rows pick the query rows worth testing for
 # clearness (see `_ranked_rows`). On an untrained reference model's 4000-pair
 # rankings, 130 sampled rows let 5-9% of the query rows through to the exact
@@ -215,17 +213,16 @@ def _classes(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return index.astype(np.min_scalar_type(classes.size - 1)), counts[index]
 
 
-def _balls(
-    gallery: np.ndarray, order: np.ndarray, sizes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _balls(gallery: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each class's centre, the mean of its gallery rows, and a radius bounding their distances.
 
-    `order` lists the gallery rows class by class and `sizes` counts each
-    class's rows, so one `np.add.reduceat` sums each class and one
+    `classes` holds each gallery row's `_classes` index. The rows are listed
+    class by class, so one `np.add.reduceat` sums each class and one
     `np.maximum.reduceat` takes its greatest squared distance.
     """
+    sizes = np.bincount(classes)
     starts = np.cumsum(sizes) - sizes
-    members = np.take(gallery, order, axis=0)
+    members = np.take(gallery, np.argsort(classes, kind="stable"), axis=0)
     centres = np.add.reduceat(members, starts, axis=0) / sizes[:, None]
     members -= np.repeat(centres, sizes, axis=0)
     return centres, np.sqrt(np.maximum.reduceat(_squared_norms(members), starts))
@@ -276,15 +273,15 @@ def _ranked_rows(
     relevant items; the classes and relevant counts are `_classes`', and
     `certified` marks the rows that `_certified` proves clear. A certified
     row takes AP 1 and P@k min(k, R) / k at once: it gets no exact test and
-    no sort. The other rows before the last `_row_blocks` block are
-    gathered, `_BLOCK` at a time, into products padded with repeats of their
-    rows to whole `_TILE`s, so certified rows get no Gram product; when that
-    would not save a product, the blocks are multiplied as they stand, and
-    the last block always is (see the module docstring). Each block gets its
-    Gram rows `queries[rows] @ gallery.T` and its relevance mask in reused
-    buffers. A clear row (`_clear_rows`) takes the same values as a
-    certified one. The block's other rows are finished into distances in
-    place by `losses._gram_to_distances` and ranked by `_ranked_block`.
+    no sort. The other rows before the last `_row_blocks` block are packed
+    into products of `_BLOCK` rows, each row at its position in its own
+    block and certified rows filling the rest, so most certified rows get no
+    Gram product; the last block is multiplied as it stands (see the module
+    docstring). Each product gets its Gram rows `queries[rows] @ gallery.T`
+    and its relevance mask in reused buffers. A clear row (`_clear_rows`)
+    takes the same values as a certified one. The other uncertified rows are
+    finished into distances in place by `losses._gram_to_distances` and
+    ranked by `_ranked_block`.
 
     Only the uncertified rows that may be clear are tested: those whose
     relevant items all have a greater Gram value than their irrelevant ones
@@ -308,30 +305,28 @@ def _ranked_rows(
     stats[0] = 1.0
     for j, k in enumerate(ks, 1):
         stats[j] = np.minimum(n_relevant, k) / k
-    # Each group pairs the rows it examines with the rows it multiplies, theirs
-    # first: gathered rows, or the blocks as they stand while gathering would
-    # not save a product.
+    # Product j holds, at each position of the blocks before the last, the
+    # j-th uncertified row there, or a certified row once they run out; one
+    # that holds a single block is that block's view.
     blocks = _row_blocks(n)
     last = blocks[-1].start if blocks else 0
-    gathered = np.flatnonzero(unsure[:last])
-    if -(-gathered.size // _BLOCK) >= len(blocks) - 1:
-        groups = [(rows, rows) for rows in blocks[:-1]]
-    else:
-        groups = [
-            (rows, np.resize(rows, -(-rows.size // _TILE) * _TILE))
-            for rows in (gathered[lo : lo + _BLOCK] for lo in range(0, gathered.size, _BLOCK))
-        ]
+    packed = unsure[:last].reshape(-1, _BLOCK)
+    picks = np.argsort(~packed, axis=0, kind="stable")[: packed.sum(axis=0).max(initial=0)]
+    single = (picks == picks[:, :1]).all(axis=1)
+    groups = [
+        blocks[block[0]] if one else block * _BLOCK + np.arange(_BLOCK)
+        for block, one in zip(picks, single)
+    ]
     if unsure[last:].any():
-        groups.append((blocks[-1], blocks[-1]))
+        groups.append(blocks[-1])
     height = max((rows.stop - rows.start for rows in blocks), default=0)
     gram = np.empty((height, gallery.shape[0]))
     relevant = np.empty(gram.shape, dtype=bool)
     keys = np.empty(gram.shape, dtype=np.uint64)
-    for rows, gram_rows in groups:
-        product = queries[gram_rows]
-        np.matmul(product, gallery.T, out=gram[: len(product)])
+    for rows in groups:
         block_stats = stats[:, rows]
         m = block_stats.shape[1]
+        np.matmul(queries[rows], gallery.T, out=gram[:m])
         block, block_relevant = gram[:m], relevant[:m]
         np.equal(gallery_class, query_class[rows, None], out=block_relevant)
         ranked, test = unsure[rows].copy(), tested[rows]
@@ -434,11 +429,10 @@ def evaluate(
     n = len(data)
     usable_ks = tuple(k for k in ks if 1 <= k <= n)
     classes, n_relevant = _classes(data.labels)
-    order, sizes = np.argsort(classes, kind="stable"), np.bincount(classes)
     # The balls bound unit rows; only an underflowed normalization leaves a longer one.
     unit = max(_squared_norms(ua).max(), _squared_norms(ub).max()) <= 1.0 + _SLACK / 64
     directions = [
-        (queries, gallery, _certified(queries, classes, *_balls(gallery, order, sizes))
+        (queries, gallery, _certified(queries, classes, *_balls(gallery, classes))
          if unit else np.zeros(n, dtype=bool))
         for queries, gallery in ((ua, ub), (ub, ua))
     ]

@@ -55,16 +55,10 @@ def _ranked_blocks(dist, query_labels, gallery_labels, ks):
     return np.concatenate(stats, axis=1)
 
 
-def _groups(labels):
-    """Each row's class index, the rows listed class by class, and the class sizes, as in `evaluate`."""
-    classes, _ = _classes(labels)
-    return classes, np.argsort(classes, kind="stable"), np.bincount(classes)
-
-
 def _certificate(queries, gallery, labels):
     """`_certified` over the class balls of `gallery`, as `evaluate` builds them for one direction."""
-    classes, order, sizes = _groups(labels)
-    return _certified(queries, classes, *_balls(gallery, order, sizes))
+    classes, _ = _classes(labels)
+    return _certified(queries, classes, *_balls(gallery, classes))
 
 
 def _clear_oracle(dist, query_labels, gallery_labels):
@@ -328,7 +322,7 @@ class TestEvaluate:
         # codes, so their rows are clear and skip the ranking, and classes
         # 5-9 are noise. In the third set every class is tight, but class 1
         # sits just beside class 0, so their rows are not all clear: the
-        # other rows are certified, and these are gathered into whole tiles
+        # other rows are certified, and these are packed into fewer products
         # before the last block.
         labels = rng.integers(0, 10, size=n)
         scale = np.where(labels < 5, 0.02, 2.0)[:, None]
@@ -359,40 +353,49 @@ class TestEvaluate:
                 certified = _certificate(queries, gallery, labels)
                 _ranked_rows(queries, gallery, classes, classes, n_relevant, (1,), certified)
                 ranked = ~_clear_oracle(whole, labels, labels)
+                got = np.concatenate([np.empty((0, n)), *blocks])
+                want = np.ascontiguousarray(whole[ranked])
                 if want_ranked is None:
-                    # Gathered rows reach `_ranked_block` in groups of at most a block.
+                    # Packed rows reach `_ranked_block` in fewer groups than
+                    # there are blocks, each group in block-position order:
+                    # compare the rows sorted.
                     assert certified.mean() > 0.5 and ranked.any()
                     assert not (certified & ranked).any()
-                    assert all(len(b) <= _evaluate_module._BLOCK for b in blocks)
+                    assert len(blocks) < len(_row_blocks(n)) and len(got) == len(want)
+                    got, want = np.unique(got, axis=0), np.unique(want, axis=0)
                 else:
                     assert (ranked == want_ranked).all()
                     per_block = [int(ranked[rows].sum()) for rows in _row_blocks(n)]
                     assert [len(b) for b in blocks] == [k for k in per_block if k]
-                want = np.ascontiguousarray(whole[ranked])
-                assert np.concatenate([np.empty((0, n)), *blocks]).tobytes() == want.tobytes()
+                assert got.tobytes() == want.tobytes()
 
-    def test_gathered_rows_keep_their_tile_bits(self, rng, monkeypatch):
-        # 399 pairs end in a 3-row partial tile. A quarter of the rows before
-        # the last block [360, 399) are left uncertified (Gaussian rows are
-        # never clear, so they are all ranked): they are gathered, padded to
-        # whole tiles, and each must keep the bits of the 12-row tile that
-        # holds it; the last block keeps those of its own product. Every
-        # product here is small enough that OpenBLAS runs it on one thread.
-        n = 399
-        ua, _ = normalize_rows(rng.standard_normal((n, 10)))
-        ub, _ = normalize_rows(rng.standard_normal((n, 10)))
-        certified = rng.random(n) < 0.75
-        certified[360:] = False
+    def test_packed_rows_keep_their_block_bits(self, rng, monkeypatch):
+        # 599 pairs of 32-d rows: nine 60-row blocks, then the last block
+        # [540, 599). Block b leaves uncertified the rows at the positions p
+        # with p % 9 == b, one row per position, so they all pack into one
+        # product; in the last block every other row is uncertified.
+        # Gaussian rows are never clear, so every uncertified row is ranked,
+        # and each must keep the bits of its own block's product. With more
+        # than one BLAS thread, rows of products this large gathered to other
+        # positions can differ from their blocks in the last bit.
+        n, block = 599, _evaluate_module._BLOCK
+        ua, _ = normalize_rows(rng.standard_normal((n, 32)))
+        ub, _ = normalize_rows(rng.standard_normal((n, 32)))
+        certified = np.ones(n, dtype=bool)
+        packed = np.arange(block) % 9 * block + np.arange(block)
+        certified[packed] = False
+        certified[540::2] = False
         labels = rng.integers(0, 3, size=n)
         classes, n_relevant = _classes(labels)
         blocks = []
         monkeypatch.setattr(_evaluate_module, "_ranked_block",
                             lambda dist, *args: blocks.append(dist.copy()) or _ranked_block(dist, *args))
         _ranked_rows(ua, ub, classes, classes, n_relevant, (1,), certified)
+        assert len(blocks) == 2
         want = []
-        for row in np.flatnonzero(~certified):
-            lo = min(row // 12 * 12, 360)
-            want.append((ua[lo : lo + 12 if lo < 360 else n] @ ub.T)[row - lo])
+        for row in [*packed, *range(540, n, 2)]:
+            lo = min(row // block * block, 540)
+            want.append((ua[lo : lo + block if lo < 540 else n] @ ub.T)[row - lo])
         want = np.array(want)
         _gram_to_distances(want)
         assert np.concatenate(blocks).tobytes() == want.tobytes()
@@ -742,8 +745,8 @@ class TestCertificate:
         emb = model.encode(data, training=False)
         queries, _ = normalize_rows(emb.audio)
         gallery, _ = normalize_rows(emb.visual)
-        classes, order, sizes = _groups(labels)
-        centres, radii = _balls(gallery, order, sizes)
+        classes, _ = _classes(labels)
+        centres, radii = _balls(gallery, classes)
         assert radii[3] == 0.0 and centres[3].tobytes() == gallery[-1].tobytes()
         assert _certified(queries, classes, centres, radii)[-1]
         assert evaluate(model, data).as_dict() == _uncertified_report(monkeypatch, model, data)
@@ -788,7 +791,7 @@ class TestCertificate:
         first = np.array([0.5, 0.5 - delta])
         gallery = np.stack([first, np.sqrt(1.0 - first**2)], axis=1)
         classes = np.array([0, 1], dtype=np.uint8)
-        centres, radii = _balls(gallery, np.arange(2), np.ones(2, dtype=np.int64))
+        centres, radii = _balls(gallery, classes)
         assert radii.tolist() == [0.0, 0.0]
         query = np.array([[1.0, 0.0]])
         assert _certified(query, classes[:1], centres, radii).tolist() == [certified]
@@ -802,11 +805,11 @@ class TestCertificate:
         # class-1 item at 87.6 degrees lies nearer the query than (0, 1),
         # inside the ball's reach, so the row is not clear.
         gallery, labels = _in_the_plane([0.0, 90.0, 87.6]), np.array([0, 0, 1])
-        classes, order, sizes = _groups(labels)
+        classes, _ = _classes(labels)
         query = np.array([[1.0, -1.0]]) / np.sqrt(2.0)
         dist = pairwise_normalized_distances(query, gallery)
         assert not _clear_oracle(dist, labels[:1], labels)[0]
-        assert not _certified(query, classes[:1], *_balls(gallery, order, sizes))[0]
+        assert not _certified(query, classes[:1], *_balls(gallery, classes))[0]
 
     def test_random_plane_certificates_are_clear(self, rng):
         # Classes 40 degrees apart, each spread over 16 degrees: every row is
