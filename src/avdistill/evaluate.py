@@ -127,9 +127,9 @@ from .nn import _overlap
 # `_ranked_rows`) equalled those rows of the blocks bit for bit in 15 draws
 # at each of 130 to 4000 rows of 2- to 300-d embeddings, under OpenBLAS's
 # SkylakeX, Haswell (also chosen for Zen) and SandyBridge kernels, each with
-# 1, 2 and 4 BLAS threads. Rows gathered into fewer rows instead, at other
-# positions, kept their bits on every kernel with one thread but not on
-# SkylakeX with two or four, at 399, 599 and 1599 rows.
+# 1, 2 and 4 BLAS threads. Rows gathered compactly instead, into products of
+# 12 to 60 rows at other positions, kept their bits on every kernel with one
+# thread but not on SkylakeX with two or four, at 399, 599 and 1599 rows.
 _BLOCK = 60
 # About this many gallery rows pick the query rows worth testing for
 # clearness (see `_ranked_rows`). On an untrained reference model's 4000-pair
