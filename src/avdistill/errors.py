@@ -30,7 +30,7 @@ class DeterminismError(EngineError):
 
 
 class NormalizationError(EngineError):
-    """A zero vector reached a unit-normalization step."""
+    """A zero vector, or one whose norm overflows, reached a unit-normalization step."""
 
 
 class NumericError(EngineError):

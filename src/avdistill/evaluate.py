@@ -21,11 +21,11 @@ row is clear iff the first distance is strictly below the second. Each of
 the four operations is correctly rounded and monotone, so the finish is
 monotone non-increasing in g: the least relevant g finishes to the row's
 largest relevant distance and the greatest irrelevant g to its smallest
-irrelevant distance, and the test is exact. A tie at the boundary, a ±0
-pair (both finish to sqrt(2)) and a NaN all fail the strict test, and the
-row is ranked as before. Only the rows that pass a cheap sampled check are
-tested (see `_ranked_rows`); a clear row that the check skips is ranked,
-and gets the same values.
+irrelevant distance, and the test is exact. A tie at the boundary and a ±0
+pair (both finish to sqrt(2)) fail the strict test, and the row is ranked as
+before. Only the rows that pass a cheap sampled check are tested (see
+`_ranked_rows`); a clear row that the check skips is ranked, and gets the
+same values.
 
 Most clear rows are *certified* without reading their Gram rows at all, by
 one ball per class (the bound of Elkan, "Using the Triangle Inequality to
@@ -51,15 +51,16 @@ certificate misses goes through the sampled check and the exact test.
 
 Every other row is ranked by one sort of unsigned 64-bit keys, `(distance
 bits << 1) | relevant`: the sorted keys give the relevance of every rank,
-with no argsort or gather. The keys are exact on
-non-negative distances. The bit patterns of non-negative doubles order as
-their values do, and the shift drops only the sign bit, which is 0 (-0.0
-wraps to +0.0's key). So a row whose values strictly increase sorts into its
-one ascending order, which is the lowest-index one. Three kinds of row are
-re-sorted with the stable argsort instead: a row with an equal pair (two
-sorted keys that differ in at most the relevance bit, ±0.0 included), a row
-with a NaN (its last key is above inf's), and a row with a negative value.
-AP and P@k are then read from the relevant items' ranks alone. Rankings, and
+with no argsort or gather. Every distance is finite and at least +0:
+`evaluate` rejects non-finite embeddings and rows whose norm is zero or
+overflows, so the Gram values of its unit rows are finite and about 1 at
+most, and `losses._gram_to_distances` finishes each to sqrt(max(2 + (-2g),
+0)) >= +0. The bit patterns of non-negative doubles order as their values
+do, and the shift drops only the sign bit, which is 0. So a row whose values
+strictly increase sorts into its one ascending order, which is the
+lowest-index one. Only a row with an equal pair (two sorted keys that differ
+in at most the relevance bit) is re-sorted, with the stable argsort. AP and
+P@k are then read from the relevant items' ranks alone. Rankings, and
 so every AP and P@k, are the same as a stable sort of every row. Each AP
 still sums a full gallery row of hits / rank with zeros at the irrelevant
 ranks, so its float summation order is that of the dense `(hits / ranks) *
@@ -73,7 +74,7 @@ distances in place, as the training distances are. A BLAS product's
 rounding can depend on its shape and, with more than one BLAS thread, on the
 position of a row within the product, but not on the values of its other
 rows (see `_BLOCK` for the measurement). So the uncertified rows before the
-last block are packed into products of one whole block each, every row at
+last block are gathered into products of one whole block each, every row at
 the position it holds in its own block (the other positions take certified
 rows, whose values are not read), and the last block is multiplied as it
 stands: every Gram row gets the bits of its block's product, as if each
@@ -116,20 +117,21 @@ from .nn import _overlap
 # rows. The Gram and key buffers and the xor and where temporaries are block
 # x gallery (1.9 MB each at 60 x 4000), the relevance mask an eighth of that,
 # and with two usable CPUs both row halves hold one set each at the same
-# time. On the eval-4k benchmark (2-core host) the process peaked at
-# 169.9-170.3 MB over 12 runs, with the features held as float32; with them
-# held as float64 it peaked at 187.5-187.9 MB, and at 291.5-292.8 MB when it
-# also built the 4000 x 4000 matrix. Before the class-ball certificate, 36 to
-# 72 rows ranked 4000 pairs equally fast in-process, 96 and 120 rows slower;
-# 96 rows lift the traced peak of an untrained 3000-pair evaluate from 14.2
-# to 19.7 MB, above a quarter of one distance matrix. Rows packed from
-# several blocks into one product at their own block positions (see
-# `_ranked_rows`) equalled those rows of the blocks bit for bit in 15 draws
-# at each of 130 to 4000 rows of 2- to 300-d embeddings, under OpenBLAS's
-# SkylakeX, Haswell (also chosen for Zen) and SandyBridge kernels, each with
-# 1, 2 and 4 BLAS threads. Rows gathered compactly instead, into products of
-# 12 to 60 rows at other positions, kept their bits on every kernel with one
-# thread but not on SkylakeX with two or four, at 399, 599 and 1599 rows.
+# time. On the eval-4k benchmark (2-core host) the process peaks at
+# 159.3-160.1 MB (20 runs), with the features held as float32. Before the
+# class-ball certificate it peaked at 169.9-170.3 MB; holding the features as
+# float64 raised that to 187.5-187.9 MB, and also building the 4000 x 4000
+# matrix to 291.5-292.8 MB. Also before it, 36 to 72 rows ranked 4000 pairs
+# equally fast in-process, 96 and 120 rows slower; 96 rows lift the traced
+# peak of an untrained 3000-pair evaluate from 14.2 to 19.7 MB, above a
+# quarter of one distance matrix. Rows packed from several blocks into one
+# product at their own block positions (see `_ranked_rows`) equalled those
+# rows of the blocks bit for bit in 15 draws at each of 130 to 4000 rows of
+# 2- to 300-d embeddings, under OpenBLAS's SkylakeX, Haswell (also chosen
+# for Zen) and SandyBridge kernels, each with 1, 2 and 4 BLAS threads. Rows
+# gathered compactly instead, into products of 12 to 60 rows at other
+# positions, kept their bits on every kernel with one thread but not on
+# SkylakeX with two or four, at 399, 599 and 1599 rows.
 _BLOCK = 60
 # About this many gallery rows pick the query rows worth testing for
 # clearness (see `_ranked_rows`). On an untrained reference model's 4000-pair
@@ -137,8 +139,6 @@ _BLOCK = 60
 # test, and 64 rows let more through at 600 pairs, where each test of a
 # block costs as much as ranking several of its rows.
 _SAMPLE = 128
-# inf's key with the relevance bit set: only a NaN's key is larger.
-_INF_KEY = np.uint64(0x7FF0000000000000 << 1 | 1)
 # The class-ball certificate's margin (see the module docstring): a row is
 # certified clear when its bounds leave a Gram gap above 2 * _SLACK. The
 # rounding the bounds must absorb stays below 5e-11 for embedding widths up
@@ -305,18 +305,13 @@ def _ranked_rows(
     stats[0] = 1.0
     for j, k in enumerate(ks, 1):
         stats[j] = np.minimum(n_relevant, k) / k
-    # Product j holds, at each position of the blocks before the last, the
-    # j-th uncertified row there, or a certified row once they run out; one
-    # that holds a single block is that block's view.
+    # Product j gathers, at each position of the blocks before the last, the
+    # j-th uncertified row there, or a certified row once they run out.
     blocks = _row_blocks(n)
     last = blocks[-1].start if blocks else 0
     packed = unsure[:last].reshape(-1, _BLOCK)
     picks = np.argsort(~packed, axis=0, kind="stable")[: packed.sum(axis=0).max(initial=0)]
-    single = (picks == picks[:, :1]).all(axis=1)
-    groups = [
-        blocks[block[0]] if one else block * _BLOCK + np.arange(_BLOCK)
-        for block, one in zip(picks, single)
-    ]
+    groups = list(picks * _BLOCK + np.arange(_BLOCK))
     if unsure[last:].any():
         groups.append(blocks[-1])
     height = max((rows.stop - rows.start for rows in blocks), default=0)
@@ -355,7 +350,7 @@ def _clear_rows(gram: np.ndarray, relevant: np.ndarray) -> np.ndarray:
     irrelevant item) are finished into distances, and the row is clear if the
     first is strictly below the second (see the module docstring). Every row
     has a relevant item; a row without irrelevant items reads its farthest
-    relevant distance against inf, and a row with a NaN is never clear.
+    relevant distance against inf.
     """
     ends = np.empty((2, len(gram)))
     np.min(np.where(relevant, gram, np.inf), axis=1, out=ends[0])
@@ -373,22 +368,21 @@ def _ranked_block(
 ) -> np.ndarray:
     """AP and P@k of each row of a distance block, in row order.
 
-    `relevant` is the block's relevance mask, which this overwrites, and
-    `n_relevant` its row counts, each at least 1. Returns a (1 + len(ks),
-    rows) array: AP in row 0, P@ks[j] in row 1 + j. Every k must lie in [1,
-    gallery size]. `keys` is a uint64 buffer of the block's shape. The rows
-    are ranked by one sort of their distance-and-relevance keys, stably
-    re-sorting only the rows the keys cannot order (see the module
-    docstring). AP of one query is (1/R) times the sum of hits@r / r over its
-    R relevant ranks r.
+    `dist` must hold finite distances of at least +0, as `evaluate` gives
+    them (see the module docstring). `relevant` is the block's relevance
+    mask, which this overwrites, and `n_relevant` its row counts, each at
+    least 1. Returns a (1 + len(ks), rows) array: AP in row 0, P@ks[j] in
+    row 1 + j. Every k must lie in [1, gallery size]. `keys` is a uint64
+    buffer of the block's shape. The rows are ranked by one sort of their
+    distance-and-relevance keys, stably re-sorting only the rows with an
+    equal pair. AP of one query is (1/R) times the sum of hits@r / r over
+    its R relevant ranks r.
     """
     n_gallery = dist.shape[1]
     np.left_shift(dist.view(np.uint64), 1, out=keys)
     keys |= relevant
     keys.sort(axis=1)
     fallback = ((keys[:, 1:] ^ keys[:, :-1]) <= 1).any(axis=1)
-    # A NaN row reads False in the minimum, but its last sorted key routes it.
-    fallback |= (keys[:, -1] > _INF_KEY) | (dist.min(axis=1) < 0)
     if fallback.any():
         order = np.argsort(dist[fallback], axis=1, kind="stable")
         # Only the relevance bit is read from here on.

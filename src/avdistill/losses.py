@@ -176,12 +176,13 @@ def _mean_distance(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def normalize_rows(m: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
-    """Unit-normalize rows; a zero row is an error, never silently fudged."""
+    """Unit-normalize rows; a zero or an overflowing norm is an error, never silently fudged."""
     m = np.asarray(m, dtype=DTYPE)
-    norms = np.linalg.norm(m, axis=1)
-    if (norms == 0.0).any():
-        row = int(np.argmax(norms == 0.0))
-        raise NormalizationError(f"zero vector at row {row} of {what}")
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(m, axis=1)
+    for bad, problem in ((norms == 0.0, "zero vector"), (np.isinf(norms), "norm overflows")):
+        if bad.any():
+            raise NormalizationError(f"{problem} at row {int(np.argmax(bad))} of {what}")
     return m / norms[:, None], norms
 
 

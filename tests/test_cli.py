@@ -366,3 +366,17 @@ class TestNumericErrors:
         capsys.readouterr()
         assert main(["eval", "--model", str(ckpt), "--data", str(data)]) == EXIT_NUMERIC
         assert "non-finite embedding values in the evaluation pass" in capsys.readouterr().err
+
+    def test_checkpoint_with_overflowing_output_bias(self, tmp_path, capsys):
+        # Finite embeddings whose norms overflow would normalize to zero rows
+        # and rank without an error.
+        data = _gen(tmp_path)
+        out_dir = tmp_path / "run"
+        assert main(SMALL_TRAIN + ["--data", str(data), "--out", str(out_dir)]) == EXIT_OK
+        ckpt = out_dir / "model.xmdl"
+        model = load_checkpoint(ckpt)
+        model.audio.parameters()[-1][:] = 1e200
+        save_checkpoint(model, ckpt)
+        capsys.readouterr()
+        assert main(["eval", "--model", str(ckpt), "--data", str(data)]) == EXIT_DATA
+        assert "norm overflows at row 0 of audio embeddings" in capsys.readouterr().err

@@ -410,21 +410,18 @@ class TestEvaluate:
 
 
 def _kernel_cases(rng):
-    """Square distance matrices with shared labels, from tie-free to all-tied."""
+    """Square non-negative distance matrices with shared labels, from tie-free to all-tied."""
     n = 96
-    gaussian = rng.standard_normal((n, n))
+    gaussian = np.abs(rng.standard_normal((n, n)))
     grid = rng.integers(0, 8, size=(n, n)) * 0.25
     flat = np.full((n, n), 0.5)
-    signed_zeros = rng.standard_normal((n, n))
+    signed_zeros = np.abs(rng.standard_normal((n, n)))
     signed_zeros[rng.random((n, n)) < 0.2] = 0.0
     signed_zeros[rng.random((n, n)) < 0.2] = -0.0
-    # NaN never compares equal: an equality test alone would miss these rows.
-    nans = rng.standard_normal((n, n))
-    nans[rng.random((n, n)) < 0.1] = np.nan
     # Every third row carries one equal pair; the rest stay tie-free.
-    mixed = rng.standard_normal((n, n))
+    mixed = np.abs(rng.standard_normal((n, n)))
     mixed[::3, 1] = mixed[::3, n - 2]
-    return [gaussian, grid, flat, signed_zeros, nans, mixed]
+    return [gaussian, grid, flat, signed_zeros, mixed]
 
 
 def _keyed_cases(rng, labels):
@@ -453,11 +450,9 @@ def _keyed_cases(rng, labels):
     wide = np.exp2(rng.uniform(-1074.0, 1.0, size=(n, n)))
     wide[rows, rows] = np.where(rows % 2 == 0, 5e-324, 2.0)
     wide[rows, other] = np.where(rows % 2 == 0, 1e-310, np.nextafter(2.0, 0.0))
-    # Keyed rows beside a tie (every 3rd), a NaN (5th) and a negative (7th).
+    # Keyed rows beside a tie (every 3rd).
     mixed = np.abs(rng.standard_normal((n, n)))
     mixed[::3, 1] = mixed[::3, n - 2]
-    mixed[::5, 4] = np.nan
-    mixed[::7, 6] = -mixed[::7, 6]
     return [positive, zeros, ulps, wide, mixed]
 
 
@@ -484,8 +479,8 @@ class TestRankingKernel:
         ks = (1, 5, 10, 96, 97, 1000)
         labels = rng.integers(0, 4, size=96)
         for dist in _keyed_cases(rng, labels):
-            # Rows the keys can order: no NaN, no negative, strictly increasing when sorted.
-            keyed = (np.diff(np.sort(dist, axis=1), axis=1) > 0).all(axis=1) & (dist >= 0).all(axis=1)
+            # Rows the keys can order: strictly increasing when sorted.
+            keyed = (np.diff(np.sort(dist, axis=1), axis=1) > 0).all(axis=1)
             assert keyed.sum() >= dist.shape[0] // 3
             for d in (dist, dist.T):
                 assert _direction_metrics(d, labels, ks) == stable_direction_metrics(d, labels, ks)
@@ -505,6 +500,36 @@ class TestRankingKernel:
         ks = (1, 5, n, n + 1)
         for d in (dist, dist.T):
             assert _direction_metrics(d, labels, ks) == stable_direction_metrics(d, labels, ks)
+
+    def test_evaluate_ranks_only_finite_distances_of_at_least_plus_zero(self, rng, monkeypatch):
+        # `_ranked_block`'s input contract, as `evaluate` meets it. Besides
+        # the brute-force cases, 300 pairs repeat 8 prototype rows on both
+        # sides under labels drawn apart from them: every row ties relevant
+        # with irrelevant items, and each exact self-pair has a Gram value
+        # that rounds near 1, where the finish clamps 2 - 2g at 0.
+        received = []
+
+        def spy(dist, *args):
+            received.append(dist.copy())
+            return _ranked_block(dist, *args)
+
+        monkeypatch.setattr(_evaluate_module, "_ranked_block", spy)
+        features = rng.random((8, 6))[rng.integers(0, 8, size=300)]
+        tied = PairedBatch(features, features.copy(), rng.integers(0, 3, size=300))
+        for model, data in [*_brute_force_cases(rng), (_identity_model(6), tied)]:
+            evaluate(model, data)
+        dist = np.concatenate([d.ravel() for d in received])
+        assert dist.size > 300 * 300
+        assert np.isfinite(dist).all() and (dist >= 0).all() and not np.signbit(dist).any()
+
+    def test_gram_finish_maps_finite_values_to_finite_distances_of_at_least_plus_zero(self):
+        eps = np.finfo(float).eps
+        ulps = np.arange(1, 5)
+        gram = np.array([0.0, -0.0, 1.0, *(1.0 + ulps * eps), *(1.0 - ulps * eps / 2), -1.0, 1e300, -1e300])
+        dist = gram.copy()
+        _gram_to_distances(dist)
+        assert np.isfinite(dist).all() and (dist >= 0).all() and not np.signbit(dist).any()
+        assert dist[2:7].tolist() == [0.0] * 5 and dist[-3] == 2.0
 
     @pytest.mark.parametrize("n", [2, 63, 65, 129])
     def test_row_halves_join_into_the_whole_direction(self, rng, n):

@@ -129,6 +129,21 @@ class TestNormalizedDistance:
         with pytest.raises(NormalizationError, match="zero vector at row 1 of probe"):
             normalize_rows(m, "probe")
 
+    def test_normalize_rows_rejects_an_overflowing_norm(self):
+        # Each entry is finite, but the sum of squares overflows: the row
+        # would divide to the zero vector.
+        m = np.array([[1.0, 0.0], [1e200, 1e200], [0.0, 3.0]])
+        with pytest.raises(NormalizationError, match="norm overflows at row 1 of probe"):
+            normalize_rows(m, "probe")
+
+    def test_normalize_rows_keeps_rows_with_finite_norms(self):
+        # Up to about 1.3e154 an entry's square stays finite.
+        m = np.array([[3.0, 4.0], [1e150, 1e150], [-1e154, 0.0]])
+        unit, norms = normalize_rows(m)
+        want = np.linalg.norm(m, axis=1)
+        assert norms.tobytes() == want.tobytes() and norms[[0, 2]].tolist() == [5.0, 1e154]
+        assert unit.tobytes() == (m / want[:, None]).tobytes()
+
     def test_pairwise_matches_scalar(self, rng):
         a = rng.standard_normal((4, 3))
         b = rng.standard_normal((5, 3))
