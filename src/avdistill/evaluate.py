@@ -11,60 +11,55 @@ relevant items and counts in the mean.
 A query row is *clear* when every relevant gallery item lies strictly nearer
 than every irrelevant one. Its AP is then exactly 1 and its P@k exactly
 min(k, R) / k, where R is its number of relevant items: the dense AP row
-sums R ones, which is exact, and P@k divides the same integer count by k. So
-a clear row skips its distance finish, its sort and its AP tail, and takes
-those values, bit for bit what the ranking gives. The test reads the row's
-Gram values g = q . x before any distance exists: its least g over the
-relevant items and its greatest g over the irrelevant ones are finished by
-the same four operations as every distance, sqrt(max(2 + (-2g), 0)), and the
-row is clear iff the first distance is strictly below the second. Each of
-the four operations is correctly rounded and monotone, so the finish is
-monotone non-increasing in g: the least relevant g finishes to the row's
-largest relevant distance and the greatest irrelevant g to its smallest
-irrelevant distance, and the test is exact. A tie at the boundary and a ±0
-pair (both finish to sqrt(2)) fail the strict test, and the row is ranked as
-before. Only the rows that pass a cheap sampled check are tested (see
-`_ranked_rows`); a clear row that the check skips is ranked, and gets the
-same values.
+sums R ones, which is exact, and P@k divides the same integer count by k.
+Each row either is *certified* clear before any of its distances exist, and
+takes those values with no Gram row, distance finish, sort or AP tail, bit
+for bit what the ranking gives, or is ranked. A clear row the certificate
+misses is ranked, and gets the same values.
 
-Most clear rows are *certified* without reading their Gram rows at all, by
-one ball per class (the bound of Elkan, "Using the Triangle Inequality to
-Accelerate k-Means", ICML 2003, applied to the clear test). Each class c of
-the gallery gets the mean mu_c of its rows as centre and a radius r_c no less
-than any of those rows' distance from mu_c. For a query q with |q| <= 1 the
-Gram value of every class-c item lies within q . mu_c -+ r_c, because
-|q . (x - mu_c)| <= |x - mu_c|. A row is certified when the least bound of
-its own class exceeds the greatest bound of every other class by more than
-2 * `_SLACK`; it takes AP 1 and P@k min(k, R) / k with no exact test. This is
-exact. While every row of both sets has a squared norm of at most 1 +
-`_SLACK` / 64 (only an underflowed normalization gives more, and then no row
-is certified), the rounding of the BLAS Gram value, of q . mu_c, of r_c and
-of the test's own sums moves each bound by at most a few d * 2^-53 plus the
-norm slack, under 5e-11 for embedding widths d up to 10^4. So a certified
-row's least relevant Gram value, as computed, exceeds its greatest
-irrelevant one by more than `_SLACK`, and the latter lies below 1 - `_SLACK`.
-Their values of 2 + (-2g) then differ by more than 2 * `_SLACK`, the larger
-one positive, a gap far above the rounding of that sum and of the square
-root: the farthest relevant distance finishes strictly below the nearest
-irrelevant one, and the exact test would find the row clear. A row the
-certificate misses goes through the sampled check and the exact test.
+The certificate bounds the row's Gram values g = q . x. Its least g over
+its own class is computed exactly, from the query's products with that
+class's gallery rows. Every other class is bounded by one ball (the bound of
+Elkan, "Using the Triangle Inequality to Accelerate k-Means", ICML 2003,
+applied to the clear test): class c gets the mean mu_c of its gallery rows
+as centre and a radius r_c no less than any of those rows' distance from
+mu_c, and for a query q with |q| <= 1 the Gram value of every class-c item
+is at most q . mu_c + r_c, because |q . (x - mu_c)| <= |x - mu_c|. A row is
+certified when its least own-class value exceeds the bound of every other
+class by more than 2 * `_SLACK`. This is exact. While every row of both sets
+has a squared norm of at most 1 + `_SLACK` / 64 (only an underflowed
+normalization gives more, and then no row is certified), rounding moves
+each of these values by at most a few d * 2^-53 plus the norm slack, under
+5e-11 for embedding widths d up to 10^4: the own-class product and the
+ranking's Gram block sum the same d terms of near-unit rows, each in its own
+order, and so do q . mu_c, r_c and the test's own sums. So a certified row's
+least relevant Gram value, as the ranking would compute it, exceeds its
+greatest irrelevant one by more than `_SLACK`, and the latter lies below 1 -
+`_SLACK`. Every distance is finished from its Gram value by the same four
+operations, sqrt(max(2 + (-2g), 0)), each correctly rounded and monotone, so
+the finish is monotone non-increasing in g. The two values of 2 + (-2g)
+differ by more than 2 * `_SLACK`, the larger one positive, a gap far above
+the rounding of that sum and of the square root: the farthest relevant
+distance finishes strictly below the nearest irrelevant one, and the row is
+clear. A tie at the boundary or a ±0 pair (both finish to sqrt(2)) leaves
+no such gap, and its row is ranked.
 
-Every other row is ranked by one sort of unsigned 64-bit keys, `(distance
-bits << 1) | relevant`: the sorted keys give the relevance of every rank,
-with no argsort or gather. Every distance is finite and at least +0:
-`evaluate` rejects non-finite embeddings and rows whose norm is zero or
-overflows, so the Gram values of its unit rows are finite and about 1 at
-most, and `losses._gram_to_distances` finishes each to sqrt(max(2 + (-2g),
-0)) >= +0. The bit patterns of non-negative doubles order as their values
-do, and the shift drops only the sign bit, which is 0. So a row whose values
-strictly increase sorts into its one ascending order, which is the
+Every row that is not certified is ranked by one sort of unsigned 64-bit
+keys, `(distance bits << 1) | relevant`: the sorted keys give the relevance
+of every rank, with no argsort or gather. Every distance is finite and at
+least +0: `evaluate` rejects non-finite embeddings and rows whose norm is
+zero or overflows, so the Gram values of its unit rows are finite and about
+1 at most, and `losses._gram_to_distances` finishes each to sqrt(max(2 +
+(-2g), 0)) >= +0. The bit patterns of non-negative doubles order as their
+values do, and the shift drops only the sign bit, which is 0. So a row whose
+values strictly increase sorts into its one ascending order, which is the
 lowest-index one. Only a row with an equal pair (two sorted keys that differ
 in at most the relevance bit) is re-sorted, with the stable argsort. AP and
-P@k are then read from the relevant items' ranks alone. Rankings, and
-so every AP and P@k, are the same as a stable sort of every row. Each AP
-still sums a full gallery row of hits / rank with zeros at the irrelevant
-ranks, so its float summation order is that of the dense `(hits / ranks) *
-rel` row.
+P@k are then read from the relevant items' ranks alone. Rankings, and so
+every AP and P@k, are the same as a stable sort of every row. Each AP still
+sums a full gallery row of hits / rank with zeros at the irrelevant ranks,
+so its float summation order is that of the dense `(hits / ranks) * rel`
+row.
 
 No n x n array is built. `evaluate` normalizes both embedding sets once, and
 each block of uncertified query rows gets its Gram rows against the whole
@@ -85,9 +80,9 @@ pairs of 10-d embeddings, but at 599 pairs some distances differ by one ulp.
 
 Every long phase of `evaluate` splits its rows in two halves, on any number
 of CPUs: the encode (each tower's inference forward, at n // 2) and the
-rankings, at n // 2 rounded down to a block boundary. The class balls and
-their certificate, about a millisecond at 4000 pairs, run once per direction
-before the rankings. Through `nn._overlap` the worker
+rankings, at n // 2 rounded down to a block boundary. The certificate,
+about 1.5 ms per direction on the 4000 pairs of the eval-4k checkpoint, runs
+once per direction before the rankings. Through `nn._overlap` the worker
 thread ranks query rows [0, h) of both a2v and v2a, and the caller ranks the
 rest, each through its own buffers; so the halves stay balanced whatever each
 direction costs. A row takes the same float operations whichever half ranks
@@ -110,40 +105,33 @@ from .model import TwoTowerModel
 from .nn import _overlap
 
 # Query rows ranked at once, and the granule of every row split. With OpenBLAS
-# 0.3.31 and one BLAS thread on an AVX-512 Xeon, a block of rows of `ua @ ub.T`
-# whose bounds are multiples of 12 (or the last row) equals those rows of the
-# whole product bit for bit, at 1 to 4001 rows of 2- to 32-d embeddings;
-# blocks at multiples of 64 differed in the last bit at 299, 599 and 1599
-# rows. The Gram and key buffers and the xor and where temporaries are block
-# x gallery (1.9 MB each at 60 x 4000), the relevance mask an eighth of that,
-# and with two usable CPUs both row halves hold one set each at the same
-# time. On the eval-4k benchmark (2-core host) the process peaks at
-# 159.3-160.1 MB (20 runs), with the features held as float32. Before the
-# class-ball certificate it peaked at 169.9-170.3 MB; holding the features as
-# float64 raised that to 187.5-187.9 MB, and also building the 4000 x 4000
-# matrix to 291.5-292.8 MB. Also before it, 36 to 72 rows ranked 4000 pairs
-# equally fast in-process, 96 and 120 rows slower; 96 rows lift the traced
-# peak of an untrained 3000-pair evaluate from 14.2 to 19.7 MB, above a
-# quarter of one distance matrix. Rows packed from several blocks into one
-# product at their own block positions (see `_ranked_rows`) equalled those
-# rows of the blocks bit for bit in 15 draws at each of 130 to 4000 rows of
-# 2- to 300-d embeddings, under OpenBLAS's SkylakeX, Haswell (also chosen
-# for Zen) and SandyBridge kernels, each with 1, 2 and 4 BLAS threads. Rows
-# gathered compactly instead, into products of 12 to 60 rows at other
-# positions, kept their bits on every kernel with one thread but not on
-# SkylakeX with two or four, at 399, 599 and 1599 rows.
+# 0.3.31 and one BLAS thread on an AVX-512 Xeon, a block of rows of
+# `ua @ ub.T` whose bounds are multiples of 12 (or the last row) equals those
+# rows of the whole product bit for bit, at 1 to 4001 rows of 2- to 32-d
+# embeddings; blocks at multiples of 64 differed in the last bit at 299, 599
+# and 1599 rows. The Gram and key buffers and the xor temporary are block x
+# gallery (1.9 MB each at 60 x 4000), the relevance mask an eighth of that,
+# and with two usable CPUs both row halves hold one set each at the same time;
+# no product of the certificate holds more values than one block. On the
+# eval-4k benchmark (2-core host) the process peaks at 157.3-159.3 MB (10
+# runs), with the features held as float32. Measured before the class-ball
+# certificate, 36 to 72 rows ranked 4000 pairs equally fast in-process, 96 and
+# 120 rows slower; 96 rows lift the traced peak of an untrained 3000-pair
+# evaluate from 14.2 to 19.7 MB, above a quarter of one distance matrix. Rows
+# packed from several blocks into one product at their own block positions
+# (see `_ranked_rows`) equalled those rows of the blocks bit for bit in 15
+# draws at each of 130 to 4000 rows of 2- to 300-d embeddings, under
+# OpenBLAS's SkylakeX, Haswell (also chosen for Zen) and SandyBridge kernels,
+# each with 1, 2 and 4 BLAS threads. Rows gathered compactly instead, into
+# products of 12 to 60 rows at other positions, kept their bits on every
+# kernel with one thread but not on SkylakeX with two or four, at 399, 599 and
+# 1599 rows.
 _BLOCK = 60
-# About this many gallery rows pick the query rows worth testing for
-# clearness (see `_ranked_rows`). On an untrained reference model's 4000-pair
-# rankings, 130 sampled rows let 5-9% of the query rows through to the exact
-# test, and 64 rows let more through at 600 pairs, where each test of a
-# block costs as much as ranking several of its rows.
-_SAMPLE = 128
-# The class-ball certificate's margin (see the module docstring): a row is
-# certified clear when its bounds leave a Gram gap above 2 * _SLACK. The
-# rounding the bounds must absorb stays below 5e-11 for embedding widths up
-# to 10^4; the rows certified on the eval-4k checkpoint leave median gaps of
-# 0.15 (a2v) and 0.27 (v2a).
+# The certificate's margin (see the module docstring): a row is certified
+# clear when its bounds leave a Gram gap above 2 * _SLACK. The rounding the
+# bounds must absorb stays below 5e-11 for embedding widths up to 10^4; the
+# rows certified on the eval-4k checkpoint leave median gaps of 0.25 (a2v) and
+# 0.33 (v2a).
 _SLACK = 1e-9
 
 
@@ -213,44 +201,60 @@ def _classes(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return index.astype(np.min_scalar_type(classes.size - 1)), counts[index]
 
 
-def _balls(gallery: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each class's centre, the mean of its gallery rows, and a radius bounding their distances.
+def _balls(
+    queries: np.ndarray, gallery: np.ndarray, classes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each query's least Gram value over its own class, and each class's centre and radius.
 
-    `classes` holds each gallery row's `_classes` index. The rows are listed
-    class by class, so one `np.add.reduceat` sums each class and one
-    `np.maximum.reduceat` takes its greatest squared distance.
+    The queries are the rows of the set the gallery holds, so both share the
+    `_classes` indices `classes`. The gallery rows are listed class by class.
+    Each class's queries are multiplied by its rows, at most `_BLOCK * n`
+    values per product (one Gram block of the set), and each query keeps its
+    least value. One `np.add.reduceat` sums each class into its centre, the
+    mean of its rows, and one `np.maximum.reduceat` takes its radius, the
+    greatest distance of those rows from the centre.
     """
+    n = classes.size
     sizes = np.bincount(classes)
     starts = np.cumsum(sizes) - sizes
-    members = np.take(gallery, np.argsort(classes, kind="stable"), axis=0)
+    order = np.argsort(classes, kind="stable")
+    members = np.take(gallery, order, axis=0)
+    least = np.empty(n)
+    for lo, hi in zip(starts, starts + sizes):
+        step = _BLOCK * n // (hi - lo)
+        for part in range(lo, hi, step):
+            rows = order[part : min(part + step, hi)]
+            least[rows] = (queries[rows] @ members[lo:hi].T).min(axis=1)
     centres = np.add.reduceat(members, starts, axis=0) / sizes[:, None]
     members -= np.repeat(centres, sizes, axis=0)
-    return centres, np.sqrt(np.maximum.reduceat(_squared_norms(members), starts))
+    return least, centres, np.sqrt(np.maximum.reduceat(_squared_norms(members), starts))
 
 
 def _certified(
-    queries: np.ndarray, query_class: np.ndarray, centres: np.ndarray, radii: np.ndarray
+    queries: np.ndarray,
+    query_class: np.ndarray,
+    least: np.ndarray,
+    centres: np.ndarray,
+    radii: np.ndarray,
 ) -> np.ndarray:
-    """Which unit query rows the class balls prove clear (see the module docstring).
+    """Which unit query rows their class bounds prove clear (see the module docstring).
 
-    Every Gram value of a unit query q against a gallery row of class c lies
-    within `q . centres[c] -+ radii[c]`. A row is certified when the least
-    bound of its own class exceeds the greatest bound of every other class
-    by more than `2 * _SLACK`. The bounds are computed for column chunks of
-    the queries; a chunk holds no more bounds than a Gram block of the set
-    holds values.
+    `least` holds each query's least Gram value over its own class. Every
+    Gram value of a unit query q against a gallery row of class c is at most
+    `q . centres[c] + radii[c]`. A row is certified when its least value
+    exceeds the bound of every other class by more than `2 * _SLACK`. The
+    bounds are computed for column chunks of the queries; a chunk holds no
+    more bounds than a Gram block of the set holds values.
     """
     n = queries.shape[0]
     certified = np.empty(n, dtype=bool)
     chunk = _BLOCK * max(1, n // radii.size)
     for lo in range(0, n, chunk):
         rows = slice(lo, min(lo + chunk, n))
-        own = query_class[rows], np.arange(rows.stop - lo)
         bounds = centres @ queries[rows].T
-        least = bounds[own] - radii[own[0]]
         bounds += radii[:, None]
-        bounds[own] = -np.inf
-        certified[rows] = least - bounds.max(axis=0) > 2.0 * _SLACK
+        bounds[query_class[rows], np.arange(rows.stop - lo)] = -np.inf
+        certified[rows] = least[rows] - bounds.max(axis=0) > 2.0 * _SLACK
     return certified
 
 
@@ -272,35 +276,18 @@ def _ranked_rows(
     The queries are rows of the set the gallery holds, so each has R >= 1
     relevant items; the classes and relevant counts are `_classes`', and
     `certified` marks the rows that `_certified` proves clear. A certified
-    row takes AP 1 and P@k min(k, R) / k at once: it gets no exact test and
-    no sort. The other rows before the last `_row_blocks` block are packed
+    row takes AP 1 and P@k min(k, R) / k at once, with no sort. The other
+    rows are ranked. Those before the last `_row_blocks` block are packed
     into products of `_BLOCK` rows, each row at its position in its own
     block and certified rows filling the rest, so most certified rows get no
     Gram product; the last block is multiplied as it stands (see the module
     docstring). Each product gets its Gram rows `queries[rows] @ gallery.T`
-    and its relevance mask in reused buffers. A clear row (`_clear_rows`)
-    takes the same values as a certified one. The other uncertified rows are
+    and its relevance mask in reused buffers, and its uncertified rows are
     finished into distances in place by `losses._gram_to_distances` and
     ranked by `_ranked_block`.
-
-    Only the uncertified rows that may be clear are tested: those whose
-    relevant items all have a greater Gram value than their irrelevant ones
-    over about `_SAMPLE` evenly spaced gallery rows, whose Gram values one
-    small product gives for all uncertified queries at once. A clear row
-    that this skips is ranked, which gives it the same AP and P@k, so the
-    certificate and the sample decide only how much work is done.
     """
     n = queries.shape[0]
     unsure = ~certified
-    step = max(1, gallery.shape[0] // _SAMPLE)
-    sample_queries, sample_class = _take(unsure, queries, query_class)
-    sample = gallery[::step] @ sample_queries.T
-    sample_relevant = gallery_class[::step, None] == sample_class
-    tested = np.zeros(n, dtype=bool)
-    tested[unsure] = (
-        np.where(sample_relevant, sample, np.inf).min(axis=0)
-        > np.where(sample_relevant, -np.inf, sample).max(axis=0)
-    )
     stats = np.empty((1 + len(ks), n))
     stats[0] = 1.0
     for j, k in enumerate(ks, 1):
@@ -324,39 +311,19 @@ def _ranked_rows(
         np.matmul(queries[rows], gallery.T, out=gram[:m])
         block, block_relevant = gram[:m], relevant[:m]
         np.equal(gallery_class, query_class[rows, None], out=block_relevant)
-        ranked, test = unsure[rows].copy(), tested[rows]
-        if test.any():
-            ranked[test] = ~_clear_rows(*_take(test, block, block_relevant))
-        if ranked.any():
-            dist, dist_relevant = _take(ranked, block, block_relevant)
-            _gram_to_distances(dist)
-            block_stats[:, ranked] = _ranked_block(
-                dist, dist_relevant, n_relevant[rows][ranked], ks, keys[: len(dist)]
-            )
-            stats[:, rows] = block_stats
+        ranked = unsure[rows]
+        dist, dist_relevant = _take(ranked, block, block_relevant)
+        _gram_to_distances(dist)
+        block_stats[:, ranked] = _ranked_block(
+            dist, dist_relevant, n_relevant[rows][ranked], ks, keys[: len(dist)]
+        )
+        stats[:, rows] = block_stats
     return stats
 
 
 def _take(rows: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """The `rows` of each array, copied only when the mask leaves a row out."""
     return arrays if rows.all() else tuple(a[rows] for a in arrays)
-
-
-def _clear_rows(gram: np.ndarray, relevant: np.ndarray) -> np.ndarray:
-    """Which Gram rows have every relevant item strictly nearer than every irrelevant one.
-
-    Each row's least Gram value over its relevant items (its farthest
-    relevant item) and greatest over its irrelevant ones (its nearest
-    irrelevant item) are finished into distances, and the row is clear if the
-    first is strictly below the second (see the module docstring). Every row
-    has a relevant item; a row without irrelevant items reads its farthest
-    relevant distance against inf.
-    """
-    ends = np.empty((2, len(gram)))
-    np.min(np.where(relevant, gram, np.inf), axis=1, out=ends[0])
-    np.max(np.where(relevant, -np.inf, gram), axis=1, out=ends[1])
-    _gram_to_distances(ends)
-    return ends[0] < ends[1]
 
 
 def _ranked_block(
@@ -426,7 +393,7 @@ def evaluate(
     # The balls bound unit rows; only an underflowed normalization leaves a longer one.
     unit = max(_squared_norms(ua).max(), _squared_norms(ub).max()) <= 1.0 + _SLACK / 64
     directions = [
-        (queries, gallery, _certified(queries, classes, *_balls(gallery, classes))
+        (queries, gallery, _certified(queries, classes, *_balls(queries, gallery, classes))
          if unit else np.zeros(n, dtype=bool))
         for queries, gallery in ((ua, ub), (ub, ua))
     ]

@@ -27,7 +27,6 @@ from avdistill.evaluate import (
     _balls,
     _certified,
     _classes,
-    _clear_rows,
     _direction_means,
     _ranked_block,
     _ranked_rows,
@@ -56,9 +55,9 @@ def _ranked_blocks(dist, query_labels, gallery_labels, ks):
 
 
 def _certificate(queries, gallery, labels):
-    """`_certified` over the class balls of `gallery`, as `evaluate` builds them for one direction."""
+    """`_certified` as `evaluate` builds it for one direction, `queries` against `gallery`."""
     classes, _ = _classes(labels)
-    return _certified(queries, classes, *_balls(gallery, classes))
+    return _certified(queries, classes, *_balls(queries, gallery, classes))
 
 
 def _clear_oracle(dist, query_labels, gallery_labels):
@@ -67,6 +66,28 @@ def _clear_oracle(dist, query_labels, gallery_labels):
     farthest = np.where(relevant, dist, -np.inf).max(axis=1)
     nearest = np.where(relevant, np.inf, dist).min(axis=1)
     return farthest < nearest
+
+
+def _assert_ranked_rows(blocks, whole, labels, certified):
+    """The rows `_ranked_rows` gave `_ranked_block` are the uncertified rows of `whole`, bit for bit.
+
+    `blocks` holds the distances of each call. Certified rows must be clear,
+    and every uncertified row must arrive once, and no certified one. When
+    no two rows of `whole` are equal, each call must also hold its rows in
+    row order: the last block as it stands, and a packed product by their
+    positions in their own blocks.
+    """
+    assert not (certified & ~_clear_oracle(whole, labels, labels)).any()
+    got = [row.tobytes() for block in blocks for row in block]
+    assert sorted(got) == sorted(whole[i].tobytes() for i in np.flatnonzero(~certified))
+    index = {row.tobytes(): i for i, row in enumerate(whole)}
+    if len(index) < len(whole):
+        return
+    last = _row_blocks(len(whole))[-1].start
+    for block in blocks:
+        rows = np.array([index[row.tobytes()] for row in block])
+        positions = rows if rows[0] >= last else rows % _evaluate_module._BLOCK
+        assert (np.diff(positions) > 0).all()
 
 
 def _gram_pair(gram):
@@ -315,14 +336,16 @@ class TestEvaluate:
     @pytest.mark.parametrize("n", [600, 4000])
     def test_distance_blocks_match_the_whole_products(self, rng, monkeypatch, n):
         # The halves meet on a block boundary, so ranking a whole direction
-        # builds the same blocks as evaluate does. Each ranked row must reach
-        # `_ranked_block` as the same row of the whole product, in row order.
-        # Gaussian embeddings leave no row clear, so every block arrives
-        # whole; in the second set classes 0-4 sit tight around their one-hot
-        # codes, so their rows are clear and skip the ranking, and classes
-        # 5-9 are noise. In the third set every class is tight, but class 1
-        # sits just beside class 0, so their rows are not all clear: the
-        # other rows are certified, and these are packed into fewer products
+        # builds the same blocks as evaluate does. Exactly the uncertified
+        # rows must reach `_ranked_block`, each as the same row of the whole
+        # product (see `_assert_ranked_rows`), and the stats must be the
+        # stable oracle's. Gaussian embeddings leave no row clear. In the
+        # second set classes 0-4 sit tight around their one-hot codes, so
+        # their rows are clear, but classes 5-9 are noise whose balls reach
+        # everywhere: no row is certified, and every block arrives whole, in
+        # row order. In the third set every class is tight, but class 1 sits
+        # just beside class 0, so their rows are not all clear: the other
+        # rows are certified, and these are packed into fewer products
         # before the last block.
         labels = rng.integers(0, 10, size=n)
         scale = np.where(labels < 5, 0.02, 2.0)[:, None]
@@ -334,7 +357,6 @@ class TestEvaluate:
              one_hot(labels, 10) + scale * rng.standard_normal((n, 10))),
             (codes + 0.02 * rng.standard_normal((n, 10)), codes + 0.02 * rng.standard_normal((n, 10))),
         ]
-        not_clear = [np.ones(n, dtype=bool), labels >= 5, None]
         blocks = []
 
         def spy(dist, *args):
@@ -342,40 +364,32 @@ class TestEvaluate:
             return _ranked_block(dist, *args)
 
         monkeypatch.setattr(_evaluate_module, "_ranked_block", spy)
-        for (audio, visual), want_ranked in zip(cases, not_clear):
+        ks = (1, 5, 10)
+        classes, n_relevant = _classes(labels)
+        for (audio, visual), packed in zip(cases, (False, False, True)):
             a2v = pairwise_normalized_distances(audio, visual)
             v2a = pairwise_normalized_distances(visual, audio)
             ua, _ = normalize_rows(audio)
             ub, _ = normalize_rows(visual)
             for queries, gallery, whole in ((ua, ub, a2v), (ub, ua, v2a), (ub, ua, a2v.T)):
                 blocks.clear()
-                classes, n_relevant = _classes(labels)
                 certified = _certificate(queries, gallery, labels)
-                _ranked_rows(queries, gallery, classes, classes, n_relevant, (1,), certified)
-                ranked = ~_clear_oracle(whole, labels, labels)
-                got = np.concatenate([np.empty((0, n)), *blocks])
-                want = np.ascontiguousarray(whole[ranked])
-                if want_ranked is None:
-                    # Packed rows reach `_ranked_block` in fewer groups than
-                    # there are blocks, each group in block-position order:
-                    # compare the rows sorted.
-                    assert certified.mean() > 0.5 and ranked.any()
-                    assert not (certified & ranked).any()
-                    assert len(blocks) < len(_row_blocks(n)) and len(got) == len(want)
-                    got, want = np.unique(got, axis=0), np.unique(want, axis=0)
+                stats = _ranked_rows(queries, gallery, classes, classes, n_relevant, ks, certified)
+                assert _direction_means(stats, ks) == stable_direction_metrics(whole, labels, ks)
+                _assert_ranked_rows(blocks, whole, labels, certified)
+                if packed:
+                    assert certified.mean() > 0.5 and len(blocks) < len(_row_blocks(n))
                 else:
-                    assert (ranked == want_ranked).all()
-                    per_block = [int(ranked[rows].sum()) for rows in _row_blocks(n)]
-                    assert [len(b) for b in blocks] == [k for k in per_block if k]
-                assert got.tobytes() == want.tobytes()
+                    assert not certified.any()
+                    assert [len(b) for b in blocks] == [r.stop - r.start for r in _row_blocks(n)]
 
     def test_packed_rows_keep_their_block_bits(self, rng, monkeypatch):
         # 599 pairs of 32-d rows: nine 60-row blocks, then the last block
         # [540, 599). Block b leaves uncertified the rows at the positions p
         # with p % 9 == b, one row per position, so they all pack into one
         # product; in the last block every other row is uncertified.
-        # Gaussian rows are never clear, so every uncertified row is ranked,
-        # and each must keep the bits of its own block's product. With more
+        # Every uncertified row is ranked, and each must keep the bits of its
+        # own block's product. With more
         # than one BLAS thread, rows of products this large gathered to other
         # positions can differ from their blocks in the last bit.
         n, block = 599, _evaluate_module._BLOCK
@@ -553,16 +567,17 @@ class TestRankingKernel:
 
 
 class TestClearRows:
-    """Rows whose relevant items all come first skip the sort, with the same bits."""
+    """Each row is certified or ranked; a clear row gets the same bits either way."""
 
     @staticmethod
     def _check(monkeypatch, gram, labels, ks=(1, 5, 64), halves=()):
         """`_ranked_rows` on `gram`, whole and split at `halves`, against the all-sorted
-        ranking and the stable oracle, bit for bit; returns which rows are clear.
+        ranking and the stable oracle, bit for bit; returns which rows are clear and
+        which are certified.
 
-        The queries and the gallery share `labels`, as in `evaluate`, and
-        the class-ball certificate runs as it does there; it may certify
-        only clear rows.
+        The queries and the gallery share `labels`, as in `evaluate`, and the
+        certificate runs as it does there; exactly the uncertified rows must
+        be ranked (`_assert_ranked_rows`).
         """
         queries, gallery = _gram_pair(gram)
         ks = tuple(k for k in ks if k <= gram.shape[1])
@@ -588,11 +603,8 @@ class TestClearRows:
                 for rows in (slice(0, bounds), slice(bounds, gram.shape[0]))
             ]
             assert np.concatenate(parts, axis=1).tobytes() == got.tobytes()
-        clear = _clear_oracle(dist, labels, labels)
-        assert not (certified & ~clear).any()
-        want = dist[~clear]
-        assert np.concatenate([np.empty((0, gram.shape[1])), *ranked]).tobytes() == want.tobytes()
-        return clear
+        _assert_ranked_rows(ranked, dist, labels, certified)
+        return _clear_oracle(dist, labels, labels), certified
 
     @pytest.mark.parametrize("share", [1.0, 0.0, 0.5])
     def test_all_no_or_some_rows_clear(self, rng, monkeypatch, share):
@@ -600,7 +612,8 @@ class TestClearRows:
         labels = rng.integers(0, 5, size=150)
         clear = rng.random(150) < share
         gram = _gram_with_clear_rows(rng, clear, labels, labels)
-        assert (self._check(monkeypatch, gram, labels) == clear).all()
+        got, _ = self._check(monkeypatch, gram, labels)
+        assert (got == clear).all()
 
     @pytest.mark.parametrize("relevant_first", [True, False])
     def test_duplicate_gallery_rows_with_different_labels_tie(self, rng, monkeypatch, relevant_first):
@@ -615,8 +628,8 @@ class TestClearRows:
         gram[0, relevant] = 0.8
         gram[0, [first, second]] = 0.45
         gram[:, second] = gram[:, first]
-        clear = self._check(monkeypatch, gram, labels)
-        assert not clear[0] and clear[1:].sum() > 0
+        clear, certified = self._check(monkeypatch, gram, labels)
+        assert not clear[0] and clear[1:].sum() > 0 and not certified[0]
 
     def test_distances_that_round_equal_tie(self, rng, monkeypatch):
         # Distinct Gram values whose distances are equal: at or above 1 every
@@ -627,11 +640,12 @@ class TestClearRows:
         for row, irrelevant_g in ((0, 1.0), (1, np.nextafter(1.0, 0.0))):
             gram[row, labels == labels[row]] = np.nextafter(1.0, 2.0)
             gram[row, np.flatnonzero(labels != labels[row])[0]] = irrelevant_g
-        clear = self._check(monkeypatch, gram, labels)
-        assert not clear[0] and clear[1]
+        clear, certified = self._check(monkeypatch, gram, labels)
+        assert not clear[0] and clear[1] and not certified[:2].any()
 
-    def test_signed_zeros_at_the_boundary_are_not_clear(self):
-        # +0.0 and -0.0 both finish to sqrt(2), so either way round they tie.
+    def test_signed_zeros_at_the_boundary_are_not_clear(self, monkeypatch):
+        # +0.0 and -0.0 both finish to sqrt(2), so either way round they tie:
+        # rows 0-2 are not clear and must be ranked; row 3 is clear.
         labels = np.array([0, 0, 1, 1])
         gram = np.array([
             [0.5, 0.0, -0.0, -0.5],
@@ -639,19 +653,17 @@ class TestClearRows:
             [-0.0, -0.5, 0.5, 0.0],
             [-0.5, -0.5, 0.5, 0.0],
         ])
-        relevant = labels == labels[:, None]
-        dist = gram.copy()
-        _gram_to_distances(dist)
-        clear = _clear_rows(gram, relevant)
+        clear, certified = self._check(monkeypatch, gram, labels)
         assert clear.tolist() == [False, False, False, True]
-        assert (clear == _clear_oracle(dist, labels, labels)).all()
+        assert not certified[:3].any()
 
     def test_class_owning_every_gallery_item(self, rng, monkeypatch):
-        # One class: no query has an irrelevant item, so every row is clear
-        # with AP 1 and P@k 1.
+        # One class: no query has an irrelevant item, so every row is
+        # certified with AP 1 and P@k 1.
         labels = np.zeros(70, dtype=np.int64)
         gram = rng.uniform(-1.0, 1.0, size=(70, 70))
-        assert self._check(monkeypatch, gram, labels, halves=(60,)).all()
+        clear, certified = self._check(monkeypatch, gram, labels, halves=(60,))
+        assert clear.all() and certified.all()
 
     @pytest.mark.parametrize("n", [61, 121, 181])
     def test_clear_rows_at_block_edges_tail_and_halves(self, rng, monkeypatch, n):
@@ -663,14 +675,15 @@ class TestClearRows:
         for clear in (np.isin(np.arange(n), edges), ~np.isin(np.arange(n), edges)):
             gram = _gram_with_clear_rows(rng, clear, labels, labels)
             half = n // 2 // _evaluate_module._BLOCK * _evaluate_module._BLOCK
-            got = self._check(monkeypatch, gram, labels, halves=(half, 60))
+            got, _ = self._check(monkeypatch, gram, labels, halves=(half, 60))
             assert (got == clear).all()
 
-    def test_only_rows_that_are_not_clear_are_ranked(self, rng, usable_cpus, monkeypatch):
+    def test_only_uncertified_rows_are_ranked(self, rng, usable_cpus, monkeypatch):
         # A separable 4000-pair evaluate: one-hot class codes with a little
         # noise, in shuffled order. 1% of the labels of clusters 0-2 move to
         # the next class, so the rows of classes 0-3 are not clear and those
-        # of classes 4-9 are.
+        # of classes 4-9 are. Each half packs its own uncertified rows, so
+        # the ranked rows are compared sorted.
         n, n_classes = 4000, 10
         usable_cpus(1)
         clusters = rng.permutation(np.repeat(np.arange(n_classes), n // n_classes))
@@ -689,22 +702,24 @@ class TestClearRows:
         monkeypatch.setattr(_evaluate_module, "_ranked_block", spy)
         report = evaluate(model, data)
         emb = model.encode(data)
-        half = n // 2 // _evaluate_module._BLOCK * _evaluate_module._BLOCK
+        ua, _ = normalize_rows(emb.audio)
+        ub, _ = normalize_rows(emb.visual)
         want = []
-        for rows in (slice(0, half), slice(half, n)):
-            for direction, d in _directions(emb):
-                clear = _clear_oracle(d[rows], labels[rows], labels)
-                want.append(d[rows][~clear])
-                assert 0.3 < clear.mean() < 0.9
-        assert np.concatenate(ranked).tobytes() == np.concatenate(want).tobytes()
-        for direction, d in _directions(emb):
+        for (direction, d), (queries, gallery) in zip(_directions(emb), ((ua, ub), (ub, ua))):
+            certified = _certificate(queries, gallery, labels)
+            clear = _clear_oracle(d, labels, labels)
+            assert not (certified & ~clear).any() and 0.3 < clear.mean() < 0.9
+            want.append(d[~certified])
             mean_ap, table = stable_direction_metrics(d, labels, (1, 5, 10))
             assert getattr(report, f"map_{direction}") == mean_ap
             assert report.precision_at_k[direction] == table
+        got, want = np.concatenate(ranked), np.concatenate(want)
+        assert len(got) == len(want)
+        assert np.unique(got, axis=0).tobytes() == np.unique(want, axis=0).tobytes()
 
 
 def _uncertified_report(monkeypatch, model, data, **kw):
-    """evaluate's report with the class-ball certificate patched to certify no row."""
+    """evaluate's report with the certificate patched to certify no row."""
     with monkeypatch.context() as m:
         m.setattr(_evaluate_module, "_certified", lambda queries, *_: np.zeros(len(queries), bool))
         return evaluate(model, data, **kw).as_dict()
@@ -724,7 +739,7 @@ def _in_the_plane(degrees):
 
 
 class TestCertificate:
-    """Rows the class balls certify skip the exact test and keep every bit of the report."""
+    """Rows the certificate proves clear skip the sort and keep every bit of the report."""
 
     def test_report_matches_the_uncertified_report(self, rng, monkeypatch):
         for model, data in _brute_force_cases(rng):
@@ -732,7 +747,7 @@ class TestCertificate:
 
     def test_trained_set_is_mostly_certified_with_the_same_report(self, monkeypatch, usable_cpus):
         # 1200 pairs, four classes, four epochs: most rows are certified both
-        # ways, and the rest take the exact test or the sort.
+        # ways, and the rest are ranked.
         config = RunConfig(
             synthetic=SyntheticSpec(n_classes=4, pairs_per_class=300, audio_dim=12, visual_dim=16,
                                     seed=9),
@@ -745,35 +760,36 @@ class TestCertificate:
         ub, _ = normalize_rows(emb.visual)
         for queries, gallery in ((ua, ub), (ub, ua)):
             certified = _certificate(queries, gallery, data.labels)
-            assert 0.5 < certified.mean() < 0.9
+            assert 0.5 < certified.mean() < 0.95
             dist = pairwise_normalized_distances(queries, gallery)
             assert not (certified & ~_clear_oracle(dist, data.labels, data.labels)).any()
         for cpus in (1, 2):
             usable_cpus(cpus)
             assert evaluate(model, data).as_dict() == _uncertified_report(monkeypatch, model, data)
 
-    def test_certified_rows_skip_the_exact_test_and_the_sort(self, rng, monkeypatch):
+    def test_certified_rows_skip_the_sort(self, rng, monkeypatch):
         labels = rng.permutation(np.repeat(np.arange(5), 40))
         model, data = _cluster_instance(rng, labels)
         calls = []
-        for name in ("_clear_rows", "_ranked_block"):
-            real = getattr(_evaluate_module, name)
-            monkeypatch.setattr(_evaluate_module, name,
-                                lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        monkeypatch.setattr(_evaluate_module, "_ranked_block",
+                            lambda *args: calls.append(1) or _ranked_block(*args))
         report = evaluate(model, data)
         assert calls == [] and report.map_avg == 1.0
         assert report.precision_at_k["a2v"] == {1: 1.0, 5: 1.0, 10: 1.0}
 
     def test_one_item_class_has_a_zero_radius(self, rng, monkeypatch):
+        # The one-item class's only Gram value is its query's least value,
+        # and its ball is that gallery row with radius 0.
         labels = np.concatenate([rng.permutation(np.repeat(np.arange(3), 30)), [3]])
         model, data = _cluster_instance(rng, labels)
         emb = model.encode(data, training=False)
         queries, _ = normalize_rows(emb.audio)
         gallery, _ = normalize_rows(emb.visual)
         classes, _ = _classes(labels)
-        centres, radii = _balls(gallery, classes)
+        least, centres, radii = _balls(queries, gallery, classes)
         assert radii[3] == 0.0 and centres[3].tobytes() == gallery[-1].tobytes()
-        assert _certified(queries, classes, centres, radii)[-1]
+        assert least[-1] == (queries[-1:] @ gallery[-1:].T)[0, 0]
+        assert _certified(queries, classes, least, centres, radii)[-1]
         assert evaluate(model, data).as_dict() == _uncertified_report(monkeypatch, model, data)
 
     def test_class_owning_every_gallery_item(self, rng, monkeypatch):
@@ -790,8 +806,9 @@ class TestCertificate:
 
     def test_an_embedding_shared_across_classes_is_never_certified(self, rng, monkeypatch):
         # Pairs 0 (class 0) and 1 (class 1) hold one pair of embeddings, and
-        # each is its class's only pair, so both balls have radius 0 and
-        # their bounds meet exactly. Each query ties its relevant item with
+        # each is its class's only pair, so the other class's ball has radius
+        # 0 and its bound is the query's own least Gram value, up to
+        # rounding. Each query ties its relevant item with
         # the irrelevant copy; for query 1 the copy has the lower index and
         # ranks first, so its AP is 1/2.
         labels = np.concatenate([[0, 1], 2 + rng.permutation(np.repeat(np.arange(3), 20))])
@@ -809,32 +826,66 @@ class TestCertificate:
 
     @pytest.mark.parametrize("gap, certified", [(0.999, False), (1.999, False), (2.001, True)])
     def test_gaps_at_the_slack(self, gap, certified):
-        # One query on the first axis and two one-item classes (radius 0):
-        # the Gram values are the gallery rows' first coordinates, exactly,
-        # and the relevant one leads by `gap` slacks.
+        # Two one-item classes (radius 0), and query 0 on the first axis: its
+        # Gram values are the gallery rows' first coordinates, exactly, and
+        # its relevant one leads by `gap` slacks. Query 1 is not clear.
         delta = gap * _evaluate_module._SLACK
         first = np.array([0.5, 0.5 - delta])
         gallery = np.stack([first, np.sqrt(1.0 - first**2)], axis=1)
+        queries = np.array([[1.0, 0.0], gallery[0]])
         classes = np.array([0, 1], dtype=np.uint8)
-        centres, radii = _balls(gallery, classes)
-        assert radii.tolist() == [0.0, 0.0]
-        query = np.array([[1.0, 0.0]])
-        assert _certified(query, classes[:1], centres, radii).tolist() == [certified]
-        dist = query @ gallery.T
+        least, centres, radii = _balls(queries, gallery, classes)
+        assert radii.tolist() == [0.0, 0.0] and least[0] == 0.5
+        assert _certified(queries, classes, least, centres, radii).tolist() == [certified, False]
+        dist = queries[:1] @ gallery.T
         _gram_to_distances(dist)
         assert dist[0, 0] < dist[0, 1]  # the row is clear either way
 
     def test_a_ball_bound_met_exactly_is_not_certified(self):
-        # Class 0 holds the two axes: its centre is (0.5, 0.5) and the query
-        # (1, -1) / sqrt(2) meets its lower bound exactly at (0, 1). The
-        # class-1 item at 87.6 degrees lies nearer the query than (0, 1),
-        # inside the ball's reach, so the row is not clear.
-        gallery, labels = _in_the_plane([0.0, 90.0, 87.6]), np.array([0, 0, 1])
+        # Class 1 holds the two vertical axes: its centre is 0 and its radius
+        # 1, so its bound for the query on the first axis is 1, exactly the
+        # query's Gram value with its own class's only item. The row is
+        # clear, but its lead is 0.
+        gallery, labels = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.array([0, 1, 1])
+        dist = pairwise_normalized_distances(gallery, gallery)
+        assert _clear_oracle(dist, labels, labels)[0]
         classes, _ = _classes(labels)
-        query = np.array([[1.0, -1.0]]) / np.sqrt(2.0)
-        dist = pairwise_normalized_distances(query, gallery)
-        assert not _clear_oracle(dist, labels[:1], labels)[0]
-        assert not _certified(query, classes[:1], *_balls(gallery, classes))[0]
+        least, centres, radii = _balls(gallery, gallery, classes)
+        assert least[0] == 1.0 and radii[1] == 1.0 and not centres[1].any()
+        assert not _certified(gallery, classes, least, centres, radii)[0]
+
+    def test_a_loose_ball_of_the_own_class_is_certified(self, monkeypatch):
+        # Query 0 on the first axis shares class 0 with items at 2 and 45
+        # degrees, and class 1 lies at 65-75 degrees: every relevant item
+        # leads every irrelevant one. The item at 45 degrees sits far from
+        # class 0's centre, so that ball's lower bound for query 0 lies below
+        # class 1's upper bound; its least Gram value, cos(45 degrees), does
+        # not.
+        features = _in_the_plane([0.0, 2.0, 45.0, 65.0, 70.0, 75.0])
+        labels = np.array([0, 0, 0, 1, 1, 1])
+        model, data = _identity_model(2), PairedBatch(features, features.copy(), labels)
+        ua, _ = normalize_rows(model.encode(data, training=False).audio)
+        classes, _ = _classes(labels)
+        least, centres, radii = _balls(ua, ua, classes)
+        upper = ua[0] @ centres[1] + radii[1]
+        assert ua[0] @ centres[0] - radii[0] < upper < least[0] - 0.2
+        assert _certified(ua, classes, least, centres, radii)[0]
+        assert _clear_oracle(pairwise_normalized_distances(ua, ua), labels, labels)[0]
+        assert evaluate(model, data).as_dict() == _uncertified_report(monkeypatch, model, data)
+
+    def test_own_class_minimum_spans_several_products(self, rng):
+        # 90 of 100 pairs share class 0, so its queries take two products of
+        # at most _BLOCK * 100 values each. Entries are multiples of 1/8, so
+        # every Gram value is exact in any summation order.
+        n, block = 100, _evaluate_module._BLOCK
+        assert block * n // 90 < 90
+        labels = rng.permutation(np.concatenate([np.zeros(90, int), np.repeat(np.arange(1, 6), 2)]))
+        queries = rng.integers(-4, 5, size=(n, 6)) / 8.0
+        gallery = rng.integers(-4, 5, size=(n, 6)) / 8.0
+        classes, _ = _classes(labels)
+        least, _, _ = _balls(queries, gallery, classes)
+        own = labels[:, None] == labels
+        assert least.tobytes() == np.where(own, queries @ gallery.T, np.inf).min(axis=1).tobytes()
 
     def test_random_plane_certificates_are_clear(self, rng):
         # Classes 40 degrees apart, each spread over 16 degrees: every row is
@@ -855,8 +906,8 @@ class TestCertificate:
         # rows come out about 0.1% long: every Gram value is at least 1 and
         # every distance finishes to 0. Each query ties its own counterpart
         # with the other pair, and query 1's irrelevant item ranks first.
-        # Its ball bounds, both of radius 0, still lead by 0.0011, so the
-        # unit check must stop the certificate.
+        # Its class bounds, both one-item classes, still lead by 0.0011, so
+        # the unit check must stop the certificate.
         feats = np.array([[3.0, 0.35], [3.0, 0.55]]) * 1e-161
         data = PairedBatch(feats, feats.copy(), np.array([1, 0]))
         model = _identity_model(2)
