@@ -62,6 +62,10 @@ class RunConfig:
             raise ConfigError(f"eval_every must be >= 0, got {self.eval_every}")
         if any(k < 1 for k in self.eval_ks):
             raise ConfigError(f"eval ks must be >= 1, got {self.eval_ks}")
+        # An empty path would read as no path: no data file, or a run that writes nothing.
+        for name in ("data_path", "output_dir"):
+            if getattr(self, name) == "":
+                raise ConfigError(f"{name} must not be empty")
 
     @property
     def schedule(self) -> RatioSchedule:

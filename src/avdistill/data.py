@@ -214,12 +214,19 @@ def infer_format(path: str | Path) -> str:
 
 
 def save_features(path: str | Path, meta: DatasetMeta, data: PairedBatch) -> None:
-    """Write a dataset in the on-disk format its suffix names (`infer_format`)."""
+    """Write a dataset in the on-disk format its suffix names (`infer_format`).
+
+    A dataset that `load_features` would refuse, for a label outside
+    [0, meta.n_classes) or a value that is not finite as written, raises its
+    `DataError` before the file is opened.
+    """
     if len(data) != meta.n_pairs:
         raise ShapeError(f"meta says {meta.n_pairs} pairs but data has {len(data)}")
     if data.audio.shape[1] != meta.audio_dim or data.visual.shape[1] != meta.visual_dim:
         raise ShapeError("feature dims do not match the dataset meta")
+    _check_labels(data.labels, meta.n_classes)
     if infer_format(path) == "csv":
+        _check_finite(data.audio, data.visual)
         _save_csv(Path(path), data)
     else:
         _save_binary(Path(path), meta, data)
@@ -237,9 +244,12 @@ def _save_binary(path: Path, meta: DatasetMeta, data: PairedBatch) -> None:
         "<HIIII", AVFD_VERSION, meta.n_pairs, meta.audio_dim, meta.visual_dim, meta.n_classes
     )
     records = np.empty(len(data), dtype=_record_dtype(meta.audio_dim, meta.visual_dim))
-    records["audio"] = data.audio
-    records["visual"] = data.visual
-    records["label"] = data.labels.astype(np.uint32)
+    # A value beyond float32's range becomes inf here, and is refused below.
+    with np.errstate(over="ignore"):
+        records["audio"] = data.audio
+        records["visual"] = data.visual
+    _check_finite(records["audio"], records["visual"])
+    records["label"] = data.labels
     with open(path, "wb") as f:
         f.write(header)
         f.write(records.tobytes())
@@ -323,6 +333,12 @@ def _first_non_finite(audio: np.ndarray, visual: np.ndarray) -> int | None:
     return None if finite.all() else int(np.argmax(~finite))
 
 
+def _check_finite(audio: np.ndarray, visual: np.ndarray) -> None:
+    bad = _first_non_finite(audio, visual)
+    if bad is not None:
+        raise DataError(f"non-finite feature value at record {bad}")
+
+
 def _csv_header(audio_dim: int, visual_dim: int) -> list[str]:
     return (
         ["pair_id", "label"]
@@ -380,9 +396,7 @@ def _load_csv(path: Path) -> tuple[DatasetMeta, PairedBatch]:
     n_classes = int(label_arr.max()) + 1
     if n_classes < 2:
         raise DataError(f"need at least 2 classes, labels only reach {n_classes - 1}")
-    bad = _first_non_finite(audio, visual)
-    if bad is not None:
-        raise DataError(f"non-finite feature value at record {bad}")
+    _check_finite(audio, visual)
     meta = DatasetMeta(
         n_pairs=len(labels), audio_dim=audio_dim, visual_dim=visual_dim, n_classes=n_classes
     )

@@ -62,21 +62,22 @@ so its float summation order is that of the dense `(hits / ranks) * rel`
 row.
 
 No n x n array is built. `evaluate` normalizes both embedding sets once, and
-each block of uncertified query rows gets its Gram rows against the whole
-gallery in one buffer, reused block after block: the rows of `ua @ ub.T` for
-a2v and of `ub @ ua.T` for v2a. The rows that are ranked are finished into
-distances in place, as the training distances are. A BLAS product's
-rounding can depend on its shape and, with more than one BLAS thread, on the
-position of a row within the product, but not on the values of its other
-rows (see `_BLOCK` for the measurement). So the uncertified rows before the
-last block are gathered into products of one whole block each, every row at
-the position it holds in its own block (the other positions take certified
-rows, whose values are not read), and the last block is multiplied as it
-stands: every Gram row gets the bits of its block's product, as if each
-block were multiplied, and with one BLAS thread those of the whole product.
-The two orientations are not always bit-equal to each other: `ub @ ua.T`
-equals the transpose of `ua @ ub.T` at the reference sizes, 600 and 4000
-pairs of 10-d embeddings, but at 599 pairs some distances differ by one ulp.
+each product of query rows gets its Gram rows against the whole gallery in one
+buffer, reused product after product: the rows of `ua @ ub.T` for a2v and of
+`ub @ ua.T` for v2a. Only its uncertified rows are kept. They are finished
+into distances in place, as the training distances are, and only they get a
+relevance mask. A BLAS product's rounding can depend on its shape and, with
+more than one BLAS thread, on the position of a row within the product, but
+not on the values of its other rows (see `_BLOCK` for the measurement). So the
+uncertified rows before the last block are gathered into products of one whole
+block each, every row at the position it holds in its own block (the other
+positions take certified rows, whose values are not read), and the last block
+is multiplied as it stands: every Gram row gets the bits of its block's
+product, as if each block were multiplied, and with one BLAS thread those of
+the whole product. The two orientations are not always bit-equal to each
+other: `ub @ ua.T` equals the transpose of `ua @ ub.T` at the reference sizes,
+600 and 4000 pairs of 10-d embeddings, but at 599 pairs some distances differ
+by one ulp.
 
 Every long phase of `evaluate` splits its rows in two halves, on any number
 of CPUs: the encode (each tower's inference forward, at n // 2) and the
@@ -109,9 +110,10 @@ from .nn import _overlap
 # `ua @ ub.T` whose bounds are multiples of 12 (or the last row) equals those
 # rows of the whole product bit for bit, at 1 to 4001 rows of 2- to 32-d
 # embeddings; blocks at multiples of 64 differed in the last bit at 299, 599
-# and 1599 rows. The Gram and key buffers and the xor temporary are block x
-# gallery (1.9 MB each at 60 x 4000), the relevance mask an eighth of that,
-# and with two usable CPUs both row halves hold one set each at the same time;
+# and 1599 rows. The reused Gram and key buffers and the xor temporary are at
+# most block x gallery (1.9 MB each at 60 x 4000), the relevance mask of a
+# product's ranked rows at most an eighth of that, and with two usable CPUs
+# both row halves hold one set each at the same time;
 # no product of the certificate holds more values than one block. On the
 # eval-4k benchmark (2-core host) the process peaks at 157.3-159.3 MB (10
 # runs), with the features held as float32. Measured before the class-ball
@@ -281,10 +283,12 @@ def _ranked_rows(
     into products of `_BLOCK` rows, each row at its position in its own
     block and certified rows filling the rest, so most certified rows get no
     Gram product; the last block is multiplied as it stands (see the module
-    docstring). Each product gets its Gram rows `queries[rows] @ gallery.T`
-    and its relevance mask in reused buffers, and its uncertified rows are
-    finished into distances in place by `losses._gram_to_distances` and
-    ranked by `_ranked_block`.
+    docstring). Every product is an index array of rows, multiplied into
+    one reused Gram buffer as `queries[rows] @ gallery.T`. Only its
+    uncertified rows are kept (the product itself when every row is): they
+    are finished into distances in place by `losses._gram_to_distances`, and
+    their relevance mask is built for them alone. `_ranked_block` ranks
+    them, and their stats are written to their columns.
     """
     n = queries.shape[0]
     unsure = ~certified
@@ -300,30 +304,22 @@ def _ranked_rows(
     picks = np.argsort(~packed, axis=0, kind="stable")[: packed.sum(axis=0).max(initial=0)]
     groups = list(picks * _BLOCK + np.arange(_BLOCK))
     if unsure[last:].any():
-        groups.append(blocks[-1])
+        groups.append(np.arange(last, n))
     height = max((rows.stop - rows.start for rows in blocks), default=0)
     gram = np.empty((height, gallery.shape[0]))
-    relevant = np.empty(gram.shape, dtype=bool)
     keys = np.empty(gram.shape, dtype=np.uint64)
     for rows in groups:
-        block_stats = stats[:, rows]
-        m = block_stats.shape[1]
-        np.matmul(queries[rows], gallery.T, out=gram[:m])
-        block, block_relevant = gram[:m], relevant[:m]
-        np.equal(gallery_class, query_class[rows, None], out=block_relevant)
         ranked = unsure[rows]
-        dist, dist_relevant = _take(ranked, block, block_relevant)
+        kept = rows[ranked]
+        # Built before the product: built after it and the row copy, the mask
+        # made glibc's malloc fault in 43% more pages per eval-4k evaluate.
+        relevant = gallery_class == query_class[kept, None]
+        dist = np.matmul(queries[rows], gallery.T, out=gram[: rows.size])
+        if kept.size < rows.size:
+            dist = dist[ranked]
         _gram_to_distances(dist)
-        block_stats[:, ranked] = _ranked_block(
-            dist, dist_relevant, n_relevant[rows][ranked], ks, keys[: len(dist)]
-        )
-        stats[:, rows] = block_stats
+        stats[:, kept] = _ranked_block(dist, relevant, n_relevant[kept], ks, keys[: kept.size])
     return stats
-
-
-def _take(rows: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The `rows` of each array, copied only when the mask leaves a row out."""
-    return arrays if rows.all() else tuple(a[rows] for a in arrays)
 
 
 def _ranked_block(

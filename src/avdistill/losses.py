@@ -404,9 +404,12 @@ def _batch_hard_side(
     return np.maximum(hinge, 0.0), grad_counts, anchors.size
 
 
-def _distances_with_cache(a: np.ndarray, b: np.ndarray) -> dict:
-    ua, na = normalize_rows(a, "audio embeddings")
-    ub, nb = normalize_rows(b, "visual embeddings")
+def _distances_with_cache(
+    a: np.ndarray, b: np.ndarray, what: tuple[str, str] = ("audio embeddings", "visual embeddings")
+) -> dict:
+    """Normalized distances between the rows of a and b; `what` names each side's rows in errors."""
+    ua, na = normalize_rows(a, what[0])
+    ub, nb = normalize_rows(b, what[1])
     # One product over all rows: a row-blocked product rounds differently.
     dist = ua @ ub.T
     _gram_to_distances(dist)
@@ -457,7 +460,10 @@ def _triplet_term(
     (proxied_a, cache_a), (proxied_v, cache_v) = _overlap(
         lambda: _proxy_forward(emb.audio, cfg), lambda: _proxy_forward(emb.visual, cfg)
     )
-    dcache = _distances_with_cache(proxied_a, proxied_v)
+    dcache = _distances_with_cache(proxied_a, proxied_v, (
+        "proxied audio embeddings (triplet distances)",
+        "proxied visual embeddings (triplet distances)",
+    ))
     dist = dcache["dist"]
     value, d_dist = 0.0, np.zeros_like(dist)
     for idx, pos in subset_positives:

@@ -247,6 +247,18 @@ class TestDataErrors:
         assert main(SMALL_TRAIN + ["--data", str(empty)]) == EXIT_DATA
         assert "no records" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_empty_output_directory_is_refused(self, tmp_path, monkeypatch, command, capsys):
+        # "" would read as no output directory: the run would train and
+        # report, then write nothing.
+        data = _gen(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        args = [command, *SMALL_TRAIN[1:], "--data", str(data), "--out", ""]
+        assert main(args) == EXIT_DATA
+        assert "output_dir must not be empty" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.avfd"]
+
     def test_missing_checkpoint(self, tmp_path, capsys):
         data = _gen(tmp_path)
         capsys.readouterr()

@@ -344,6 +344,45 @@ class TestSaveValidation:
         with pytest.raises(ShapeError, match="meta says 6 pairs"):
             save_features(tmp_path / "x.avfd", wrong, data)
 
+    # Each dataset below would load as a `DataError`, so its save raises that
+    # error, and a file already at the path keeps its bytes.
+    @pytest.mark.parametrize("suffix", ["avfd", "csv"])
+    @pytest.mark.parametrize("labels, message", [
+        ([0, 0, 1, 1, 5], r"^label 5 out of range \[0, 2\) at record 4$"),
+        ([0, -1, 1, 1, 1], r"^label -1 out of range \[0, 2\) at record 1$"),
+    ], ids=["above", "negative"])
+    def test_labels_outside_the_class_count_are_refused(self, tmp_path, suffix, labels, message):
+        meta, data = _tiny_dataset()
+        path = tmp_path / f"x.{suffix}"
+        path.write_bytes(b"kept")
+        bad = PairedBatch(data.audio, data.visual, np.array(labels))
+        with pytest.raises(DataError, match=message):
+            save_features(path, meta, bad)
+        assert path.read_bytes() == b"kept"
+
+    @pytest.mark.parametrize("suffix", ["avfd", "csv"])
+    def test_a_nan_feature_is_refused(self, tmp_path, suffix):
+        meta, data = _tiny_dataset()
+        data.visual[3, 2] = np.nan
+        path = tmp_path / f"x.{suffix}"
+        path.write_bytes(b"kept")
+        with pytest.raises(DataError, match=r"^non-finite feature value at record 3$"):
+            save_features(path, meta, data)
+        assert path.read_bytes() == b"kept"
+
+    def test_a_value_beyond_float32_range_is_refused_in_binary(self, tmp_path):
+        # 1e39 is finite as float64 and written as a float32 inf; the CSV
+        # writes the float64 value, which loads back as it is.
+        meta, data = _tiny_dataset()
+        data.audio[2, 0] = 1e39
+        path = tmp_path / "x.avfd"
+        path.write_bytes(b"kept")
+        with pytest.raises(DataError, match=r"^non-finite feature value at record 2$"):
+            save_features(path, meta, data)
+        assert path.read_bytes() == b"kept"
+        save_features(tmp_path / "x.csv", meta, data)
+        assert load_features(tmp_path / "x.csv")[1].audio[2, 0] == 1e39
+
 
 class TestSplit:
     def _data(self, per_class=10):

@@ -68,24 +68,42 @@ def _clear_oracle(dist, query_labels, gallery_labels):
     return farthest < nearest
 
 
-def _assert_ranked_rows(blocks, whole, labels, certified):
+def _spy_ranked_block(monkeypatch):
+    """Record each `_ranked_block` call's distances and relevance mask, as given, in a list."""
+    calls = []
+
+    def spy(dist, relevant, *args):
+        calls.append((dist.copy(), relevant.copy()))
+        return _ranked_block(dist, relevant, *args)
+
+    monkeypatch.setattr(_evaluate_module, "_ranked_block", spy)
+    return calls
+
+
+def _assert_ranked_rows(calls, whole, labels, certified):
     """The rows `_ranked_rows` gave `_ranked_block` are the uncertified rows of `whole`, bit for bit.
 
-    `blocks` holds the distances of each call. Certified rows must be clear,
-    and every uncertified row must arrive once, and no certified one. When
-    no two rows of `whole` are equal, each call must also hold its rows in
-    row order: the last block as it stands, and a packed product by their
-    positions in their own blocks.
+    `calls` holds the distances and relevance mask of each call
+    (`_spy_ranked_block`). Certified rows must be clear, and every
+    uncertified row must arrive once, and no certified one. Each call's mask
+    must hold one row per distance row: the relevance `labels == labels[i]`
+    of the row i it ranks. When no two rows of `whole` are equal, each call
+    must also hold its rows in row order: the last block as it stands, and a
+    packed product by their positions in their own blocks.
     """
     assert not (certified & ~_clear_oracle(whole, labels, labels)).any()
-    got = [row.tobytes() for block in blocks for row in block]
-    assert sorted(got) == sorted(whole[i].tobytes() for i in np.flatnonzero(~certified))
+    assert all(relevant.shape == dist.shape for dist, relevant in calls)
+    got = [row.tobytes() + mask.tobytes() for dist, relevant in calls
+           for row, mask in zip(dist, relevant)]
+    want = [whole[i].tobytes() + (labels == labels[i]).tobytes()
+            for i in np.flatnonzero(~certified)]
+    assert sorted(got) == sorted(want)
     index = {row.tobytes(): i for i, row in enumerate(whole)}
     if len(index) < len(whole):
         return
     last = _row_blocks(len(whole))[-1].start
-    for block in blocks:
-        rows = np.array([index[row.tobytes()] for row in block])
+    for dist, _ in calls:
+        rows = np.array([index[row.tobytes()] for row in dist])
         positions = rows if rows[0] >= last else rows % _evaluate_module._BLOCK
         assert (np.diff(positions) > 0).all()
 
@@ -357,13 +375,7 @@ class TestEvaluate:
              one_hot(labels, 10) + scale * rng.standard_normal((n, 10))),
             (codes + 0.02 * rng.standard_normal((n, 10)), codes + 0.02 * rng.standard_normal((n, 10))),
         ]
-        blocks = []
-
-        def spy(dist, *args):
-            blocks.append(dist.copy())
-            return _ranked_block(dist, *args)
-
-        monkeypatch.setattr(_evaluate_module, "_ranked_block", spy)
+        calls = _spy_ranked_block(monkeypatch)
         ks = (1, 5, 10)
         classes, n_relevant = _classes(labels)
         for (audio, visual), packed in zip(cases, (False, False, True)):
@@ -372,16 +384,16 @@ class TestEvaluate:
             ua, _ = normalize_rows(audio)
             ub, _ = normalize_rows(visual)
             for queries, gallery, whole in ((ua, ub, a2v), (ub, ua, v2a), (ub, ua, a2v.T)):
-                blocks.clear()
+                calls.clear()
                 certified = _certificate(queries, gallery, labels)
                 stats = _ranked_rows(queries, gallery, classes, classes, n_relevant, ks, certified)
                 assert _direction_means(stats, ks) == stable_direction_metrics(whole, labels, ks)
-                _assert_ranked_rows(blocks, whole, labels, certified)
+                _assert_ranked_rows(calls, whole, labels, certified)
                 if packed:
-                    assert certified.mean() > 0.5 and len(blocks) < len(_row_blocks(n))
+                    assert certified.mean() > 0.5 and len(calls) < len(_row_blocks(n))
                 else:
                     assert not certified.any()
-                    assert [len(b) for b in blocks] == [r.stop - r.start for r in _row_blocks(n)]
+                    assert [len(d) for d, _ in calls] == [r.stop - r.start for r in _row_blocks(n)]
 
     def test_packed_rows_keep_their_block_bits(self, rng, monkeypatch):
         # 599 pairs of 32-d rows: nine 60-row blocks, then the last block
@@ -401,18 +413,20 @@ class TestEvaluate:
         certified[540::2] = False
         labels = rng.integers(0, 3, size=n)
         classes, n_relevant = _classes(labels)
-        blocks = []
-        monkeypatch.setattr(_evaluate_module, "_ranked_block",
-                            lambda dist, *args: blocks.append(dist.copy()) or _ranked_block(dist, *args))
+        calls = _spy_ranked_block(monkeypatch)
         _ranked_rows(ua, ub, classes, classes, n_relevant, (1,), certified)
-        assert len(blocks) == 2
+        assert len(calls) == 2
+        rows = [*packed, *range(540, n, 2)]
         want = []
-        for row in [*packed, *range(540, n, 2)]:
+        for row in rows:
             lo = min(row // block * block, 540)
             want.append((ua[lo : lo + block if lo < 540 else n] @ ub.T)[row - lo])
         want = np.array(want)
         _gram_to_distances(want)
-        assert np.concatenate(blocks).tobytes() == want.tobytes()
+        assert np.concatenate([dist for dist, _ in calls]).tobytes() == want.tobytes()
+        # Each call's relevance mask holds exactly the rows it ranks.
+        relevant = np.concatenate([mask for _, mask in calls])
+        assert np.array_equal(relevant, labels == labels[rows, None])
 
     def test_non_finite_embeddings_rejected(self):
         model = _identity_model(2)
@@ -521,18 +535,12 @@ class TestRankingKernel:
         # sides under labels drawn apart from them: every row ties relevant
         # with irrelevant items, and each exact self-pair has a Gram value
         # that rounds near 1, where the finish clamps 2 - 2g at 0.
-        received = []
-
-        def spy(dist, *args):
-            received.append(dist.copy())
-            return _ranked_block(dist, *args)
-
-        monkeypatch.setattr(_evaluate_module, "_ranked_block", spy)
+        calls = _spy_ranked_block(monkeypatch)
         features = rng.random((8, 6))[rng.integers(0, 8, size=300)]
         tied = PairedBatch(features, features.copy(), rng.integers(0, 3, size=300))
         for model, data in [*_brute_force_cases(rng), (_identity_model(6), tied)]:
             evaluate(model, data)
-        dist = np.concatenate([d.ravel() for d in received])
+        dist = np.concatenate([d.ravel() for d, _ in calls])
         assert dist.size > 300 * 300
         assert np.isfinite(dist).all() and (dist >= 0).all() and not np.signbit(dist).any()
 
@@ -581,13 +589,7 @@ class TestClearRows:
         """
         queries, gallery = _gram_pair(gram)
         ks = tuple(k for k in ks if k <= gram.shape[1])
-        ranked = []
-
-        def spy(dist, *args):
-            ranked.append(dist.copy())
-            return _ranked_block(dist, *args)
-
-        monkeypatch.setattr(_evaluate_module, "_ranked_block", spy)
+        ranked = _spy_ranked_block(monkeypatch)
         classes, n_relevant = _classes(labels)
         certified = _certificate(queries, gallery, labels)
         got = _ranked_rows(queries, gallery, classes, classes, n_relevant, ks, certified)
@@ -683,7 +685,7 @@ class TestClearRows:
         # noise, in shuffled order. 1% of the labels of clusters 0-2 move to
         # the next class, so the rows of classes 0-3 are not clear and those
         # of classes 4-9 are. Each half packs its own uncertified rows, so
-        # the ranked rows are compared sorted.
+        # the ranked rows, each with its relevance mask, are compared sorted.
         n, n_classes = 4000, 10
         usable_cpus(1)
         clusters = rng.permutation(np.repeat(np.arange(n_classes), n // n_classes))
@@ -693,13 +695,7 @@ class TestClearRows:
         features = one_hot(clusters, n_classes) + 0.02 * rng.random((n, n_classes))
         data = PairedBatch(features, features + 0.02 * rng.random((n, n_classes)), labels)
         model = _identity_model(n_classes)
-        ranked = []
-
-        def spy(dist, *args):
-            ranked.append(dist.copy())
-            return _ranked_block(dist, *args)
-
-        monkeypatch.setattr(_evaluate_module, "_ranked_block", spy)
+        calls = _spy_ranked_block(monkeypatch)
         report = evaluate(model, data)
         emb = model.encode(data)
         ua, _ = normalize_rows(emb.audio)
@@ -709,11 +705,12 @@ class TestClearRows:
             certified = _certificate(queries, gallery, labels)
             clear = _clear_oracle(d, labels, labels)
             assert not (certified & ~clear).any() and 0.3 < clear.mean() < 0.9
-            want.append(d[~certified])
+            want.append(np.hstack([d, labels == labels[:, None]])[~certified])
             mean_ap, table = stable_direction_metrics(d, labels, (1, 5, 10))
             assert getattr(report, f"map_{direction}") == mean_ap
             assert report.precision_at_k[direction] == table
-        got, want = np.concatenate(ranked), np.concatenate(want)
+        got = np.concatenate([np.hstack([dist, relevant]) for dist, relevant in calls])
+        want = np.concatenate(want)
         assert len(got) == len(want)
         assert np.unique(got, axis=0).tobytes() == np.unique(want, axis=0).tobytes()
 

@@ -156,6 +156,26 @@ class TestTrainLoop:
         for p, q in zip(seen["model"].parameters(), seen["before"]):
             np.testing.assert_array_equal(p, q)
 
+    def test_triplet_distance_failure_names_its_phase(self, monkeypatch):
+        # Zero output layers give zero embeddings: the triplet distances
+        # cannot normalize them, and the failure says so, apart from the
+        # evaluation's "zero vector at row 0 of audio embeddings".
+        train_module = importlib.import_module("avdistill.train")
+
+        def zero_outputs(config, meta):
+            model = build_model(config, meta)
+            for tower in (model.audio, model.visual):
+                for tensor in tower.parameters()[-2:]:
+                    tensor[...] = 0.0
+            return model
+
+        monkeypatch.setattr(train_module, "build_model", zero_outputs)
+        with pytest.raises(NormalizationError, match=(
+            r"^epoch 0 batch 0: zero vector at row 0 of proxied audio embeddings "
+            r"\(triplet distances\)$"
+        )):
+            train(_config())
+
     def test_eval_failure_names_its_epoch(self, monkeypatch):
         train_module = importlib.import_module("avdistill.train")
 
@@ -306,6 +326,8 @@ class TestConfigFile:
             ("synthetic.seed", "-1", "seed must be >= 0, got -1"),
             ("train.eval_every", "-3", "eval_every must be >= 0, got -3"),
             ("eval.ks", "0,-2", r"eval ks must be >= 1, got \(0, -2\)"),
+            ("data.path", "", "data_path must not be empty"),
+            ("train.out", "", "output_dir must not be empty"),
         ]),
         # float() accepts these; each would train a NaN model or write unloadable data.
         *(pytest.param(key, raw, message, id=f"{key}={raw}") for key, raw, message in [
