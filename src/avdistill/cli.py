@@ -20,7 +20,7 @@ from .data import SyntheticSpec, generate_synthetic, load_features, save_feature
 from .errors import ConfigError, DeterminismError, EngineError, NumericError
 from .evaluate import evaluate
 from .gradcheck import grad_check
-from .losses import _ANCHOR_MODES, _PROXIES, _STRATEGIES, LossConfig, composite_loss
+from .losses import _PROXIES, _STRATEGIES, LossConfig, composite_loss
 from .nn import _OPTIMIZERS
 from .softalign import _SCHEDULE_KINDS, partition_batch
 from .train import build_model, resolve_dataset, train
@@ -101,7 +101,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     _key_flag(p, "--r-end", "schedule.end")
     _key_flag(p, "--strategy", "loss.strategy", choices=_STRATEGIES)
     _key_flag(p, "--aa", "loss.proxy", choices=_PROXIES)
-    _key_flag(p, "--anchor", "loss.anchor", choices=_ANCHOR_MODES)
     p.add_argument(
         "--no-ldis",
         dest="loss.pair_weight",

@@ -99,7 +99,8 @@ _KEYS: dict[str, tuple[str, object]] = {
     "model.dropout": ("dropout_rate", float),
     "loss.margin": ("loss.margin", float),
     "loss.strategy": ("loss.strategy", str),
-    "loss.anchor": ("loss.anchor_mode", str),
+    # Checked as it is read, so a refused mode names its line.
+    "loss.anchor": ("loss.anchor_mode", lambda text: LossConfig(anchor_mode=text).anchor_mode),
     "loss.proxy": ("loss.proxy", str),
     "loss.pair_weight": ("loss.pair_weight", float),
     "schedule.kind": ("schedule_kind", str),
@@ -138,7 +139,7 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
         _, parser = _KEYS[key]
         try:
             values[key] = parser(value.strip())  # type: ignore[operator]
-        except ValueError as e:
+        except (ValueError, ConfigError) as e:
             raise ConfigError(f"{path}:{line_no}: bad value for {key!r}: {e}") from None
     return values
 

@@ -33,7 +33,9 @@ from __future__ import annotations
 import csv
 import math
 import os
+import secrets
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -216,16 +218,24 @@ def infer_format(path: str | Path) -> str:
 def save_features(path: str | Path, meta: DatasetMeta, data: PairedBatch) -> None:
     """Write a dataset in the on-disk format its suffix names (`infer_format`).
 
-    A dataset that `load_features` would refuse, for a label outside
-    [0, meta.n_classes) or a value that is not finite as written, raises its
-    `DataError` before the file is opened.
+    A dataset that `load_features` would refuse or read back differently (no
+    pairs, a label outside [0, meta.n_classes), a value that is not finite as
+    written, or in a CSV file, which keeps no class count, a top label other
+    than meta.n_classes - 1) raises a `DataError` before the file is opened.
+    The file replaces `path` in one rename (`_atomic_write`).
     """
     if len(data) != meta.n_pairs:
         raise ShapeError(f"meta says {meta.n_pairs} pairs but data has {len(data)}")
     if data.audio.shape[1] != meta.audio_dim or data.visual.shape[1] != meta.visual_dim:
         raise ShapeError("feature dims do not match the dataset meta")
+    if meta.n_pairs == 0:
+        raise DataError("a dataset needs at least one pair, and this one has none")
     _check_labels(data.labels, meta.n_classes)
     if infer_format(path) == "csv":
+        top = int(data.labels.max())
+        if top != meta.n_classes - 1:
+            raise DataError(f"labels only reach {top}: a CSV file keeps no class count, "
+                            f"so {meta.n_classes} classes would load as {top + 1}")
         _check_finite(data.audio, data.visual)
         _save_csv(Path(path), data)
     else:
@@ -239,6 +249,22 @@ def load_features(path: str | Path) -> tuple[DatasetMeta, PairedBatch]:
     return _load_binary(Path(path))
 
 
+@contextmanager
+def _atomic_write(path: str | Path, mode: str, **open_args):
+    """A temporary file beside `path` that replaces it in one rename when the block ends.
+
+    An error inside the block keeps `path` as it was and removes the temporary file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(tmp, mode, **open_args) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already once the rename succeeded
+
+
 def _save_binary(path: Path, meta: DatasetMeta, data: PairedBatch) -> None:
     header = AVFD_MAGIC + struct.pack(
         "<HIIII", AVFD_VERSION, meta.n_pairs, meta.audio_dim, meta.visual_dim, meta.n_classes
@@ -250,7 +276,7 @@ def _save_binary(path: Path, meta: DatasetMeta, data: PairedBatch) -> None:
         records["visual"] = data.visual
     _check_finite(records["audio"], records["visual"])
     records["label"] = data.labels
-    with open(path, "wb") as f:
+    with _atomic_write(path, "xb") as f:
         f.write(header)
         f.write(records.tobytes())
 
@@ -348,7 +374,7 @@ def _csv_header(audio_dim: int, visual_dim: int) -> list[str]:
 
 
 def _save_csv(path: Path, data: PairedBatch) -> None:
-    with open(path, "w", newline="") as f:
+    with _atomic_write(path, "x", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(_csv_header(data.audio.shape[1], data.visual.shape[1]))
         for i in range(len(data)):

@@ -4,16 +4,16 @@
 
 label_term   : mean Euclidean distance of each labeled projection to its
                one-hot label row, audio and visual terms added.
-triplet_term : cross-modal margin triplets under the normalized distance.
-               Each subset reads one positive mask (labels on the labeled
-               subset, teacher alignment on the soft one) and takes every
-               other cell as a negative; each is reduced as the mean hinge
-               over its triples and the two added. Training reduces batch-all
-               with per-anchor sorts, in blocks of `_ANCHOR_BLOCK` anchor rows,
-               and batch-hard with masked argmax / argmin, never building the
-               triples; a batch-all side holds one n x n count array plus one
-               block's temporaries. The explicit-triples reference it must
-               match lives in tests/oracles.py.
+triplet_term : cross-modal margin triplets under the normalized distance,
+               with audio and visual anchors alike. Each subset reads one
+               positive mask (labels on the labeled subset, teacher alignment
+               on the soft one) and takes every other cell as a negative; each
+               is reduced as the mean hinge over both anchor sides' triples and
+               the two added. Training reduces batch-all with per-anchor sorts,
+               in blocks of `_ANCHOR_BLOCK` anchor rows, and batch-hard with
+               masked argmax / argmin, never building the triples; a batch-all
+               side holds one n x n count array plus one block's temporaries.
+               The explicit-triples reference it must match is in tests/oracles.py.
 pair_term    : mean Euclidean distance between the two projections of each pair.
 
 pair_weight is the only weight: the paper's ablation drops the pair term.
@@ -48,6 +48,7 @@ _ANCHOR_BLOCK = 64
 class LossConfig:
     margin: float = 1.2
     strategy: str = "all"
+    # Only "symmetric": both modalities anchor. Kept while perfbench pins it (ROADMAP 1, 3).
     anchor_mode: str = "symmetric"
     proxy: str = "attention"
     pair_weight: float = 1.0
@@ -57,8 +58,8 @@ class LossConfig:
             raise ConfigError(f"margin must be positive and finite, got {self.margin}")
         if self.strategy not in _STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}, expected {_STRATEGIES}")
-        if self.anchor_mode not in _ANCHOR_MODES:
-            raise ConfigError(f"unknown anchor_mode {self.anchor_mode!r}, expected {_ANCHOR_MODES}")
+        if self.anchor_mode != "symmetric":
+            raise ConfigError(f"anchor_mode must be 'symmetric', got {self.anchor_mode!r}")
         if self.proxy not in _PROXIES:
             raise ConfigError(f"unknown proxy {self.proxy!r}, expected {_PROXIES}")
         if not 0.0 <= self.pair_weight < math.inf:
@@ -269,45 +270,32 @@ def _triplets_one_side(
 
 
 def _batch_triplet_reduce(
-    positive_mask: np.ndarray,
-    dist: np.ndarray,
-    strategy: str,
-    anchor_mode: str,
-    margin: float,
+    positive_mask: np.ndarray, dist: np.ndarray, strategy: str, margin: float
 ) -> tuple[float, np.ndarray]:
-    """Mean hinge over the triples build_triplets would enumerate, and d/d(dist).
+    """Mean hinge over the triples of both anchor sides, and d/d(dist).
 
     Every cell outside `positive_mask` is a negative. The training path's
-    reducer: it equals build_triplets(positive_mask, ~positive_mask, ...)
-    followed by the explicit-triples reference `triplet_terms` in
-    tests/oracles.py, but never materializes the triples, so memory stays
-    O(n^2). Audio anchors read mask and distance rows; visual anchors read
-    the transposes, and their gradient counts are added back transposed.
-    Under "symmetric" the two sides share nothing they write, so they run at
-    once (`nn._overlap`).
+    reducer: it equals build_triplets(positive_mask, ~positive_mask, strategy,
+    "symmetric", dist) followed by the explicit-triples reference
+    `triplet_terms` in tests/oracles.py, but never materializes the triples,
+    so memory stays O(n^2). Audio anchors read mask and distance rows; visual
+    anchors read the transposes, and their gradient counts are added back
+    transposed. The two sides share nothing they write, so they run at once
+    (`nn._overlap`).
     """
     reduce_side = _batch_all_side if strategy == "all" else _batch_hard_side
-
-    def audio() -> tuple[np.ndarray, np.ndarray, int]:
-        return reduce_side(positive_mask, dist, margin)
-
-    def visual() -> tuple[np.ndarray, np.ndarray, int]:
-        hinge, counts, n_triples = reduce_side(positive_mask.T, dist.T, margin)
-        return hinge, counts.T, n_triples
-
-    if anchor_mode == "symmetric":
-        sides = _overlap(audio, visual)
-    else:
-        sides = (audio() if anchor_mode == "audio" else visual(),)
-    n_triples = sum(side_triples for _, _, side_triples in sides)
+    (hinge_a, counts_a, triples_a), (hinge_v, counts_v, triples_v) = _overlap(
+        lambda: reduce_side(positive_mask, dist, margin),
+        lambda: reduce_side(positive_mask.T, dist.T, margin),
+    )
+    n_triples = triples_a + triples_v
     if n_triples == 0:
         return 0.0, np.zeros_like(dist)
     # Audio-then-visual order, so "hard" sums exactly as the reference's mean.
     # The counts are integers (gradient in units of 1 / n_triples), so their
     # sum is exact in any order.
-    value = float(np.concatenate([hinge for hinge, _, _ in sides]).sum() / n_triples)
-    counts = sum(side_counts for _, side_counts, _ in sides)
-    return value, counts * (1.0 / n_triples)
+    value = float(np.concatenate([hinge_a, hinge_v]).sum() / n_triples)
+    return value, (counts_a + counts_v.T) * (1.0 / n_triples)
 
 
 def _batch_all_side(
@@ -468,9 +456,7 @@ def _triplet_term(
     value, d_dist = 0.0, np.zeros_like(dist)
     for idx, pos in subset_positives:
         grid = np.ix_(idx, idx)
-        local_value, d_local = _batch_triplet_reduce(
-            pos, dist[grid], cfg.strategy, cfg.anchor_mode, cfg.margin
-        )
+        local_value, d_local = _batch_triplet_reduce(pos, dist[grid], cfg.strategy, cfg.margin)
         value += local_value
         d_dist[grid] = d_local  # subset grids never overlap
     d_pa, d_pv = _distance_backward(dcache, d_dist)

@@ -131,7 +131,7 @@ class TestTrainFlags:
             "--seed", "4", "--data", "d.avfd", "--out", str(tmp_path),
             "--epochs", "3", "--batch", "5", "--lr", "0.5", "--optimizer", "sgd",
             "--schedule", "linear", "--r-start", "0.9", "--r-end", "0.1",
-            "--strategy", "hard", "--aa", "identity", "--anchor", "visual",
+            "--strategy", "hard", "--aa", "identity",
             "--no-ldis", "--hidden", "7,6", "--dropout", "0.2", "--margin", "0.3",
             "--eval-every", "2",
         ])
@@ -140,9 +140,7 @@ class TestTrainFlags:
         assert (cfg.epochs, cfg.batch_size, cfg.learning_rate) == (3, 5, 0.5)
         assert (cfg.optimizer, cfg.schedule_kind) == ("sgd", "linear")
         assert (cfg.schedule_start, cfg.schedule_end) == (0.9, 0.1)
-        assert (cfg.loss.strategy, cfg.loss.proxy, cfg.loss.anchor_mode) == (
-            "hard", "identity", "visual"
-        )
+        assert (cfg.loss.strategy, cfg.loss.proxy) == ("hard", "identity")
         assert (cfg.loss.pair_weight, cfg.loss.margin) == (0.0, 0.3)
         assert (cfg.hidden_dims, cfg.dropout_rate, cfg.eval_every) == ((7, 6), 0.2, 2)
 
@@ -301,6 +299,20 @@ class TestDataErrors:
         cfg.write_text("loss.proxy_temperature = 1.0\n")
         assert main(["train", "--config", str(cfg)]) == EXIT_DATA
         assert "unknown config key 'loss.proxy_temperature'" in capsys.readouterr().err
+
+    def test_one_sided_anchor_is_refused(self, tmp_path, capsys):
+        # Training always anchors both modalities: the flag is gone, and a
+        # config file's `loss.anchor` takes only "symmetric", refused on its line.
+        argv = SMALL_TRAIN + ["--anchor", "audio", "--out", str(tmp_path / "run")]
+        assert main(argv) == EXIT_USAGE
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("loss.anchor = visual\n")
+        argv = SMALL_TRAIN + ["--config", str(cfg), "--out", str(tmp_path / "run")]
+        assert main(argv) == EXIT_DATA
+        assert "old.cfg:1: bad value for 'loss.anchor': anchor_mode must be 'symmetric'" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "run").exists()
 
     def test_data_format_key_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "old.cfg"

@@ -1,5 +1,7 @@
 """Synthetic generation, on-disk formats, stratified splits, and batching."""
 
+import csv
+import errno
 import struct
 import tracemalloc
 
@@ -369,6 +371,64 @@ class TestSaveValidation:
         with pytest.raises(DataError, match=r"^non-finite feature value at record 3$"):
             save_features(path, meta, data)
         assert path.read_bytes() == b"kept"
+
+    @pytest.mark.parametrize("suffix", ["avfd", "csv"])
+    def test_a_dataset_without_pairs_is_refused(self, tmp_path, suffix):
+        # Both loaders refuse a file that holds no records.
+        path = tmp_path / f"x.{suffix}"
+        path.write_bytes(b"kept")
+        empty = PairedBatch(np.zeros((0, 3)), np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
+        with pytest.raises(DataError, match=r"^a dataset needs at least one pair"):
+            save_features(path, DatasetMeta(n_pairs=0, audio_dim=3, visual_dim=4), empty)
+        assert path.read_bytes() == b"kept"
+
+    @pytest.mark.parametrize("labels, n_classes, message", [
+        ([0, 0, 0, 0, 0], 2, r"^labels only reach 0: .*, so 2 classes would load as 1$"),
+        ([0, 1, 1, 1, 1], 5, r"^labels only reach 1: .*, so 5 classes would load as 2$"),
+    ], ids=["one-label", "short-of-the-count"])
+    def test_a_csv_whose_labels_miss_the_top_class_is_refused(
+        self, tmp_path, labels, n_classes, message
+    ):
+        # A CSV file keeps no class count; a load infers it from the top label.
+        # The binary header keeps the count, so there the same dataset roundtrips.
+        _, data = _tiny_dataset()
+        meta = DatasetMeta(n_pairs=5, audio_dim=3, visual_dim=4, n_classes=n_classes)
+        data = PairedBatch(data.audio, data.visual, np.array(labels))
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"kept")
+        with pytest.raises(DataError, match=message):
+            save_features(path, meta, data)
+        assert path.read_bytes() == b"kept"
+        save_features(tmp_path / "x.avfd", meta, data)
+        assert load_features(tmp_path / "x.avfd")[0] == meta
+
+    def test_a_csv_save_that_fails_part_way_keeps_the_previous_file(
+        self, tmp_path, monkeypatch
+    ):
+        meta, data = _tiny_dataset()
+        path = tmp_path / "x.csv"
+        save_features(path, meta, data)
+        before = path.read_bytes()
+        real_writer = csv.writer
+
+        def disk_fills_after_the_header(f):
+            writer, rows = real_writer(f), []
+
+            class Writer:
+                def writerow(self, row):
+                    if rows:
+                        raise OSError(errno.ENOSPC, "No space left on device")
+                    rows.append(row)
+                    writer.writerow(row)
+
+            return Writer()
+
+        monkeypatch.setattr(csv, "writer", disk_fills_after_the_header)
+        twice = PairedBatch(data.audio * 2.0, data.visual * 2.0, data.labels)
+        with pytest.raises(OSError, match="No space left"):
+            save_features(path, meta, twice)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_a_value_beyond_float32_range_is_refused_in_binary(self, tmp_path):
         # 1e39 is finite as float64 and written as a float32 inf; the CSV

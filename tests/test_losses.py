@@ -68,8 +68,10 @@ class TestLossConfig:
             LossConfig(margin=0.0)
         with pytest.raises(ConfigError):
             LossConfig(strategy="semi-hard")
-        with pytest.raises(ConfigError):
-            LossConfig(anchor_mode="both")
+        # Training always anchors both modalities; the one-sided modes are refused.
+        for mode in ("both", "audio", "visual"):
+            with pytest.raises(ConfigError, match=f"anchor_mode must be 'symmetric', got '{mode}'"):
+                LossConfig(anchor_mode=mode)
         with pytest.raises(ConfigError):
             LossConfig(proxy="mlp")
         with pytest.raises(ConfigError):
@@ -512,12 +514,7 @@ class TestCompositeLoss:
     def test_gradients_survive_grad_check(self):
         _grad_check_composite(LossConfig())
 
-    @pytest.mark.parametrize(
-        "cfg",
-        [LossConfig(strategy="hard"), LossConfig(anchor_mode="audio"),
-         LossConfig(anchor_mode="visual")],
-        ids=["hard", "audio", "visual"],
-    )
+    @pytest.mark.parametrize("cfg", [LossConfig(strategy="hard")], ids=["hard"])
     def test_gradients_survive_grad_check_per_mode(self, cfg):
         _grad_check_composite(cfg)
 
@@ -652,38 +649,39 @@ def _with_distances(rng, pos):
     yield pos, np.round(dist * 4.0) / 4.0, 0.5
 
 
-def _assert_batch_all_matches_explicit_triples(pos, dist, anchor_mode, margin, value, d_dist):
+def _assert_batch_all_matches_explicit_triples(pos, dist, margin, value, d_dist):
     """Bit for bit: each side's hinges, counts and triple count, then the reduced mean and gradient."""
-    sides = {"audio": [(pos, dist)], "visual": [(pos.T, dist.T)]}
-    sides["symmetric"] = sides["audio"] + sides["visual"]
-    for side_pos, side_dist in sides[anchor_mode]:
+    for side_pos, side_dist in ((pos, dist), (pos.T, dist.T)):
         hinge, counts, n_triples = _batch_all_side(side_pos, side_dist, margin)
         ref_hinge, ref_counts, ref_n_triples = explicit_batch_all_side(side_pos, side_dist, margin)
         assert hinge.tobytes() == ref_hinge.tobytes()
         np.testing.assert_array_equal(counts, ref_counts)
         assert n_triples == ref_n_triples
-    ref_value, ref_d_dist = explicit_batch_all(pos, dist, anchor_mode, margin)
+    ref_value, ref_d_dist = explicit_batch_all(pos, dist, "symmetric", margin)
     assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
     assert d_dist.tobytes() == ref_d_dist.tobytes()
 
 
 class TestBatchTripletReducer:
-    """The training path's reducer against the explicit-triples reference."""
+    """The training path's reducer against the explicit-triples reference.
 
-    @pytest.mark.parametrize("anchor_mode", ["audio", "visual", "symmetric"])
+    The reducer always anchors both modalities: the references' "symmetric" mode.
+    """
+
+    @pytest.mark.parametrize("anchor_mode", ["symmetric"])
     def test_all_matches_materialized_triples(self, rng, anchor_mode):
         for pos, dist, margin in _reducer_cases(rng):
-            value, d_dist = _batch_triplet_reduce(pos, dist, "all", anchor_mode, margin)
-            _assert_batch_all_matches_explicit_triples(pos, dist, anchor_mode, margin, value, d_dist)
+            value, d_dist = _batch_triplet_reduce(pos, dist, "all", margin)
+            _assert_batch_all_matches_explicit_triples(pos, dist, margin, value, d_dist)
             trip = build_triplets(pos, ~pos, "all", anchor_mode, dist)
             ref_value, ref_d_dist = triplet_terms(dist, trip, margin)
             assert abs(value - ref_value) <= 1e-12
             np.testing.assert_allclose(d_dist, ref_d_dist, rtol=0.0, atol=1e-15)
 
-    @pytest.mark.parametrize("anchor_mode", ["audio", "visual", "symmetric"])
+    @pytest.mark.parametrize("anchor_mode", ["symmetric"])
     def test_hard_is_bit_identical_to_materialized_triples(self, rng, anchor_mode):
         for pos, dist, margin in _reducer_cases(rng):
-            value, d_dist = _batch_triplet_reduce(pos, dist, "hard", anchor_mode, margin)
+            value, d_dist = _batch_triplet_reduce(pos, dist, "hard", margin)
             trip = build_triplets(pos, ~pos, "hard", anchor_mode, dist)
             ref_value, ref_d_dist = triplet_terms(dist, trip, margin)
             assert value == ref_value
@@ -694,7 +692,7 @@ class TestBatchTripletReducer:
         pos = np.array([[True, False], [False, True]])
         dist = np.array([[0.25, 0.75], [0.75, 0.25]])
         for strategy in ("all", "hard"):
-            value, d_dist = _batch_triplet_reduce(pos, dist, strategy, "symmetric", 0.5)
+            value, d_dist = _batch_triplet_reduce(pos, dist, strategy, 0.5)
             assert value == 0.0
             assert not d_dist.any()
 
@@ -735,10 +733,13 @@ def _triplet_set(triples):
 
 
 class TestTieHeavyReducer:
-    """Tied distances, duplicate rows and degenerate anchors, on one CPU and on two."""
+    """Tied distances, duplicate rows and degenerate anchors, on one CPU and on two.
+
+    The reducer always anchors both modalities: the triple loops' "symmetric" mode.
+    """
 
     @pytest.mark.parametrize("strategy", ["all", "hard"])
-    @pytest.mark.parametrize("anchor_mode", ["audio", "visual", "symmetric"])
+    @pytest.mark.parametrize("anchor_mode", ["symmetric"])
     def test_matches_the_triple_loop_bytewise_across_cpus(
         self, rng, usable_cpus, strategy, anchor_mode
     ):
@@ -754,14 +755,12 @@ class TestTieHeavyReducer:
                 runs = []
                 for cpus in (1, 2):
                     usable_cpus(cpus)
-                    runs.append(_batch_triplet_reduce(pos, dist, strategy, anchor_mode, margin))
+                    runs.append(_batch_triplet_reduce(pos, dist, strategy, margin))
                 (value, d_dist), (value_2, d_dist_2) = runs
                 assert np.float64(value).tobytes() == np.float64(value_2).tobytes()
                 assert d_dist.tobytes() == d_dist_2.tobytes()
                 if strategy == "all":
-                    _assert_batch_all_matches_explicit_triples(
-                        pos, dist, anchor_mode, margin, value, d_dist
-                    )
+                    _assert_batch_all_matches_explicit_triples(pos, dist, margin, value, d_dist)
                 cfg = LossConfig(proxy="identity", margin=margin)
                 assert abs(value - slow_triplet_loss(audio, visual, trip, cfg)) <= 1e-9
                 _, ref_d_dist = triplet_terms(dist, trip, margin)

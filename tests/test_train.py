@@ -156,6 +156,26 @@ class TestTrainLoop:
         for p, q in zip(seen["model"].parameters(), seen["before"]):
             np.testing.assert_array_equal(p, q)
 
+    def test_non_finite_loss_stops_before_the_optimizer(self, monkeypatch):
+        # Output biases of +-1.3e154 on coordinate 0 keep the embeddings, their
+        # norms and the attention logits finite, but the pair distance overflows.
+        train_module = importlib.import_module("avdistill.train")
+        seen = {}
+
+        def overflowing_outputs(config, meta):
+            model = build_model(config, meta)
+            model.audio.parameters()[-1][0] = 1.3e154
+            model.visual.parameters()[-1][0] = -1.3e154
+            seen["model"], seen["before"] = model, [p.copy() for p in model.parameters()]
+            return model
+
+        monkeypatch.setattr(train_module, "build_model", overflowing_outputs)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError, match=r"^non-finite loss at epoch 0 batch 0: "):
+                train(_config())
+        for p, q in zip(seen["model"].parameters(), seen["before"], strict=True):
+            np.testing.assert_array_equal(p, q)
+
     def test_triplet_distance_failure_names_its_phase(self, monkeypatch):
         # Zero output layers give zero embeddings: the triplet distances
         # cannot normalize them, and the failure says so, apart from the
@@ -263,7 +283,7 @@ class TestConfigFile:
             "\n"
             "train.lr = 0.01\n"
             "model.hidden = 32,16\n"
-            "loss.anchor = audio\n"
+            "loss.anchor = symmetric\n"
             "synthetic.classes = 4\n"
             "schedule.kind = cosine\n"
             "eval.ks = 1,5\n"
@@ -274,7 +294,7 @@ class TestConfigFile:
         cfg = build_run_config(values)
         assert cfg.learning_rate == 0.01
         assert cfg.hidden_dims == (32, 16)
-        assert cfg.loss.anchor_mode == "audio"
+        assert cfg.loss.anchor_mode == "symmetric"
         assert cfg.synthetic.n_classes == 4
         assert cfg.schedule_kind == "cosine"
         assert cfg.eval_ks == (1, 5)
