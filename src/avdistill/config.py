@@ -1,13 +1,14 @@
 """Run configuration: defaults, flat `key = value` config files, CLI overrides.
 
 Config files hold one dotted key per line (`loss.margin = 1.2`); blank lines
-and `#` comments are ignored. Each value is parsed as it is read, so an
-unknown key or a bad value names its file and line. Command-line flags
-override file values, which override the built-in defaults; every group
-checks its own values when the config is built, and no numeric setting may
-be NaN or infinite. The defaults mirror the reference training
-setup: three 1024-unit hidden layers, dropout 0.1, Adam at 1e-4, batch 400,
-1000 epochs, margin 1.2, step schedule from 1.0 down to 0.2 in five plateaus.
+and `#` comments are ignored. An unknown key, a value that does not parse
+and, once the file's values are checked together, a refused value each name
+their file and line. Command-line flags override file values, which override
+the built-in defaults; every group checks its own values when the config is
+built, and no numeric setting may be NaN or infinite. The defaults mirror the
+reference training setup: three 1024-unit hidden layers, dropout 0.1, Adam at
+1e-4, batch 400, 1000 epochs, margin 1.2, step schedule from 1.0 down to 0.2
+in five plateaus.
 """
 
 from __future__ import annotations
@@ -99,8 +100,7 @@ _KEYS: dict[str, tuple[str, object]] = {
     "model.dropout": ("dropout_rate", float),
     "loss.margin": ("loss.margin", float),
     "loss.strategy": ("loss.strategy", str),
-    # Checked as it is read, so a refused mode names its line.
-    "loss.anchor": ("loss.anchor_mode", lambda text: LossConfig(anchor_mode=text).anchor_mode),
+    "loss.anchor": ("loss.anchor_mode", str),
     "loss.proxy": ("loss.proxy", str),
     "loss.pair_weight": ("loss.pair_weight", float),
     "schedule.kind": ("schedule_kind", str),
@@ -122,6 +122,7 @@ _KEYS: dict[str, tuple[str, object]] = {
 def parse_config_file(path: str | Path) -> dict[str, object]:
     """Read typed key/value pairs; syntax, unknown-key and bad-value errors name the line."""
     values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     try:
         text = Path(path).read_text()
     except OSError as e:
@@ -138,9 +139,19 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
             raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
         _, parser = _KEYS[key]
         try:
-            values[key] = parser(value.strip())  # type: ignore[operator]
-        except (ValueError, ConfigError) as e:
+            values[key], lines[key] = parser(value.strip()), line_no  # type: ignore[operator]
+        except ValueError as e:
             raise ConfigError(f"{path}:{line_no}: bad value for {key!r}: {e}") from None
+    # A refusal names the line after which the file's leading values stay refused.
+    error, keys = None, sorted(values, key=lines.__getitem__)
+    for n in range(len(keys), 0, -1):
+        try:
+            build_run_config({k: values[k] for k in keys[:n]})
+            break
+        except ConfigError as e:
+            error, key = e, keys[n - 1]
+    if error:
+        raise ConfigError(f"{path}:{lines[key]}: bad value for {key!r}: {error}") from None
     return values
 
 

@@ -20,7 +20,8 @@ other dtype into float64. So the generator and the binary loader hand over
 float32 arrays, half the bytes of float64 ones with every bit kept, and the
 CSV loader float64 ones. The towers compute in float64 whatever they are
 given: a training forward widens its batch into an input block the tower
-keeps, and an inference forward one row chunk at a time (see `model.Tower`).
+keeps, and an inference forward one row chunk at a time into a chunk-sized
+slot (see `model.Tower`).
 float32 widens to float64 exactly, so both kinds of input give the same bits.
 
 A binary load reads its records in blocks of about `_READ_BYTES` and copies

@@ -9,27 +9,28 @@ holds their weights and biases and writes out their forward and backward.
 The towers share no state, so a training-mode `TwoTowerModel.encode` and
 `backward` run the audio tower on a worker thread while the caller runs the
 visual tower (see `nn._overlap`). An inference encode runs the towers one
-after the other and splits each tower's hidden layers by rows instead: the
-worker runs the first half of the rows and the caller the rest, each half in
-equal chunks of at most `_CHUNK` rows through a chunk-sized buffer, and the
-narrow last layer runs once over all rows. So only one full-height activation
-is held: a 4000-row reference forward peaks at 39 MiB under tracemalloc,
-where two full-height activations took 63 MiB. Nor is the input widened at
-full height: layer 0 reads each chunk from the buffer it does not write,
-into which the chunk's feature rows are first copied as float64. So a
-float32 input (see `data.PairedBatch`) is never held as float64 beyond one
-chunk, and gives the same bits as its float64 copy, since widening is exact.
+after the other and splits each tower's rows instead: the worker runs the
+first half of the rows and the caller the rest, each half in equal chunks of
+at most `_CHUNK` rows. Each chunk runs through every layer, its activations
+alternating between two chunk-sized slots, and its prediction layer writes
+its rows of the output. So no activation is held at full height: a 4000-row
+reference forward peaks at 16 MiB under tracemalloc, where a full-height
+activation and two slots took 39 MiB. Nor is the input widened at full
+height: each chunk's feature rows are copied as float64 into the slot layer
+0 reads, so a float32 input (see `data.PairedBatch`) gives the same bits as
+its float64 copy, since widening is exact.
 The split depends on the row count alone, so an encode gives the same bits
 on any number of CPUs. A half or chunk takes the same BLAS product as the
 whole wherever both pick the same kernel: halves keep two or more rows,
 because a one-row product goes through numpy's matrix-vector path, which
-rounds differently. OpenBLAS may still give a small chunk its small-matrix
-kernel, which sums a layer deeper than its block depth in another order; on
-an AVX-512 build that changed bits for 512-deep layers at some row counts,
-never for the 128- and 1024-deep layers of the reference model. The last
-layer stays whole for the same reason: with OpenBLAS 0.3.31, row chunks of a
-1024 -> 10 product (128-row chunks of 4000 rows; 128-, 256- and 512-row
-chunks of 600) differed from the whole product.
+rounds differently. OpenBLAS 0.3.31 gives a product whose rows x columns x
+depth falls below about 1e6 its small-matrix kernel, which sums in another
+order. So a chunk of the 1024 -> 10 prediction layer keeps the whole
+product's bits from about 98 rows up (encodes of 196 rows or more); a
+shorter one, as in the 80- and 160-row teacher passes of the default
+schedule, rounds as its chunk does. On an AVX-512 build, 512-deep hidden
+layers changed bits at some row counts; the reference model's 128- and
+1024-deep ones never did.
 
 Training runs in buffers each tower keeps between steps; a model that only
 runs inference allocates none of them. The first training forward allocates,
@@ -60,10 +61,10 @@ from .nn import DTYPE, SeedLike, _overlap, he_uniform, seed_list, xavier_uniform
 
 _AUDIO_TAG = 0
 _VISUAL_TAG = 1
-# An inference forward runs each row half's hidden layers over equal chunks of
-# at most this many rows, so no chunk is a short tail: the 400-row teacher pass
-# and the 600-pair evaluations in training run one chunk per half, and a
-# 4000-row encode four 500-row chunks per half.
+# An inference forward runs each row half through every layer in equal chunks
+# of at most this many rows, so no chunk is a short tail: the teacher pass
+# (at most 400 rows) and the 600-pair evaluations in training run one chunk
+# per half, and a 4000-row encode four 500-row chunks per half.
 _CHUNK = 512
 
 
@@ -134,9 +135,9 @@ class Tower:
     `backward` writes into one gradient array per parameter, allocated on its
     first call, and returns them; they stay valid until the next `backward`.
     An inference forward leaves the cache and these buffers alone, so a side
-    evaluation never invalidates a pending backward, and runs its hidden layers
-    in row chunks (see `_hidden_in_place`), the first half of the rows on the
-    `_overlap` worker and the rest on the caller.
+    evaluation never invalidates a pending backward, and runs in row chunks
+    (see `_infer_chunks`), the first half of the rows on the `_overlap` worker
+    and the rest on the caller.
     """
 
     def __init__(self, spec: TowerSpec, params: list[np.ndarray]) -> None:
@@ -189,42 +190,33 @@ class Tower:
                 f"input shape {h.shape} does not match tower input dim {self.spec.input_dim}"
             )
         rows, last = h.shape[0], len(self.spec.hidden_dims)
-        if training:
-            self._reserve(rows)
-            np.copyto(self._input[:rows], h)
-            h = self._input[:rows]
-            base, rate = seed_base or [0], self.spec.dropout_rate
-            for i, d in enumerate(self.spec.hidden_dims):
-                out, keep = self._outputs[i][:rows], None
-                np.matmul(h, self._params[2 * i], out=out)
-                out += self._params[2 * i + 1]
-                if rate > 0.0:
-                    draw = self._scratch[0][: rows * d].reshape(rows, d)
-                    np.random.default_rng([*base, i]).random(out=draw)
-                    keep = np.greater_equal(draw, rate, out=self._keeps[i][:rows])
-                _relu_dropout(out, keep, 1.0 / (1.0 - rate))
-                self._cache[i] = (h, keep, out)
-                h = out
-        else:
-            # Layers L-1, L-3, ... write full-height rows of `hidden`, the rest
-            # one chunk-sized slot per thread, and the input chunk goes where
-            # layer 0 does not write (see `_hidden_in_place`). A layer narrower
-            # than its buffer writes the leading columns of its rows.
-            # The widths a chunk holds: its input, then each hidden layer's output.
-            widths = (self.spec.input_dim, *self.spec.hidden_dims)
-            hidden = np.empty((rows, max(widths[::-2])), dtype=DTYPE)
+        if not training:
+            out = np.empty((rows, self.spec.output_dim), dtype=DTYPE)
             # A one-row half would take numpy's matrix-vector product, which
             # rounds differently; below 4 rows the caller runs them all.
             split = rows // 2 if rows >= 4 else 0
             _overlap(
-                lambda: self._hidden_in_place(h[:split], hidden[:split]),
-                lambda: self._hidden_in_place(h[split:], hidden[split:]),
+                lambda: self._infer_chunks(h[:split], out[:split]),
+                lambda: self._infer_chunks(h[split:], out[split:]),
             )
-            h = hidden[:, : widths[-1]]
-        # A fresh array: the output must not alias `hidden`.
+            return out
+        self._reserve(rows)
+        np.copyto(self._input[:rows], h)
+        h = self._input[:rows]
+        base, rate = seed_base or [0], self.spec.dropout_rate
+        for i, d in enumerate(self.spec.hidden_dims):
+            out, keep = self._outputs[i][:rows], None
+            np.matmul(h, self._params[2 * i], out=out)
+            out += self._params[2 * i + 1]
+            if rate > 0.0:
+                draw = self._scratch[0][: rows * d].reshape(rows, d)
+                np.random.default_rng([*base, i]).random(out=draw)
+                keep = np.greater_equal(draw, rate, out=self._keeps[i][:rows])
+            _relu_dropout(out, keep, 1.0 / (1.0 - rate))
+            self._cache[i] = (h, keep, out)
+            h = out
         out = h @ self._params[2 * last] + self._params[2 * last + 1]
-        if training:
-            self._cache[last] = (h, None, out)
+        self._cache[last] = (h, None, out)
         return out
 
     def _reserve(self, rows: int) -> None:
@@ -240,38 +232,33 @@ class Tower:
         self._keeps = [np.empty((rows, d), dtype=bool) for d in widths]
         self._scratch = [np.empty(rows * max(widths), dtype=DTYPE) for _ in range(2)]
 
-    def _hidden_in_place(self, x: np.ndarray, hidden: np.ndarray) -> None:
-        """Run rows `x` through the hidden layers without dropout, the last one writing `hidden`.
+    def _infer_chunks(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Run rows `x` through every layer without dropout, writing their outputs to `out`.
 
         The rows run in equal chunks of at most `_CHUNK`, each through every
-        layer before the next chunk starts. Layer i of a chunk writes the
-        chunk's rows of `hidden` when an even number of layers follow it, and
-        otherwise one slot that the chunks reuse, so the two alternate and
-        the last hidden layer lands in `hidden`. Layer 0 reads the chunk from
-        the buffer it does not write: the slot when the hidden-layer count is
-        odd, the chunk's rows of `hidden` when it is even. `np.copyto` widens
-        the chunk's rows of `x` into it, so a float32 `x` is widened one chunk
-        at a time, with no temporary. Both buffers are sized over every width
-        they hold, the input's included; at the reference shapes (128 or
-        1024 inputs, three 1024-wide layers) the input adds no width.
+        layer before the next chunk starts. A chunk's input and hidden
+        activations alternate between two slots, each as wide as the widest
+        entry it holds; a narrower one writes the leading columns. `np.copyto`
+        widens the chunk's rows of `x` into the first slot, with no temporary.
         """
         # The widths a chunk holds: its input, then each hidden layer's output.
         widths, rows = (self.spec.input_dim, *self.spec.hidden_dims), x.shape[0]
         n_chunks = max(1, -(-rows // _CHUNK))
         bounds = [rows * c // n_chunks for c in range(n_chunks + 1)]
-        slot = np.empty((-(-rows // n_chunks), max(widths[-2::-2])), dtype=DTYPE)
+        slots = [
+            np.empty((-(-rows // n_chunks), max(widths[k::2])), dtype=DTYPE) for k in (0, 1)
+        ]
+        w, b = self._params[-2:]
         for lo, hi in zip(bounds, bounds[1:]):
-            # Entry k (the input, then each layer's output) is held in `hidden`
-            # when an even number of entries follow it, otherwise in the slot.
-            held = [
-                hidden[lo:hi, :d] if (len(widths) - k) % 2 else slot[: hi - lo, :d]
-                for k, d in enumerate(widths)
-            ]
+            # Entry k (the input, then each layer's output) is held in slot k % 2.
+            held = [slots[k % 2][: hi - lo, :d] for k, d in enumerate(widths)]
             np.copyto(held[0], x[lo:hi])
-            for i, (h, out) in enumerate(zip(held, held[1:])):
-                np.matmul(h, self._params[2 * i], out=out)
-                out += self._params[2 * i + 1]
-                np.maximum(out, 0.0, out=out)
+            for i, (h, o) in enumerate(zip(held, held[1:])):
+                np.matmul(h, self._params[2 * i], out=o)
+                o += self._params[2 * i + 1]
+                np.maximum(o, 0.0, out=o)
+            np.matmul(held[-1], w, out=out[lo:hi])
+            out[lo:hi] += b
 
     def backward(self, upstream: np.ndarray) -> list[np.ndarray]:
         """Push a gradient through the cached training forward; returns [dw0, db0, ...].
@@ -364,7 +351,7 @@ class TwoTowerModel:
         """
         if not training:
             # Each forward splits its rows over both cores; in sequence, only
-            # one tower's activation block is alive at a time.
+            # one tower's chunk slots are alive at a time.
             audio = self.audio.forward(batch.audio)
             return EmbeddingBatch(audio, self.visual.forward(batch.visual))
         base = seed_list(step_seed)

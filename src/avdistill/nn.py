@@ -16,8 +16,8 @@ work at once: one on a persistent worker thread, one on the caller. These
 pairs go through it, and none nests another:
 
 - the two towers' training forward and backward (model.py);
-- the two row halves of a tower's inference hidden layers, each run in row
-  chunks (model.py);
+- the two row halves of a tower's inference forward, each run in row chunks
+  through every layer, the prediction layer included (model.py);
 - the first and second halves of every tensor in Adam's walk (below);
 - the audio-anchor and visual-anchor sides of the triplet reducer (losses.py);
 - the audio and visual proxies' forward and backward (losses.py);

@@ -294,6 +294,18 @@ class TestDataErrors:
         assert main(["train", "--config", str(cfg)]) == EXIT_DATA
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, raw", [("loss.strategy", "bogus"), ("train.batch", "1"), ("loss.margin", "-1")]
+    )
+    def test_value_its_group_refuses_names_its_line(self, key, raw, tmp_path, capsys):
+        # Each value parses; its group refuses it when the config is built.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {raw}\n")
+        argv = SMALL_TRAIN + ["--config", str(cfg), "--out", str(tmp_path / "run")]
+        assert main(argv) == EXIT_DATA
+        assert f"bad.cfg:1: bad value for '{key}': " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_removed_loss_knob_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "old.cfg"
         cfg.write_text("loss.proxy_temperature = 1.0\n")

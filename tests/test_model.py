@@ -25,7 +25,7 @@ from avdistill import (
     load_checkpoint,
     save_checkpoint,
 )
-from avdistill.model import Tower
+from avdistill.model import _CHUNK, Tower
 from avdistill.nn import Adam
 
 from oracles import dense_backward, dense_forward
@@ -43,6 +43,32 @@ def _oracle_forward(tower: Tower, x: np.ndarray, rate: float, seed_base: list[in
         cache.append((h, pre, mask))
         h = out
     return h, cache
+
+
+def _chunk_bounds(rows: int) -> list[tuple[int, int]]:
+    """The row ranges of an inference forward's chunks: two row halves, each in equal chunks."""
+    split = rows // 2 if rows >= 4 else 0
+    ranges = []
+    for lo, hi in ((0, split), (split, rows)):
+        n = max(1, -(-(hi - lo) // _CHUNK))
+        cuts = [lo + (hi - lo) * c // n for c in range(n + 1)]
+        ranges += zip(cuts, cuts[1:])
+    return ranges
+
+
+def _inference_oracle(tower: Tower, x: np.ndarray) -> np.ndarray:
+    """The chained oracles' inference output, the prediction layer run over the engine's chunks.
+
+    The hidden layers stay whole products. A prediction-layer product short
+    enough for OpenBLAS's small-matrix kernel rounds as its row chunk does,
+    not as the whole product, so the oracle takes the engine's chunks there.
+    """
+    _, cache = _oracle_forward(tower, x, 0.0, [0])
+    h, w, b = cache[-1][0], *tower.parameters()[-2:]
+    out = np.empty((x.shape[0], w.shape[1]))
+    for lo, hi in _chunk_bounds(x.shape[0]):
+        out[lo:hi] = dense_forward(h[lo:hi], w, b, "identity", 0.0, [0])[0]
+    return out
 
 
 def _oracle_backward(tower: Tower, cache: list, upstream: np.ndarray) -> list[np.ndarray]:
@@ -241,18 +267,18 @@ class TestTower:
         # Odd row counts split into unequal halves; below 4 rows nothing is
         # split. A half of up to 512 rows runs as one chunk; 513 and 1025 rows
         # per half run as two and three equal chunks. Layer 0 reads each chunk
-        # from the buffer it does not write, `hidden` for an even layer count
-        # and the slot for an odd one; the narrow towers' 6-d input is wider
-        # than every layer, so it sets that buffer's width.
+        # from the first slot, which also holds the even layers' outputs; the
+        # narrow towers' 6-d input is wider than every layer, so it sets that
+        # slot's width.
         tower = Tower.build(TowerSpec(6, 3, hidden, 0.1), np.random.default_rng(0))
         x = rng.standard_normal((rows, 6))
         out = tower.forward(x)
         assert out.shape == (rows, 3)
-        assert np.array_equal(out, _oracle_forward(tower, x, 0.0, [0])[0])
+        assert np.array_equal(out, _inference_oracle(tower, x))
         # float32 rows give the bits of their exact float64 copy.
         narrow = x.astype(np.float32)
         wide = narrow.astype(np.float64)
-        assert np.array_equal(tower.forward(narrow), _oracle_forward(tower, wide, 0.0, [0])[0])
+        assert np.array_equal(tower.forward(narrow), _inference_oracle(tower, wide))
 
     def test_wide_inference_matches_chained_oracle(self, rng):
         # The reference audio tower at an odd row count: its 1024-wide products
@@ -279,7 +305,7 @@ class TestTower:
         second = tower.forward(y)
         assert np.array_equal(first, kept)
         assert not np.shares_memory(first, second)
-        assert np.array_equal(second, _oracle_forward(tower, y, 0.0, [0])[0])
+        assert np.array_equal(second, _inference_oracle(tower, y))
 
     def test_inference_between_forward_and_backward_keeps_gradients(self, rng):
         tower = Tower.build(TowerSpec(6, 3, (8, 32, 16), 0.1), np.random.default_rng(0))
@@ -341,23 +367,39 @@ class TestTower:
             assert peak < 2**20, dtype
 
     def test_inference_forward_holds_two_activations(self, rng):
-        # At most: the full-height `hidden` activation, and one chunk-sized
-        # slot per row half. At 1000 rows each half is one 500-row chunk, two
-        # activations in all; at 4000 rows each half runs four 500-row chunks,
-        # 1.25 activations. The output is a fresh array of 4 columns, so
-        # holding it keeps nothing else alive.
+        # At most two chunk-sized slots per row half, and no full-height
+        # block. At 1000 rows each half is one 500-row chunk, so the four
+        # slots add up to two activations; at 4000 rows each half runs four
+        # 500-row chunks through its two slots, half an activation. Either
+        # thread may also hold a numpy ufunc buffer (`np.getbufsize()` float64
+        # values) at the peak, besides a few KiB of small objects. The output
+        # is a fresh array of 4 columns, so holding it keeps nothing else alive.
         tower = Tower.build(TowerSpec(64, 4, (512, 512, 512)), rng)
-        for rows, activations in ((1000, 2.0), (4000, 1.25)):
+        slot, slack = 500 * 512 * 8, 2 * 8 * np.getbufsize() + 2**15
+        for rows in (1000, 4000):
             x = rng.standard_normal((rows, 64))
-            activation = rows * 512 * 8
             tracemalloc.start()
             try:
                 out = tower.forward(x)
                 held, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= activations * activation + activation // 16
+            assert peak <= 4 * slot + out.nbytes + slack
             assert held <= 2 * out.nbytes
+
+    @pytest.mark.parametrize("rows", [320, 600, 3999, 4000])
+    def test_reference_chunks_round_as_the_whole_products(self, rng, reference_model, rows):
+        # The teacher pass (320 rows at a batch of 400 and fraction 0.2 is
+        # the soft subset's size), the 600-pair evaluations in training and
+        # eval-4k: at the reference shapes every chunk of every layer, the
+        # 1024 -> 10 prediction layer included, keeps the bits of the whole
+        # product, for float32 and float64 features alike.
+        for tower in (reference_model.audio, reference_model.visual):
+            narrow = rng.standard_normal((rows, tower.spec.input_dim)).astype(np.float32)
+            wide = narrow.astype(np.float64)
+            want = _oracle_forward(tower, wide, 0.0, [0])[0]
+            assert np.array_equal(tower.forward(narrow), want)
+            assert np.array_equal(tower.forward(wide), want)
 
 
 def _rows(n: int, audio_dim: int = 6, visual_dim: int = 9) -> PairedBatch:
@@ -374,8 +416,8 @@ class TestTowerOverlap:
     def test_encode_matches_serial(self, small_model, usable_cpus, monkeypatch, rows, training):
         batch = _rows(rows)
         calls = []
-        # Training overlaps whole towers; inference splits each tower's hidden rows.
-        name = "forward" if training else "_hidden_in_place"
+        # Training overlaps whole towers; inference splits each tower's rows.
+        name = "forward" if training else "_infer_chunks"
         method = getattr(Tower, name)
 
         def spy(tower, *args, **kwargs):
@@ -400,21 +442,24 @@ class TestTowerOverlap:
         assert np.array_equal(serial.visual, overlapped.visual)
 
     def test_inference_encode_holds_one_towers_block(self, rng, usable_cpus):
-        # The towers run one after the other, each over both cores, so one
-        # tower's two-activation block is alive at a time, not two.
+        # The towers run one after the other, each over both cores, so only
+        # one tower's chunk slots are alive at a time: two 500-row slots per
+        # row half at 4000 rows, and no full-height block. The slack is as in
+        # `test_inference_forward_holds_two_activations`.
         usable_cpus(2)
         spec = TowerSpec(64, 4, (512, 512, 512))
         model = TwoTowerModel.create(spec, spec, seed=0)
-        batch = PairedBatch(rng.standard_normal((1000, 64)), rng.standard_normal((1000, 64)),
-                            rng.integers(0, 4, size=1000))
-        activation = 1000 * 512 * 8
+        batch = PairedBatch(rng.standard_normal((4000, 64)), rng.standard_normal((4000, 64)),
+                            rng.integers(0, 4, size=4000))
+        slot, outputs, slack = 500 * 512 * 8, 2 * 4000 * 4 * 8, 2 * 8 * np.getbufsize() + 2**15
+        model.encode(_rows(4, 64, 64))  # the worker thread's first-use allocations
         tracemalloc.start()
         try:
             model.encode(batch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * activation + activation // 4
+        assert peak <= 4 * slot + outputs + slack
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 511, 512, 513, 1024, 1025, 1599])
     def test_float32_encode_matches_its_float64_copy(

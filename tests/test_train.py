@@ -324,6 +324,27 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=r"run\.cfg:2: bad value for 'train.epochs'"):
             parse_config_file(path)
 
+    def test_values_are_checked_together_and_a_refusal_names_its_line(self, tmp_path):
+        # A start of 0.1 alone is refused against the default end of 0.2; the
+        # end on the next line mends it.
+        path = tmp_path / "run.cfg"
+        path.write_text("schedule.start = 0.1\nschedule.end = 0.05\n")
+        assert build_run_config(parse_config_file(path)).schedule_start == 0.1
+        path.write_text("schedule.start = 0.1\ntrain.lr = 0.5\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:1: bad value for 'schedule\.start'"):
+            parse_config_file(path)
+        # The line named is the last one after which the file stays refused.
+        path.write_text(
+            "schedule.start = 0.1\nschedule.end = 0.05\n# comment\n"
+            "train.batch = 1\ntrain.lr = 0.5\n"
+        )
+        with pytest.raises(ConfigError, match=r"run\.cfg:4: bad value for 'train\.batch': batch"):
+            parse_config_file(path)
+        # A repeated key counts from its last line.
+        path.write_text("train.batch = 8\ntrain.lr = 0.5\ntrain.batch = 1\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:3: bad value for 'train\.batch'"):
+            parse_config_file(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config file"):
             parse_config_file(tmp_path / "absent.cfg")
