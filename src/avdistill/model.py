@@ -35,18 +35,19 @@ layers changed bits at some row counts; the reference model's 128- and
 Training runs in buffers each tower keeps between steps; a model that only
 runs inference allocates none of them. The first training forward allocates,
 per tower a float64 input block into which each training batch is widened,
-per hidden layer an output block and a one-byte keep mask, and per tower two
-flat float scratch blocks (the dropout draw, then the backward's running
-gradient), all sized to the largest batch seen so far; a shorter batch uses
-their leading rows. The training cache holds each layer's input, keep mask
-and output, and nothing else: the backward rebuilds the ReLU mask as
-`output > 0`, which equals `pre > 0` wherever a unit was kept, and a dropped
-unit's gradient is ±0 (or NaN) whatever that mask says. The first backward
-allocates one gradient array per parameter tensor and every backward writes
-into them, so the gradients it returns stay valid only until the next
-backward. After its first step, a 400-row reference training step (encode,
-backward and Adam) allocates 1.0 MiB under tracemalloc, where fresh arrays
-took 106 MiB, and its results keep their bits.
+and per hidden layer an output block and a one-byte keep mask, all sized to
+the largest batch seen so far; a shorter batch uses their leading rows. A
+layer's dropout draw lands in its output block before its product does. The
+training cache holds each layer's input and keep mask, and nothing else. A
+backward consumes its forward: it reads each hidden output's ReLU mask as
+`output > 0`, which equals `pre > 0` wherever a unit was kept (a dropped
+unit's gradient is ±0 or NaN whatever that mask says), then writes the
+gradient at that output into its block. The first backward allocates one
+gradient array per parameter tensor and every backward writes into them, so
+the gradients it returns stay valid only until the next backward. After its
+first step, a 400-row reference training step (encode, backward and Adam)
+allocates 0.9 MiB under tracemalloc, mostly its two towers' boolean ReLU
+masks, where fresh arrays took 106 MiB, and its results keep their bits.
 """
 
 from __future__ import annotations
@@ -109,31 +110,35 @@ def _relu_dropout(pre: np.ndarray, keep: np.ndarray | None, scale: float) -> Non
 
 
 def _relu_dropout_grad(
-    grad: np.ndarray, keep: np.ndarray | None, out: np.ndarray, scale: float
+    grad: np.ndarray, keep: np.ndarray | None, relu: np.ndarray, scale: float
 ) -> None:
-    """Turn the gradient at hidden output `out` into the one at its pre-activation, in place.
+    """Turn the gradient at a hidden output into the one at its pre-activation, in place.
 
-    The ReLU mask is rebuilt as `out > 0`. Where a unit was kept this equals
-    `pre > 0`: a scale >= 1 rounds no positive value to 0, and NaN compares
-    False either way. Where a unit was dropped the gradient is already ±0 or
-    NaN, which either mask leaves as it is.
+    `relu` is the ReLU mask read off the output, `out > 0`. Where a unit was
+    kept this equals `pre > 0`: a scale >= 1 rounds no positive value to 0,
+    and NaN compares False either way. Where a unit was dropped the gradient
+    is already ±0 or NaN, which either mask leaves as it is. The mask comes
+    last, so a finite gradient that the scale overflows turns NaN where the
+    unit is off.
     """
     if keep is not None:
         np.multiply(grad, keep, out=grad)
         grad *= scale
-    np.multiply(grad, out > 0.0, out=grad)
+    np.multiply(grad, relu, out=grad)
 
 
 class Tower:
     """One modality's encoder: ReLU hidden layers with inverted dropout, then a linear layer.
 
     The tower holds its flat [w0, b0, w1, b1, ...] parameter list. A
-    training-mode forward caches (input, keep mask, output) per layer for
-    backward; the keep mask is None where no dropout applies. Hidden outputs
-    and keep masks live in buffers the first training forward allocates and
-    later ones reuse, growing them only for a batch larger than any before.
-    `backward` writes into one gradient array per parameter, allocated on its
-    first call, and returns them; they stay valid until the next `backward`.
+    training-mode forward caches (input, keep mask) per layer for backward;
+    the keep mask is None where no dropout applies. Hidden outputs and keep
+    masks live in buffers the first training forward allocates and later
+    ones reuse, growing them only for a batch larger than any before.
+    `backward` consumes the cache: it writes the gradient at each hidden
+    output into that output's block. It writes into one gradient array per
+    parameter, allocated on its first call, and returns them; they stay
+    valid until the next `backward`.
     An inference forward leaves the cache and these buffers alone, so a side
     evaluation never invalidates a pending backward, and runs in row chunks
     (see `_infer_chunks`), the first half of the rows on the `_overlap` worker
@@ -145,12 +150,10 @@ class Tower:
         self._params = params
         self._cache: list[tuple | None] = [None] * len(spec.layer_dims)
         # Training buffers: the float64 input, per hidden layer an output block
-        # and a keep mask, two flat scratch blocks, and the gradients (see
-        # `_reserve`, `backward`).
+        # and a keep mask, and the gradients (see `_reserve`, `backward`).
         self._input = np.empty((0, spec.input_dim), dtype=DTYPE)
         self._outputs: list[np.ndarray] = []
         self._keeps: list[np.ndarray] = []
-        self._scratch: list[np.ndarray] = []
         self._grads: list[np.ndarray] = []
 
     @classmethod
@@ -204,25 +207,25 @@ class Tower:
         np.copyto(self._input[:rows], h)
         h = self._input[:rows]
         base, rate = seed_base or [0], self.spec.dropout_rate
-        for i, d in enumerate(self.spec.hidden_dims):
+        for i in range(last):
             out, keep = self._outputs[i][:rows], None
+            if rate > 0.0:
+                # The draw lands in the output block, which the product then overwrites.
+                np.random.default_rng([*base, i]).random(out=out)
+                keep = np.greater_equal(out, rate, out=self._keeps[i][:rows])
             np.matmul(h, self._params[2 * i], out=out)
             out += self._params[2 * i + 1]
-            if rate > 0.0:
-                draw = self._scratch[0][: rows * d].reshape(rows, d)
-                np.random.default_rng([*base, i]).random(out=draw)
-                keep = np.greater_equal(draw, rate, out=self._keeps[i][:rows])
             _relu_dropout(out, keep, 1.0 / (1.0 - rate))
-            self._cache[i] = (h, keep, out)
+            self._cache[i] = (h, keep)
             h = out
-        out = h @ self._params[2 * last] + self._params[2 * last + 1]
-        self._cache[last] = (h, None, out)
-        return out
+        self._cache[last] = (h, None)
+        return h @ self._params[2 * last] + self._params[2 * last + 1]
 
     def _reserve(self, rows: int) -> None:
         """Allocate the training buffers for `rows` rows, unless those held are tall enough.
 
-        The scratch blocks are flat, so a view of any rows and width is contiguous.
+        Each hidden layer's output block also takes its dropout draw in the
+        forward and, once the backward has read it, the gradient at it.
         """
         if self._outputs and self._outputs[0].shape[0] >= rows:
             return
@@ -230,7 +233,6 @@ class Tower:
         self._input = np.empty((rows, self.spec.input_dim), dtype=DTYPE)
         self._outputs = [np.empty((rows, d), dtype=DTYPE) for d in widths]
         self._keeps = [np.empty((rows, d), dtype=bool) for d in widths]
-        self._scratch = [np.empty(rows * max(widths), dtype=DTYPE) for _ in range(2)]
 
     def _infer_chunks(self, x: np.ndarray, out: np.ndarray) -> None:
         """Run rows `x` through every layer without dropout, writing their outputs to `out`.
@@ -264,33 +266,31 @@ class Tower:
         """Push a gradient through the cached training forward; returns [dw0, db0, ...].
 
         The returned arrays are the tower's own gradient buffers: the next
-        `backward` overwrites them. The cache is only read, so a second
-        `backward` after one forward gives the same gradients.
+        `backward` overwrites them. A backward consumes its forward: it writes
+        each gradient into the output block it has just read, and clears the
+        cache, so a second `backward` needs a new training forward first.
         """
         if self._cache[-1] is None:
             raise StateError("backward called without a cached training-mode forward pass")
         grad = np.asarray(upstream, dtype=DTYPE)
-        output = self._cache[-1][2]
-        if grad.shape != output.shape:
-            raise ShapeError(
-                f"upstream gradient shape {grad.shape} does not match output {output.shape}"
-            )
+        shape = (self._cache[-1][0].shape[0], self.spec.output_dim)
+        if grad.shape != shape:
+            raise ShapeError(f"upstream gradient shape {grad.shape} does not match output {shape}")
         if not self._grads:
             self._grads = [np.empty_like(p) for p in self._params]
-        rows, last = grad.shape[0], len(self.spec.hidden_dims)
+        cache, self._cache = self._cache, [None] * len(self._cache)
         scale = 1.0 / (1.0 - self.spec.dropout_rate)
-        for i in reversed(range(last + 1)):
-            x, keep, out = self._cache[i]
-            if i < last:
-                _relu_dropout_grad(grad, keep, out, scale)  # `grad` is a scratch block here
+        for i in reversed(range(len(cache))):
+            x = cache[i][0]
             np.matmul(x.T, grad, out=self._grads[2 * i])
             np.sum(grad, axis=0, out=self._grads[2 * i + 1])
             # Layer 0's input gradient would reach the features; nothing reads it.
             if i > 0:
-                w = self._params[2 * i]
-                # Layers alternate scratch blocks, so this never overwrites `grad`.
-                below = self._scratch[i % 2][: rows * w.shape[0]].reshape(rows, w.shape[0])
-                grad = np.matmul(grad, w.T, out=below)
+                # `x` is layer i - 1's output: read its ReLU mask, then reuse its block.
+                relu = x > 0.0
+                grad = np.matmul(grad, self._params[2 * i].T, out=x)
+                _relu_dropout_grad(grad, cache[i - 1][1], relu, scale)
+                del relu  # freed before the next layer's mask is read
         return list(self._grads)
 
     def parameters(self) -> list[np.ndarray]:

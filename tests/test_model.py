@@ -318,11 +318,77 @@ class TestTower:
         for g, expected in zip(got, want, strict=True):
             assert np.array_equal(g, expected)
 
+    def test_model_inference_between_encode_and_backward_keeps_gradients(self, rng):
+        # An evaluation between a training encode and its backward runs both
+        # towers' row halves on two threads; it must leave the output blocks
+        # the backward writes its gradients into as the forward left them.
+        specs = TowerSpec(6, 3, (8, 32, 16), 0.1), TowerSpec(9, 3, (8, 32, 16), 0.1)
+        model, fresh = (TwoTowerModel.create(*specs, seed=0) for _ in range(2))
+        batch = _rows(40)
+        d_audio, d_visual = rng.standard_normal((40, 3)), rng.standard_normal((40, 3))
+        model.encode(batch, training=True, step_seed=4)
+        model.encode(_rows(1025))
+        fresh.encode(batch, training=True, step_seed=4)
+        got, want = model.backward(d_audio, d_visual), fresh.backward(d_audio, d_visual)
+        for g, expected in zip(got, want, strict=True):
+            assert np.array_equal(g, expected)
+
+    def test_second_backward_is_state_error(self, rng):
+        # A backward writes its gradients into the activations it consumes,
+        # so a second one needs a new training forward.
+        tower = Tower.build(TowerSpec(6, 3, (8, 32, 16), 0.1), np.random.default_rng(0))
+        x, upstream = rng.standard_normal((20, 6)), rng.standard_normal((20, 3))
+        tower.forward(x, training=True, seed_base=[3])
+        want = [g.copy() for g in tower.backward(upstream)]
+        with pytest.raises(StateError):
+            tower.backward(upstream)
+        tower.forward(x, training=True, seed_base=[3])
+        for g, expected in zip(tower.backward(upstream), want, strict=True):
+            assert np.array_equal(g, expected)
+
+    def test_shape_error_leaves_the_forward_pending(self, rng):
+        tower = Tower.build(TowerSpec(6, 3, (8, 8), 0.1), np.random.default_rng(0))
+        x, upstream = rng.standard_normal((20, 6)), rng.standard_normal((20, 3))
+        tower.forward(x, training=True, seed_base=[3])
+        with pytest.raises(ShapeError):
+            tower.backward(upstream[:19])
+        tower.backward(upstream)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.1])
+    def test_warm_training_step_holds_only_its_buffers(self, rng, rate):
+        # After a training step at 400 rows, each tower holds its float64
+        # input block, its hidden outputs, its keep masks and its gradients,
+        # and no further block: the dropout draw and the backward's gradient
+        # take the output blocks. The smallest block named is a 200 KiB keep
+        # mask, more than the slack of small objects and a thread's state.
+        specs = TowerSpec(64, 10, (512, 512, 512), rate), TowerSpec(512, 10, (512, 512, 512), rate)
+        model = TwoTowerModel.create(*specs, seed=0)
+        batch = PairedBatch(rng.standard_normal((400, 64)), rng.standard_normal((400, 512)),
+                            np.zeros(400, dtype=np.int64))
+        d_audio, d_visual = rng.standard_normal((400, 10)), rng.standard_normal((400, 10))
+        # Per tower: the input block, 8-byte outputs and 1-byte keep masks,
+        # and gradients as large as the parameters.
+        want = sum(
+            400 * (spec.input_dim * 8 + sum(d * (8 + 1) for d in spec.hidden_dims))
+            + sum(p.nbytes for p in tower.parameters())
+            for spec, tower in zip(specs, (model.audio, model.visual))
+        )
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for seed in (0, 1):
+                model.encode(batch, training=True, step_seed=seed)
+                model.backward(d_audio, d_visual)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert want <= held <= want + 2**16
+
     @pytest.mark.parametrize("row_counts", [(400, 150, 400), (150, 400, 7)])
     def test_batch_size_changes_match_a_fresh_tower(self, rng, row_counts):
         # A shorter batch runs in the leading rows of the buffers a taller one
-        # left, a taller one grows them; unequal widths make every scratch view
-        # narrower than its block.
+        # left, and a taller one grows them; a shorter batch's backward writes
+        # its gradients into those leading rows too.
         spec = TowerSpec(6, 3, (16, 8, 12), 0.1)
         tower = Tower.build(spec, np.random.default_rng(0))
         for step, rows in enumerate(row_counts):
@@ -336,8 +402,8 @@ class TestTower:
 
     def test_training_step_allocates_no_large_block(self, rng):
         # After a warm-up step, a 400-row step of 512-wide towers writes its
-        # float64 inputs, activations, masks, scratch and gradients into
-        # buffers it holds, with float64 features and with float32 ones. One
+        # float64 inputs, activations, masks and gradients into buffers it
+        # holds, with float64 features and with float32 ones. One
         # activation is 1.6 MB, one hidden weight gradient 2 MB and the visual
         # input widened to float64 1.6 MB; the largest new blocks are the two
         # towers' 200 KiB boolean ReLU masks. The peak bounds the blocks alive

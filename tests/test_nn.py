@@ -272,7 +272,7 @@ class TestDenseBackward:
             out = pre.copy()
             _relu_dropout(out, keep, scale)
             got = upstream.copy()
-            _relu_dropout_grad(got, keep, out, scale)
+            _relu_dropout_grad(got, keep, out > 0.0, scale)
             want_out = np.maximum(pre, 0.0) if mask is None else np.maximum(pre, 0.0) * mask
             want = pre_activation_grad(pre, mask, "relu", upstream)
         for a, b in ((out, want_out), (got, want)):
